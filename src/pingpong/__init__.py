@@ -1,5 +1,8 @@
 """Freeness certificates and genericity experiments for SL_n(Z) pairs."""
 
+# defined before the submodule imports: harness reads it at import time
+__version__ = "0.1.0"
+
 from .matrices import IntMatrix, det, evaluate_word, free_reduce, inverse, invert_word
 from .spectral import DELTA_NUM, SvdTriple, singular_gap, spectral_norm, svd
 from .wedge import (
@@ -15,6 +18,7 @@ from .certify import (
     ContractionWitness,
     PingPongCertificate,
     SchottkyCertificate,
+    Verdict,
     choose_k,
     epsilon_contracting,
     hausdorff_upper_bound,
@@ -32,5 +36,3 @@ from .dynamics import (
 )
 from .haar import CartanRegion, gap_fraction, haar_density, integrate_region
 from .harness import ExperimentConfig, ExperimentReport, emit_report, run_experiment
-
-__version__ = "0.1.0"

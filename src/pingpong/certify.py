@@ -2,21 +2,26 @@
 
 Every inequality a certificate relies on is checked with the uniform
 numeric slack DELTA_NUM, so SVD residuals cannot flip a boundary case
-into a spurious certificate.  Absence of a certificate is a value
-(``None``), never an error: it only means this test could not vouch for
-the pair.
+into a spurious certificate.  A pair certifier returns a ``Verdict``:
+the certificate, or the first condition that failed.  A refusal is a
+value, never an error: it only means this test could not vouch for the
+pair.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .matrices import IntMatrix, inverse
+from .matrices import IntMatrix, det, inverse
 from .spectral import DELTA_NUM, svd
-from .wedge import ProjElement, attractor_repeller, point_hyperplane_distance
+from .wedge import ProjElement, attractor_repeller_from_svd, point_hyperplane_distance
+
+# unused here; kept as a module attribute because bench/spans.py wraps it
+from .wedge import attractor_repeller  # noqa: F401
+
+CROSS_SEPARATION = "a cross separation between attractors and repelling hyperplanes is below r"
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,14 @@ class SchottkyCertificate:
     min_gap: float
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a pair certifier: the certificate, or the first failed condition."""
+
+    certificate: PingPongCertificate | SchottkyCertificate | None
+    reason: str | None = None
+
+
 def choose_k(n: int) -> int:
     """Exterior power used for certification: n/2 (even) or (n-1)/2 (odd)."""
     if n < 2:
@@ -65,49 +78,56 @@ def epsilon_contracting(g: IntMatrix, k: int, eps: float) -> ContractionWitness 
     """
     if not 0 < eps < 0.25:
         raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
-    sigma = svd(g).sigma
+    triple = svd(g)
     if not 1 <= k <= g.n - 1:
         raise ConfigError(f"k must be in [1, {g.n - 1}], got {k}")
-    gap = sigma[k] / sigma[k - 1]
+    gap = triple.sigma[k] / triple.sigma[k - 1]
     if gap > eps * eps - DELTA_NUM:
         return None
-    v, h = attractor_repeller(g, k)
+    v, h = attractor_repeller_from_svd(triple, k)
     return ContractionWitness(eps, k, v, h, gap)
+
+
+def _very_proximal_or_reason(g: IntMatrix, name: str, k: int, r: float, eps: float):
+    """(witnesses for g and g^-1, None), or (None, the first failed condition)."""
+    if not r > 2 * eps:
+        raise ConfigError(f"need r > 2*eps, got r = {r}, eps = {eps}")
+    out = []
+    # g^-1 is inverted exactly and gets its own SVD: reading its small
+    # singular values off g's decomposition loses relative accuracy
+    for label, m in ((name, g), (f"{name}^-1", inverse(g))):
+        w = epsilon_contracting(m, k, eps)
+        if w is None:
+            return None, f"{label} is not eps-contracting on the k = {k} exterior power"
+        if point_hyperplane_distance(w.v, w.h) < r + DELTA_NUM:
+            return None, f"{label} has attractor within r of its own repelling hyperplane"
+        out.append(w)
+    return (out[0], out[1]), None
 
 
 def very_proximal(
     g: IntMatrix, k: int, r: float, eps: float
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
-    if not r > 2 * eps:
-        raise ConfigError(f"need r > 2*eps, got r = {r}, eps = {eps}")
-    out = []
-    for m in (g, inverse(g)):
-        w = epsilon_contracting(m, k, eps)
-        if w is None:
-            return None
-        if point_hyperplane_distance(w.v, w.h) < r + DELTA_NUM:
-            return None
-        out.append(w)
-    return out[0], out[1]
+    return _very_proximal_or_reason(g, "g", k, r, eps)[0]
 
 
-def ping_pong_pair(
-    g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float
-) -> PingPongCertificate | None:
-    """Certificate that (g1, g2) plays ping-pong on P(wedge^k(R^n)).
+def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -> Verdict:
+    """Verdict on whether (g1, g2) plays ping-pong on P(wedge^k(R^n)).
 
-    Requires both generators (r, eps)-very proximal and every attracting
-    point of one generator at least r away from every repelling
-    hyperplane of the other.  A certificate implies the group generated
-    is free.
+    Conditions, in the order checked: g1, g1^-1, g2, g2^-1 each
+    eps-contracting with its attractor at least r from its own repelling
+    hyperplane (so both generators are (r, eps)-very proximal), then
+    every attracting point of one generator at least r away from every
+    repelling hyperplane of the other (reason ``CROSS_SEPARATION``).  A
+    certificate implies the group generated is free.
     """
-    vp1 = very_proximal(g1, k, r, eps)
+    vp1, reason = _very_proximal_or_reason(g1, "g1", k, r, eps)
     if vp1 is None:
-        return None
-    vp2 = very_proximal(g2, k, r, eps)
+        return Verdict(None, reason)
+    vp2, reason = _very_proximal_or_reason(g2, "g2", k, r, eps)
     if vp2 is None:
-        return None
+        return Verdict(None, reason)
     witnesses = (vp1[0], vp1[1], vp2[0], vp2[1])
     separations = [point_hyperplane_distance(w.v, w.h) for w in witnesses]
     for wa in vp1:
@@ -116,8 +136,8 @@ def ping_pong_pair(
             separations.append(point_hyperplane_distance(wb.v, wa.h))
     min_sep = min(separations)
     if min_sep < r + DELTA_NUM:
-        return None
-    return PingPongCertificate(r, eps, witnesses, min_sep)
+        return Verdict(None, CROSS_SEPARATION)
+    return Verdict(PingPongCertificate(r, eps, witnesses, min_sep))
 
 
 def _entries_2x2(g: IntMatrix) -> tuple[int, int, int, int]:
@@ -161,48 +181,25 @@ def isometric_circles(g: IntMatrix) -> tuple[Circle, Circle]:
     return Circle(-d / c, 1 / abs(c)), Circle(a / c, 1 / abs(c))
 
 
-def _mobius(g: IntMatrix, z: complex) -> complex:
-    a, b, c, d = _entries_2x2(g)
-    return (a * z + b) / (c * z + d)
+def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
+    """Verdict on a Schottky certificate from disjoint isometric circles.
 
-
-def _mapping_spot_check(g1: IntMatrix, g2: IntMatrix, circles, samples: int = 64) -> bool:
-    """g_i must map the exterior of C_i into the (closed) interior of C_{i+2}."""
-    actions = [
-        (g1, 0, 2),
-        (g2, 1, 3),
-        (inverse(g1), 2, 0),
-        (inverse(g2), 3, 1),
-    ]
-    angles = [2 * math.pi * t / samples for t in range(samples)]
-    for g, src, dst in actions:
-        target = circles[dst]
-        for j, circ in enumerate(circles):
-            pts = [circ.center + circ.radius * cmath.exp(1j * t) for t in angles]
-            for z in pts:
-                w = _mobius(g, z)
-                dist = abs(w - target.center)
-                if j == src:
-                    # the source boundary maps exactly onto the target boundary
-                    if dist > target.radius * (1 + 1e-9) + 1e-12:
-                        return False
-                elif dist > target.radius + DELTA_NUM:
-                    return False
-    return True
-
-
-def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> SchottkyCertificate | None:
-    """Schottky certificate from disjoint isometric circles, or None.
-
-    Needs both generators hyperbolic with c != 0, the four circles
-    pairwise disjoint on the boundary line with positive gap, and the
-    exterior-to-interior mapping property verified on sampled boundary
-    points.
+    Both generators must have det 1 (ConfigError otherwise).  Conditions,
+    in the order checked: g1 hyperbolic, g2 hyperbolic, the four
+    isometric circles pairwise disjoint on the boundary line with
+    positive gap.  With det 1, |trace| > 2 forces c != 0, so the circles
+    are bounded; each generator then maps the exterior of its circle into
+    the closed interior of its inverse's circle (Ford, Automorphic
+    Functions, 1929).
     """
     for g in (g1, g2):
-        a, _, c, d = _entries_2x2(g)
-        if abs(a + d) <= 2 or c == 0:
-            return None
+        _entries_2x2(g)
+        d = det(g)
+        if d != 1:
+            raise ConfigError(f"schottky_sl2 requires det = 1, got det = {d}")
+    for name, g in (("g1", g1), ("g2", g2)):
+        if abs(g.trace()) <= 2:
+            return Verdict(None, f"{name} is not hyperbolic (|trace| <= 2)")
     c1, c3 = isometric_circles(g1)
     c2, c4 = isometric_circles(g2)
     circles = (c1, c2, c3, c4)
@@ -216,13 +213,11 @@ def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> SchottkyCertificate | None:
             )
     min_gap = min(gaps)
     if min_gap <= DELTA_NUM:
-        return None
-    if not _mapping_spot_check(g1, g2, circles):
-        return None
+        return Verdict(None, "isometric circles are not pairwise disjoint")
     a1, b1 = sl2_fixed_points(g1)
     a2, b2 = sl2_fixed_points(g2)
-    return SchottkyCertificate(
-        (g1.trace(), g2.trace()), (a1, b1, a2, b2), circles, min_gap
+    return Verdict(
+        SchottkyCertificate((g1.trace(), g2.trace()), (a1, b1, a2, b2), circles, min_gap)
     )
 
 

@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import serialize
 from .certify import choose_k, hausdorff_upper_bound, ping_pong_pair, schottky_sl2
@@ -22,7 +21,6 @@ from .errors import BudgetError, ConfigError, InvariantViolation
 from .harness import config_from_obj, emit_report, run_experiment
 from .matrices import inverse
 from .sampler import BallSpec, enumerate_ball
-from .wedge import point_hyperplane_distance
 
 
 def _emit(obj):
@@ -40,7 +38,7 @@ def _witness_obj(w):
 
 
 def cmd_enumerate(args):
-    spec = BallSpec(args.n, Fraction(args.X), args.symmetrized)
+    spec = BallSpec(args.n, args.X, args.symmetrized)
     enum = enumerate_ball(spec, cache_dir=args.cache_dir)
     if args.members_out:
         with open(args.members_out, "w") as fh:
@@ -62,12 +60,13 @@ def cmd_certify(args):
     if args.n is not None and (g1.n != args.n or g2.n != args.n):
         raise ConfigError(f"pair file holds {g1.n}x{g1.n} matrices, expected n = {args.n}")
     k = args.k if args.k is not None else choose_k(g1.n)
-    cert = ping_pong_pair(g1, g2, k, args.r, args.eps)
+    verdict = ping_pong_pair(g1, g2, k, args.r, args.eps)
+    cert = verdict.certificate
     if cert is None:
         _emit(
             {
                 "certified": False,
-                "reason": _first_failed_condition(g1, g2, k, args.r, args.eps),
+                "reason": verdict.reason,
                 "k": k,
                 "eps": args.eps,
                 "r": args.r,
@@ -87,33 +86,12 @@ def cmd_certify(args):
     )
 
 
-def _first_failed_condition(g1, g2, k, r, eps) -> str:
-    from .certify import epsilon_contracting
-
-    for name, g in (("g1", g1), ("g1^-1", inverse(g1)), ("g2", g2), ("g2^-1", inverse(g2))):
-        w = epsilon_contracting(g, k, eps)
-        if w is None:
-            return f"{name} is not eps-contracting on the k = {k} exterior power"
-        if point_hyperplane_distance(w.v, w.h) < r:
-            return f"{name} has attractor within r of its own repelling hyperplane"
-    return "a cross separation between attractors and repelling hyperplanes is below r"
-
-
 def cmd_schottky(args):
     g1, g2 = serialize.load_pair(args.pair)
-    cert = schottky_sl2(g1, g2)
+    verdict = schottky_sl2(g1, g2)
+    cert = verdict.certificate
     if cert is None:
-        reason = "trace or isometric-circle condition failed"
-        for name, g in (("g1", g1), ("g2", g2)):
-            if abs(g.trace()) <= 2:
-                reason = f"{name} is not hyperbolic (|trace| <= 2)"
-                break
-            if g.entries[1][0] == 0:
-                reason = f"{name} has c = 0 (isometric circles unbounded)"
-                break
-        else:
-            reason = "isometric circles are not pairwise disjoint"
-        _emit({"certified": False, "reason": reason})
+        _emit({"certified": False, "reason": verdict.reason})
         return
     _emit(
         {
@@ -131,8 +109,7 @@ def cmd_schottky(args):
 def cmd_hausdorff(args):
     from .certify import Circle, SchottkyCertificate
 
-    with open(args.certificate) as fh:
-        obj = json.load(fh)
+    obj = serialize.load_json(args.certificate)
     try:
         circles = tuple(Circle(c["center"], c["radius"]) for c in obj["circles"])
         cert = SchottkyCertificate(
@@ -181,15 +158,17 @@ def cmd_volume(args):
     if args.gaps:
         for part in args.gaps.split(","):
             k, _, t = part.partition(":")
-            gaps.append((int(k), float(t)))
+            try:
+                gaps.append((int(k), float(t)))
+            except ValueError as exc:
+                raise ConfigError(f"--gaps entry {part!r} is not k:T") from exc
     region = CartanRegion(args.n, args.logX, args.symmetrized, tuple(gaps))
     value, err = integrate_region_with_error(region, args.resolution)
     _emit({"value": value, "est_error": err})
 
 
 def cmd_experiment(args):
-    with open(args.config) as fh:
-        cfg = config_from_obj(json.load(fh))
+    cfg = config_from_obj(serialize.load_json(args.config))
     start = time.time()
     rep = run_experiment(cfg, cache_dir=args.cache_dir)
     elapsed = time.time() - start

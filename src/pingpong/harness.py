@@ -16,21 +16,22 @@ import io
 import statistics
 from dataclasses import asdict, dataclass
 
-from . import serialize
+from . import __version__, serialize
 from .certify import (
+    CROSS_SEPARATION,
     choose_k,
     hausdorff_upper_bound,
     ping_pong_pair,
     schottky_sl2,
-    very_proximal,
 )
+
+# unused here; kept as a module attribute because bench/spans.py wraps it
+from .certify import very_proximal  # noqa: F401
 from .dynamics import estimate_lyapunov, falsify_freeness
 from .errors import ConfigError, InvariantViolation
 from .matrices import IntMatrix, inverse
 from .sampler import BallSpec, enumerate_ball, sample_pairs
 from .spectral import singular_gap
-
-__version__ = "0.1.0"
 
 LYAPUNOV_PAIRS = 10
 LYAPUNOV_M = 200
@@ -67,6 +68,8 @@ class ExperimentConfig:
         object.__setattr__(self, "x_grid", tuple(self.x_grid))
         if not self.x_grid:
             raise ConfigError("x_grid must be non-empty")
+        for x in self.x_grid:
+            BallSpec(self.n, x, self.symmetrized)  # reject a bad radius before any work
         if not 0 < self.eps < 0.25:
             raise ConfigError(f"need 0 < eps < 1/4, got {self.eps}")
         if not self.r > 2 * self.eps:
@@ -120,18 +123,16 @@ def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None) -> Exper
                 trace_large += 1
             if _is_gapped(g1, positions, cfg.eta) and _is_gapped(g2, positions, cfg.eta):
                 gapped += 1
-            vp_both = (
-                very_proximal(g1, k, cfg.r, cfg.eps) is not None
-                and very_proximal(g2, k, cfg.r, cfg.eps) is not None
-            )
-            if vp_both:
-                very_prox += 1
+            # both generators are checked before the cross separations, so
+            # they are very proximal iff the verdict gets that far
             pp = ping_pong_pair(g1, g2, k, cfg.r, cfg.eps)
-            if pp is not None:
+            certified = pp.certificate is not None
+            if certified or pp.reason == CROSS_SEPARATION:
+                very_prox += 1
+            if certified:
                 pingpong += 1
-            certified = pp is not None
             if cfg.n == 2:
-                sc = schottky_sl2(g1, g2)
+                sc = schottky_sl2(g1, g2).certificate
                 if sc is not None:
                     schottky_count += 1
                     certified = True
@@ -167,7 +168,7 @@ def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None) -> Exper
 
         rows.append(
             {
-                "x": float(x),
+                "x": float(enum.spec.x),
                 "count_ball": enum.count,
                 "frac_trace_large": trace_large / n_pairs,
                 "frac_gapped": gapped / n_pairs,

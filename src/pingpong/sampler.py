@@ -42,7 +42,10 @@ class BallSpec:
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ConfigError(f"ball enumeration supports n in {{2, 3}}, got n = {self.n}")
-        object.__setattr__(self, "x", Fraction(self.x))
+        try:
+            object.__setattr__(self, "x", Fraction(self.x))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"ball radius must be a number, got {self.x!r}") from exc
         if self.x < 1:
             raise ConfigError(f"ball radius must be >= 1, got {self.x}")
 

@@ -36,9 +36,16 @@ def pair_from_obj(obj) -> tuple[IntMatrix, IntMatrix]:
     return matrix_from_obj(obj["g1"]), matrix_from_obj(obj["g2"])
 
 
-def load_pair(path: str) -> tuple[IntMatrix, IntMatrix]:
+def load_json(path: str):
     with open(path) as fh:
-        return pair_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_pair(path: str) -> tuple[IntMatrix, IntMatrix]:
+    return pair_from_obj(load_json(path))
 
 
 def format_float(x: float) -> str:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .matrices import IntMatrix
 from .matrices import det as exact_det
-from .matrices import inverse
 
 # Uniform numeric slack for every certificate comparison: an inequality
 # "x >= y" certifies only if x >= y + DELTA_NUM.
@@ -151,5 +150,4 @@ __all__ = [
     "spectral_norm",
     "log_spectral_norm",
     "singular_gap",
-    "inverse",
 ]

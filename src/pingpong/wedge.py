@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, det
-from .spectral import svd
+from .spectral import SvdTriple, svd
 
 
 def subset_basis(n: int, k: int) -> list[tuple[int, ...]]:
@@ -138,16 +138,20 @@ def apply_wedge(w: np.ndarray, p: ProjElement) -> ProjElement:
 
 
 def attractor_repeller(g: IntMatrix, k: int) -> tuple[ProjElement, ProjElement]:
-    """Attracting point and repelling hyperplane of g on P(wedge^k(R^n)).
+    """Attracting point and repelling hyperplane of g on P(wedge^k(R^n))."""
+    return attractor_repeller_from_svd(svd(g), k)
 
-    With g = k_g a_g k_g', the attractor is the image of the lex-first
-    basis vector under the wedge action of k_g, and the repelling
-    hyperplane's normal is the lex-first row of the wedge action of k_g'.
+
+def attractor_repeller_from_svd(triple: SvdTriple, k: int) -> tuple[ProjElement, ProjElement]:
+    """Attractor and repeller read off the Cartan decomposition g = k_g a_g k_g'.
+
+    The attractor is the image of the lex-first basis vector under the
+    wedge action of k_g, and the repelling hyperplane's normal is the
+    lex-first row of the wedge action of k_g'.
     """
-    triple = svd(g)
     wk_left = wedge_matrix(triple.k_g, k)
     wk_right = wedge_matrix(triple.k_g_prime, k)
-    n = g.n
+    n = len(triple.sigma)
     v = ProjElement("point", WedgeVector(n, k, wk_left[:, 0].copy()).unit())
     h = ProjElement("hyperplane", WedgeVector(n, k, wk_right[0, :].copy()).unit())
     return v, h

@@ -1,9 +1,12 @@
 """Contraction witnesses, ping-pong and Schottky certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pingpong.certify import (
     Circle,
@@ -19,7 +22,7 @@ from pingpong.certify import (
 )
 from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
-from pingpong.matrices import IntMatrix
+from pingpong.matrices import IntMatrix, det
 from pingpong.wedge import (
     apply_wedge,
     point,
@@ -123,11 +126,15 @@ def test_very_proximal_validates_r():
 
 
 def test_ping_pong_pair_identity_rejected():
-    assert ping_pong_pair(IntMatrix.identity(2), IntMatrix.identity(2), 1, 0.25, 0.1) is None
+    verdict = ping_pong_pair(IntMatrix.identity(2), IntMatrix.identity(2), 1, 0.25, 0.1)
+    assert verdict.certificate is None
+    assert verdict.reason == "g1 is not eps-contracting on the k = 1 exterior power"
 
 
 def test_ping_pong_pair_transverse_hyperbolics():
-    cert = ping_pong_pair(H.power(8), K.power(8), 1, 0.25, 0.1)
+    verdict = ping_pong_pair(H.power(8), K.power(8), 1, 0.25, 0.1)
+    assert verdict.reason is None
+    cert = verdict.certificate
     assert cert is not None
     assert cert.min_separation >= 0.25
     assert len(cert.witnesses) == 4
@@ -141,7 +148,7 @@ def test_ping_pong_certificate_implies_oracle_silence():
         (H.power(8), (H @ K).power(8)),
     ]
     for g1, g2 in e_pairs:
-        if ping_pong_pair(g1, g2, 1, 0.25, 0.1) is not None:
+        if ping_pong_pair(g1, g2, 1, 0.25, 0.1).certificate is not None:
             assert falsify_freeness(g1, g2, 8) is None
 
 
@@ -149,7 +156,7 @@ def test_ping_pong_pair_sl3():
     block_h = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
     block_k = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
     g1, g2 = block_h.power(8), block_k.power(8)
-    cert = ping_pong_pair(g1, g2, 1, 0.25, 0.1)
+    cert = ping_pong_pair(g1, g2, 1, 0.25, 0.1).certificate
     assert cert is not None
     assert cert.min_separation >= 0.25
     assert falsify_freeness(g1, g2, 8) is None
@@ -182,7 +189,9 @@ def test_isometric_circles():
 def test_schottky_certificate_issued():
     g1 = H.power(4)
     g2 = IntMatrix.from_rows([[34, -21], [-21, 13]])
-    cert = schottky_sl2(g1, g2)
+    verdict = schottky_sl2(g1, g2)
+    assert verdict.reason is None
+    cert = verdict.certificate
     assert cert is not None
     assert cert.min_gap > 0
     assert cert.traces == (47, 47)
@@ -190,15 +199,79 @@ def test_schottky_certificate_issued():
 
 
 def test_schottky_rejects_bad_pairs():
-    assert schottky_sl2(H.power(4), H.power(4)) is None  # coincident circles
-    assert schottky_sl2(PARABOLIC, H.power(4)) is None  # trace test fails
-    assert schottky_sl2(ROT, H.power(4)) is None  # elliptic
+    cases = [
+        ((H.power(4), H.power(4)), "isometric circles are not pairwise disjoint"),
+        ((PARABOLIC, H.power(4)), "g1 is not hyperbolic (|trace| <= 2)"),
+        ((ROT, H.power(4)), "g1 is not hyperbolic (|trace| <= 2)"),
+        ((H.power(4), SHEAR2), "g2 is not hyperbolic (|trace| <= 2)"),
+    ]
+    for pair, reason in cases:
+        verdict = schottky_sl2(*pair)
+        assert verdict.certificate is None
+        assert verdict.reason == reason
+
+
+@st.composite
+def hyperbolic_sl2(draw):
+    """A hyperbolic SL_2(Z) matrix with c != 0: (c, d) coprime, then a, b solved."""
+    c = draw(st.integers(-40, 40).filter(bool))
+    d = draw(st.integers(-40, 40))
+    assume(math.gcd(c, d) == 1)
+    a = pow(d, -1, abs(c)) if abs(c) > 1 else 0  # a d = 1 (mod c)
+    b = (a * d - 1) // c
+    t = draw(st.integers(-5, 5))
+    a, b = a + t * c, b + t * d  # row operation, keeps det = 1
+    assume(abs(a + d) > 2)
+    return IntMatrix.from_rows([[a, b], [c, d]])
+
+
+def _unit_circle_point(p, q):
+    """Rational point on |u| = 1, as (re, im), from a Pythagorean parametrization."""
+    n = p * p + q * q
+    return Fraction(p * p - q * q, n), Fraction(2 * p * q, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hyperbolic_sl2(),
+    st.integers(-20, 20),
+    st.integers(1, 20),
+    st.fractions(-50, 50, max_denominator=64),
+    st.fractions(-50, 50, max_denominator=64),
+)
+def test_isometric_circle_mapping_property(g, p, q, x, y):
+    # Ford: g maps the exterior of its isometric circle |cz + d| = 1 into the
+    # closed interior of the isometric circle of g^-1, and the circle onto it.
+    # Exact rational arithmetic on points z = x + iy.
+    (a, b), (c, d) = g.entries
+    assert det(g) == 1
+    circle, circle_inv = isometric_circles(g)
+    assert (circle.center, circle.radius) == (-d / c, 1 / abs(c))
+    assert (circle_inv.center, circle_inv.radius) == (a / c, 1 / abs(c))
+
+    def image_dist2(x, y):
+        # |g(z) - a/c|^2 and |cz + d|^2
+        nr, ni = a * x + b, a * y
+        dr, di = c * x + d, c * y
+        den2 = dr * dr + di * di
+        wr = (nr * dr + ni * di) / den2 - Fraction(a, c)
+        wi = (ni * dr - nr * di) / den2
+        return wr * wr + wi * wi, den2
+
+    assume(c * x + d != 0 or y != 0)
+    dist2, den2 = image_dist2(x, y)
+    if den2 >= 1:  # z on or outside the isometric circle of g
+        assert dist2 <= Fraction(1, c * c)
+    ur, ui = _unit_circle_point(p, q)
+    dist2, den2 = image_dist2((ur - d) / c, ui / c)
+    assert den2 == 1
+    assert dist2 == Fraction(1, c * c)
 
 
 def test_schottky_attracting_point_inside_target_circle():
     g1 = H.power(4)
     g2 = IntMatrix.from_rows([[34, -21], [-21, 13]])
-    cert = schottky_sl2(g1, g2)
+    cert = schottky_sl2(g1, g2).certificate
     a1, b1, a2, b2 = cert.fixed_points
     c1, c2, c3, c4 = cert.circles
     # attracting fixed point of g_i sits inside C_{i+2}, repelling inside C_i
