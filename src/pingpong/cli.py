@@ -39,7 +39,7 @@ def _witness_obj(w):
 
 def cmd_enumerate(args):
     spec = BallSpec(args.n, args.X, args.symmetrized)
-    enum = enumerate_ball(spec, cache_dir=args.cache_dir)
+    enum = enumerate_ball(spec)
     if args.members_out:
         with open(args.members_out, "w") as fh:
             for m in enum.members:
@@ -111,14 +111,14 @@ def cmd_hausdorff(args):
 
     obj = serialize.load_json(args.certificate)
     try:
-        circles = tuple(Circle(c["center"], c["radius"]) for c in obj["circles"])
+        circles = tuple(Circle(float(c["center"]), float(c["radius"])) for c in obj["circles"])
         cert = SchottkyCertificate(
             tuple(obj.get("traces", (0, 0))),
             tuple(obj.get("fixed_points", (0.0, 0.0, 0.0, 0.0))),
             circles,
             obj.get("min_gap", 0.0),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"not a valid Schottky certificate: {exc}") from exc
     bound = hausdorff_upper_bound(cert)
     _emit({"bound": bound, "vacuous": bound is None})
@@ -170,7 +170,7 @@ def cmd_volume(args):
 def cmd_experiment(args):
     cfg = config_from_obj(serialize.load_json(args.config))
     start = time.time()
-    rep = run_experiment(cfg, cache_dir=args.cache_dir)
+    rep = run_experiment(cfg)
     elapsed = time.time() - start
     text = emit_report(rep, args.format, args.out)
     if args.out:
@@ -189,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--X", type=str, required=True)
     e.add_argument("--symmetrized", action="store_true")
     e.add_argument("--members-out", type=str, default=None)
-    e.add_argument("--cache-dir", type=str, default=None)
     e.set_defaults(func=cmd_enumerate)
 
     c = sub.add_parser("certify", help="ping-pong certificate for a pair")
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--config", type=str, required=True)
     x.add_argument("--format", choices=("csv", "json"), default="csv")
     x.add_argument("--out", type=str, default=None)
-    x.add_argument("--cache-dir", type=str, default=None)
     x.set_defaults(func=cmd_experiment)
 
     return p

@@ -85,8 +85,8 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
 
 def reduced_length_stats(m: int, trials: int, seed: int) -> WordStats:
     """Reduced-length / length ratios of uniform random words of length m."""
-    if m < 1:
-        raise ConfigError("word length m must be >= 1")
+    if m < 1 or trials < 1:
+        raise ConfigError(f"need m >= 1 and trials >= 1, got m = {m}, trials = {trials}")
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
     for t in range(trials):
@@ -137,6 +137,8 @@ def estimate_lyapunov(
     """
     if not gens:
         raise ConfigError("need at least one generator")
+    if m < 1 or trials < 1:
+        raise ConfigError(f"need m >= 1 and trials >= 1, got m = {m}, trials = {trials}")
     if probs is None:
         probs = [1.0 / len(gens)] * len(gens)
     if len(probs) != len(gens):

@@ -169,6 +169,8 @@ def integrate_region_with_error(region: CartanRegion, resolution: int = 512):
     coarse = integrate_region_raw(region, resolution // 2)
     fine = integrate_region_raw(region, resolution)
     value = fine + (fine - coarse) / 3.0
+    if not np.isfinite(value):
+        raise ConfigError(f"region volume is not a finite float at log_x = {region.log_x}")
     return value, abs(fine - coarse) / 3.0
 
 

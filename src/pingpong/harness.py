@@ -65,6 +65,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "pairs_per_x", "oracle_depth", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if type(self.symmetrized) is not bool:
+            raise ConfigError(f"symmetrized must be true or false, got {self.symmetrized!r}")
         object.__setattr__(self, "x_grid", tuple(self.x_grid))
         if not self.x_grid:
             raise ConfigError("x_grid must be non-empty")
@@ -100,12 +106,12 @@ def _is_gapped(g: IntMatrix, positions, eta: float) -> bool:
     return all(singular_gap(g, p) >= eta * eta for p in positions)
 
 
-def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k = choose_k(cfg.n)
     positions = _required_gap_positions(cfg.n)
     rows = []
     for xi, x in enumerate(cfg.x_grid):
-        enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized), cache_dir=cache_dir)
+        enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized))
         pairs = sample_pairs(enum, cfg.pairs_per_x, seed=[cfg.seed, xi])
         n_pairs = len(pairs)
 

@@ -1,10 +1,14 @@
 """Exact enumeration of spectral-norm balls in SL_2(Z) and SL_3(Z).
 
-Membership sigma_1(g) <= X is decided exactly: it is equivalent to a sign
-condition on the characteristic polynomial of the integer Gram matrix
-g^t g at X^2, evaluated in rational arithmetic.  For n = 2 this collapses
-to the single comparison  ||g||_F^2 <= X^2 + X^-2  (using sigma_1 sigma_2 = 1),
-so counts carry no floating-point ambiguity at the boundary.
+Membership sigma_1(g) <= X is decided exactly, in plain integers whenever
+X is an integer.  For g in SL_n(Z) the Gram matrix g^t g has characteristic
+polynomial L^2 - f L + 1 (n = 2) or L^3 - f L^2 + f' L - 1 (n = 3, by
+Cauchy-Binet), with f = ||g||_F^2 and f' = ||g^-1||_F^2, and the test is a
+sign condition on it at X^2.  (g^t g)^-1 has the same polynomial with f and
+f' swapped, so the symmetrized ball's second test ||g^-1|| <= X is the same
+predicate with its arguments swapped.  For n = 2 the test collapses to
+||g||_F^2 <= X^2 + X^-2, so counts carry no floating-point ambiguity at
+the boundary.
 
 Enumeration backtracks over columns, pruning any partial column whose
 Euclidean norm exceeds X; for n = 3 the third column is solved from
@@ -13,24 +17,16 @@ w . c3 = 1 with w = c1 x c2 instead of being enumerated.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .matrices import IntMatrix, det, inverse
-from . import serialize
-
-FORMAT_VERSION = 1
+from .matrices import IntMatrix
 
 MAX_X = {2: 500, 3: 6}
-
-CACHE_ENV_VAR = "PINGPONG_CACHE_DIR"
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,13 @@ class BallEnumeration:
         return len(self.members)
 
 
+def _squared_radius(x: int | Fraction) -> int | Fraction:
+    # a plain int for integer X keeps every predicate below in ints
+    if x.denominator == 1:
+        return x.numerator * x.numerator
+    return x * x
+
+
 def _lambda_max_le_2x2(gram_trace: int, gram_det: int, bound) -> bool:
     # p(L) = L^2 - tr L + det; largest root <= bound iff p(bound) >= 0
     # and bound sits at or right of the parabola vertex.  bound may be an
@@ -68,90 +71,76 @@ def _lambda_max_le_2x2(gram_trace: int, gram_det: int, bound) -> bool:
     return p >= 0 and 2 * bound >= gram_trace
 
 
-def _lambda_max_le_3x3(m: IntMatrix, bound) -> bool:
-    # Characteristic polynomial of the SPD Gram matrix:
-    # p(L) = L^3 - c2 L^2 + c1 L - c0.  All roots real, so
-    # largest root <= bound iff p, p', p'' are all >= 0 at bound.
-    e = m.entries
-    c2 = e[0][0] + e[1][1] + e[2][2]
-    c1 = (
-        e[0][0] * e[1][1]
-        - e[0][1] * e[1][0]
-        + e[0][0] * e[2][2]
-        - e[0][2] * e[2][0]
-        + e[1][1] * e[2][2]
-        - e[1][2] * e[2][1]
+def _sigma1_sq_le(n: int, f: int, f_inv: int, bound) -> bool:
+    """sigma_1(g)^2 <= bound for g in SL_n(Z), from f = ||g||_F^2, f_inv = ||g^-1||_F^2."""
+    if n == 2:
+        return _lambda_max_le_2x2(f, 1, bound)
+    # p(L) = L^3 - f L^2 + f_inv L - 1 has only real roots, so its largest
+    # root is <= bound iff p, p' and p'' are all >= 0 at bound
+    return (
+        ((bound - f) * bound + f_inv) * bound >= 1
+        and (3 * bound - 2 * f) * bound + f_inv >= 0
+        and 3 * bound >= f
     )
-    c0 = det(m)
-    p = bound**3 - c2 * bound**2 + c1 * bound - c0
-    dp = 3 * bound**2 - 2 * c2 * bound + c1
-    ddp = 6 * bound - 2 * c2
-    return p >= 0 and dp >= 0 and ddp >= 0
 
 
-def norm_at_most(g: IntMatrix, x: Fraction) -> bool:
-    """Exact test sigma_1(g) <= x for g in SL_n(Z), n in {2, 3}."""
-    x = Fraction(x)
-    b = x * x
+def _member(n: int, f: int, f_inv: int, bound, symmetrized: bool) -> bool:
+    # (g^t g)^-1 has the polynomial of g^t g with f and f_inv swapped
+    return _sigma1_sq_le(n, f, f_inv, bound) and (
+        not symmetrized or _sigma1_sq_le(n, f_inv, f, bound)
+    )
+
+
+def _frobenius_sq(g: IntMatrix) -> tuple[int, int]:
+    """(||g||_F^2, ||g^-1||_F^2) for g in SL_n(Z), n in {2, 3}.
+
+    g^-1 is the adjugate, so ||g^-1||_F^2 is the sum of the squared
+    (n-1)-minors of g: the entries for n = 2, |ci x cj|^2 over column
+    pairs for n = 3.
+    """
+    f = sum(v * v for row in g.entries for v in row)
     if g.n == 2:
-        s = sum(v * v for row in g.entries for v in row)
-        return s <= b + 1 / b
-    gram = g.transpose() @ g
-    return _lambda_max_le_3x3(gram, b)
+        return f, f
+    c1, c2, c3 = g.transpose().entries
+    f_inv = sum(v * v for u, w in ((c1, c2), (c1, c3), (c2, c3)) for v in _cross(u, w))
+    return f, f_inv
+
+
+def norm_at_most(g: IntMatrix, x: int | Fraction) -> bool:
+    """Exact test sigma_1(g) <= x for g in SL_n(Z), n in {2, 3}."""
+    return _sigma1_sq_le(g.n, *_frobenius_sq(g), _squared_radius(x))
 
 
 def in_ball(g: IntMatrix, spec: BallSpec) -> bool:
-    if not norm_at_most(g, spec.x):
-        return False
-    if spec.symmetrized and g.n != 2:
-        return norm_at_most(inverse(g), spec.x)
-    # for n = 2, det 1 forces ||g^-1|| = ||g||, so the symmetrized ball
-    # coincides with the plain one
-    return True
+    return _member(g.n, *_frobenius_sq(g), _squared_radius(spec.x), spec.symmetrized)
 
 
 def _enumerate_sl2(spec: BallSpec) -> list[IntMatrix]:
-    x = spec.x
-    b = x * x
-    bfloor = b.numerator // b.denominator
+    b = _squared_radius(spec.x)
+    bfloor = math.floor(b)
+    # _member(2, s, s, b, ...) holds for an integer s = ||g||_F^2 iff
+    # s <= b + 1/b; with f = f_inv the symmetrized test adds nothing
+    s_cap = (b * b + 1) // b
     amax = math.isqrt(bfloor)
-    # integer fast path: for integer X >= 2, s <= X^2 + X^-2 iff s <= X^2
-    int_bound = None
-    if x.denominator == 1:
-        int_bound = x.numerator * x.numerator + (1 if x.numerator == 1 else 0)
-    frob_bound = b + 1 / b
     members = []
     for a in range(-amax, amax + 1):
         c_cap = math.isqrt(bfloor - a * a)
         for c in range(-c_cap, c_cap + 1):
             if math.gcd(a, c) != 1:
                 continue
-            # particular solution of a*d - b*c' = 1 via extended gcd
-            d0, b0 = _egcd_pair(a, c)
-            # general solution: (b, d) = (b0 + t a, d0 + t c)
+            # u a + v c = 1, so a d - b c = 1 is solved by (b, d) = (t a - v, t c + u)
+            u, v = _egcd(a, c)
             s1 = a * a + c * c
-            # minimize (b0 + t a)^2 + (d0 + t c)^2 over t near the vertex
-            t_center = -(b0 * a + d0 * c) / s1
-            radius = math.sqrt(max(0.0, float(frob_bound - s1)) / s1) + 1.0
-            for t in range(math.floor(t_center - radius), math.ceil(t_center + radius) + 1):
-                bb = b0 + t * a
-                dd = d0 + t * c
-                s = s1 + bb * bb + dd * dd
-                if int_bound is not None:
-                    if s > int_bound:
-                        continue
-                elif s > frob_bound:
-                    continue
-                members.append(IntMatrix(((a, bb), (c, dd))))
+            # s1 + (t a - v)^2 + (t c + u)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
+            m = u * c - v * a
+            disc = m * m - s1 * (s1 + u * u + v * v - s_cap)
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            for t in range(-((m + r) // s1), (r - m) // s1 + 1):
+                members.append(IntMatrix(((a, t * a - v), (c, t * c + u))))
     members.sort(key=lambda m: m.entries)
     return members
-
-
-def _egcd_pair(a: int, c: int) -> tuple[int, int]:
-    """Return (d0, b0) with a*d0 - b0*c = 1 for coprime (a, c)."""
-    u, v = _egcd(a, c)
-    # u*a + v*c = 1  ->  d0 = u, b0 = -v
-    return u, -v
 
 
 def _egcd(a: int, b: int) -> tuple[int, int]:
@@ -192,10 +181,8 @@ def _cross(u, v):
 
 
 def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
-    x = spec.x
-    b = x * x
-    if b.denominator == 1:
-        b = b.numerator  # plain ints keep the hot pair loop cheap
+    b = _squared_radius(spec.x)
+    sym = spec.symmetrized
     norm_sq_cap = math.floor(b)
     cols = _int_vectors_in_ball(norm_sq_cap)
     cap = math.isqrt(norm_sq_cap)
@@ -206,31 +193,27 @@ def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
         n1 = c1[0] ** 2 + c1[1] ** 2 + c1[2] ** 2
         for c2 in cols:
             n2 = c2[0] ** 2 + c2[1] ** 2 + c2[2] ** 2
-            dot = c1[0] * c2[0] + c1[1] * c2[1] + c1[2] * c2[2]
+            d12 = c1[0] * c2[0] + c1[1] * c2[1] + c1[2] * c2[2]
+            wn = n1 * n2 - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
             # interlacing: top eigenvalue of the 2-column Gram minor is a
             # lower bound for lambda_max(g^t g)
-            if not _lambda_max_le_2x2(n1 + n2, n1 * n2 - dot * dot, b):
+            if not _lambda_max_le_2x2(n1 + n2, wn, b):
+                continue
+            if wn > wn_cap or (sym and wn > norm_sq_cap):
                 continue
             w = _cross(c1, c2)
-            if w == (0, 0, 0):
-                continue
-            if math.gcd(math.gcd(abs(w[0]), abs(w[1])), abs(w[2])) != 1:
-                continue
-            wn = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
-            if wn > wn_cap:
-                continue
-            if spec.symmetrized and wn > norm_sq_cap:
+            # also drops w = 0, whose gcd is 0
+            if math.gcd(*w) != 1:
                 continue
             for c3 in _solve_third_column(w, cap, norm_sq_cap):
-                g = IntMatrix(
-                    (
-                        (c1[0], c2[0], c3[0]),
-                        (c1[1], c2[1], c3[1]),
-                        (c1[2], c2[2], c3[2]),
-                    )
-                )
-                if in_ball(g, spec):
-                    members.append(g)
+                n3 = c3[0] ** 2 + c3[1] ** 2 + c3[2] ** 2
+                d13 = c1[0] * c3[0] + c1[1] * c3[1] + c1[2] * c3[2]
+                d23 = c2[0] * c3[0] + c2[1] * c3[1] + c2[2] * c3[2]
+                # the rows of g^-1 are c2 x c3, c3 x c1 and c1 x c2, and
+                # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
+                f_inv = wn + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
+                if _member(3, n1 + n2 + n3, f_inv, b, sym):
+                    members.append(IntMatrix(tuple(zip(c1, c2, c3))))
     members.sort(key=lambda m: m.entries)
     return members
 
@@ -273,20 +256,15 @@ def _solve_third_column(w, cap: int, norm_sq_cap: int):
     return out
 
 
-def enumerate_ball(spec: BallSpec, cache_dir: str | None = None) -> BallEnumeration:
+def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     """Complete, deterministic enumeration of the requested norm ball."""
     if spec.x > MAX_X[spec.n]:
         raise BudgetError(
             f"X = {spec.x} exceeds the n = {spec.n} enumeration budget "
             f"(X <= {MAX_X[spec.n]}); use sampling at larger radii"
         )
-    cached = _cache_load(spec, cache_dir)
-    if cached is not None:
-        return cached
     members = _enumerate_sl2(spec) if spec.n == 2 else _enumerate_sl3(spec)
-    enum = BallEnumeration(spec, tuple(members))
-    _cache_store(enum, cache_dir)
-    return enum
+    return BallEnumeration(spec, tuple(members))
 
 
 def sample_pairs(
@@ -298,47 +276,3 @@ def sample_pairs(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, e.count, size=(count, 2))
     return [(e.members[int(i)], e.members[int(j)]) for i, j in idx]
-
-
-def _cache_path(spec: BallSpec, cache_dir: str | None) -> Path | None:
-    root = cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    key = f"ball_v{FORMAT_VERSION}_n{spec.n}_X{spec.x.numerator}-{spec.x.denominator}" + (
-        "_sym" if spec.symmetrized else "_plain"
-    )
-    return Path(root) / f"{key}.jsonl"
-
-
-def _cache_load(spec: BallSpec, cache_dir: str | None) -> BallEnumeration | None:
-    path = _cache_path(spec, cache_dir)
-    if path is None or not path.exists():
-        return None
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format_version") != FORMAT_VERSION:
-            return None
-        members = tuple(serialize.matrix_from_obj(json.loads(line)) for line in fh)
-    if len(members) != header["count"]:
-        return None
-    return BallEnumeration(spec, members)
-
-
-def _cache_store(enum: BallEnumeration, cache_dir: str | None):
-    path = _cache_path(enum.spec, cache_dir)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        header = {
-            "format_version": FORMAT_VERSION,
-            "n": enum.spec.n,
-            "x": str(enum.spec.x),
-            "symmetrized": enum.spec.symmetrized,
-            "count": enum.count,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for m in enum.members:
-            fh.write(json.dumps(serialize.matrix_to_obj(m)) + "\n")
-    tmp.replace(path)

@@ -15,6 +15,8 @@ H = IntMatrix.from_rows([[2, 1], [1, 1]])
 K = IntMatrix.from_rows([[1, 1], [1, 2]])
 ROT = IntMatrix.from_rows([[0, -1], [1, 0]])
 
+SMALL_CONFIG = {"n": 2, "x_grid": [5], "symmetrized": False, "pairs_per_x": 5}
+
 
 def run_cli(args):
     return cli.main(args)
@@ -165,6 +167,19 @@ def test_det_not_one_exit_code(capsys, tmp_path, command, pair):
         ["volume", "--n", "2", "--logX", "3", "--gaps", "x:1"],
         ["enumerate", "--n", "2", "--X", "abc"],
         ["experiment", "--config", "{config}"],
+        ["experiment", "--config", {**SMALL_CONFIG, "pairs_per_x": 2.5}],
+        ["experiment", "--config", {**SMALL_CONFIG, "seed": 1.5}],
+        ["experiment", "--config", {**SMALL_CONFIG, "n": 2.0}],
+        ["experiment", "--config", {**SMALL_CONFIG, "oracle_depth": 2.5}],
+        ["experiment", "--config", {**SMALL_CONFIG, "symmetrized": "no"}],
+        ["lyapunov", "--pair", "{pair}", "--trials", "0"],
+        ["lyapunov", "--pair", "{pair}", "--m", "0"],
+        ["lyapunov", "--pair", "{pair}", "--m", "-3"],
+        ["wordstats", "--m", "5", "--trials", "0"],
+        ["hausdorff", "--certificate", {"circles": [{"center": "a", "radius": 0.5}]}],
+        ["hausdorff", "--certificate", {"circles": [{"center": None, "radius": 0.5}]}],
+        ["volume", "--n", "2", "--logX", "nan"],
+        ["volume", "--n", "3", "--logX", "1e6"],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):
@@ -174,12 +189,22 @@ def test_malformed_input_exit_code(tmp_path, argv):
     config.write_text(
         json.dumps({"n": 2, "x_grid": ["abc"], "symmetrized": False, "pairs_per_x": 5})
     )
-    argv = [a.format(file=truncated, config=config) for a in argv]
+    pair = write_pair(tmp_path, H, K)
+    inline = tmp_path / "inline.json"
+
+    def as_arg(a):
+        if isinstance(a, dict):  # written to a JSON file, passed by its path
+            inline.write_text(json.dumps(a))
+            return str(inline)
+        return a.format(file=truncated, config=config, pair=pair)
+
+    argv = [as_arg(a) for a in argv]
     r = subprocess.run(
         [sys.executable, "-m", "pingpong.cli", *argv], capture_output=True, text=True
     )
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_wordstats(capsys):
@@ -236,7 +261,7 @@ def test_experiment_fractional_radius(tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(monkeypatch, tmp_path, capsys):
-    def boom(cfg, cache_dir=None):
+    def boom(cfg):
         raise InvariantViolation("forced for exit-code test")
 
     monkeypatch.setattr(cli, "run_experiment", boom)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pingpong.errors import BudgetError, ConfigError
 from pingpong.matrices import IntMatrix, det, inverse
@@ -95,13 +97,43 @@ def test_symmetrized_closed_under_inverse():
         assert inverse(m).entries in entries
 
 
-def test_symmetrized_definition():
-    spec = BallSpec(3, 2, symmetrized=True)
-    plain = enumerate_ball(BallSpec(3, 2))
+@pytest.mark.parametrize("x", [2, Fraction(5, 2)])
+def test_symmetrized_definition(x):
+    spec = BallSpec(3, x, symmetrized=True)
+    plain = enumerate_ball(BallSpec(3, x))
     expected = [
         m.entries for m in plain.members if norm_at_most(inverse(m), spec.x)
     ]
     assert [m.entries for m in enumerate_ball(spec).members] == expected
+
+
+def _elementary(i, j, s):
+    rows = [[int(r == c) for c in range(3)] for r in range(3)]
+    rows[i][j] = s
+    return IntMatrix.from_rows(rows)
+
+
+ELEMENTARY = [
+    _elementary(i, j, s) for i in range(3) for j in range(3) if i != j for s in (1, -1)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ELEMENTARY), max_size=16))
+def test_gram_characteristic_polynomial(word):
+    # Cauchy-Binet: on SL_3(Z), g^t g has characteristic polynomial
+    # L^3 - ||g||_F^2 L^2 + ||g^-1||_F^2 L - 1, which ball membership relies on
+    g = IntMatrix.identity(3)
+    for e in word:
+        g = g @ e
+    gram = g.transpose() @ g
+    m = gram.entries
+    principal_minors = sum(
+        m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    assert gram.trace() == sum(v * v for row in g.entries for v in row)
+    assert principal_minors == sum(v * v for row in inverse(g).entries for v in row)
+    assert det(gram) == 1
 
 
 def test_budget_and_config_errors():
@@ -134,14 +166,6 @@ def test_sample_pairs_edge_cases():
     single = type(e)(e.spec, (e.members[0],))
     pairs = sample_pairs(single, 5, 3)
     assert all(a is e.members[0] and b is e.members[0] for a, b in pairs)
-
-
-def test_enumeration_cache_round_trip(tmp_path):
-    spec = BallSpec(2, 6)
-    first = enumerate_ball(spec, cache_dir=str(tmp_path))
-    assert (tmp_path / "ball_v1_n2_X6-1_plain.jsonl").exists()
-    second = enumerate_ball(spec, cache_dir=str(tmp_path))
-    assert [m.entries for m in first.members] == [m.entries for m in second.members]
 
 
 def test_in_ball_spot_checks():
