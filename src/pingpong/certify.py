@@ -90,8 +90,8 @@ def epsilon_contracting(g: IntMatrix, k: int, eps: float) -> ContractionWitness 
 
 def _very_proximal_or_reason(g: IntMatrix, name: str, k: int, r: float, eps: float):
     """(witnesses for g and g^-1, None), or (None, the first failed condition)."""
-    if not r > 2 * eps:
-        raise ConfigError(f"need r > 2*eps, got r = {r}, eps = {eps}")
+    if not (math.isfinite(r) and r > 2 * eps):
+        raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
     out = []
     # g^-1 is inverted exactly and gets its own SVD: reading its small
     # singular values off g's decomposition loses relative accuracy

@@ -3,7 +3,7 @@
 Subcommands mirror the library surface: enumerate, certify, schottky,
 hausdorff, oracle, lyapunov, wordstats, volume, experiment.  All output
 is JSON on stdout (reports may also be CSV); exit codes are 0 ok,
-2 config error, 3 budget error, 4 invariant violation.
+2 config error, 3 budget error or non-convergence, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict
 from . import serialize
 from .certify import choose_k, hausdorff_upper_bound, ping_pong_pair, schottky_sl2
 from .dynamics import estimate_lyapunov, falsify_freeness, reduced_length_stats
-from .errors import BudgetError, ConfigError, InvariantViolation
+from .errors import BudgetError, ConfigError, ConvergenceError, InvariantViolation
 from .harness import config_from_obj, emit_report, run_experiment
 from .matrices import inverse
 from .sampler import BallSpec, enumerate_ball
@@ -252,6 +252,9 @@ def main(argv=None) -> int:
         return 2
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
         return 3
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

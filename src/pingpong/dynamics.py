@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .matrices import IntMatrix, free_reduce, inverse, invert_word, is_reduced
+from .matrices import ALPHABET, IntMatrix, free_reduce, inverse, invert_word, is_reduced
 from .spectral import spectral_norm, svd
 
 MAX_ORACLE_LEN = 12
@@ -83,24 +83,22 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
     return None
 
 
-def reduced_length_stats(m: int, trials: int, seed: int) -> WordStats:
-    """Reduced-length / length ratios of uniform random words of length m."""
+def _check_run(m: int, trials: int, seed: int):
     if m < 1 or trials < 1:
         raise ConfigError(f"need m >= 1 and trials >= 1, got m = {m}, trials = {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
+def reduced_length_stats(m: int, trials: int, seed: int) -> WordStats:
+    """Reduced-length / length ratios of uniform random words of length m."""
+    _check_run(m, trials, seed)
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
     for t in range(trials):
-        draws = rng.integers(0, 4, size=m)
-        depth = 0
-        stack = np.empty(m, dtype=np.int64)
-        for letter in draws:
-            # letters pair as 0<->1, 2<->3
-            if depth and stack[depth - 1] == letter ^ 1:
-                depth -= 1
-            else:
-                stack[depth] = letter
-                depth += 1
-        ratios[t] = depth / m
+        # ALPHABET pairs inverses as 0<->1, 2<->3
+        word = "".join([ALPHABET[i] for i in rng.integers(0, 4, size=m).tolist()])
+        ratios[t] = len(free_reduce(word)) / m
     qs = {
         f"p{int(100 * q):02d}": float(np.quantile(ratios, q))
         for q in (0.01, 0.05, 0.25, 0.50, 0.75, 0.95, 0.99)
@@ -137,8 +135,7 @@ def estimate_lyapunov(
     """
     if not gens:
         raise ConfigError("need at least one generator")
-    if m < 1 or trials < 1:
-        raise ConfigError(f"need m >= 1 and trials >= 1, got m = {m}, trials = {trials}")
+    _check_run(m, trials, seed)
     if probs is None:
         probs = [1.0 / len(gens)] * len(gens)
     if len(probs) != len(gens):

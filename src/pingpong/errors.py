@@ -19,4 +19,8 @@ class InvariantViolation(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative numerical routine failed to converge within its cap."""
+    """Iterative numerical routine failed to converge within its cap.
+
+    The cap (64 Jacobi sweeps) is a budget, so the CLI maps this to the
+    budget exit code 3.
+    """

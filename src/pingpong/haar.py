@@ -3,9 +3,10 @@
 In KAK coordinates the A-part carries the density prod_{k<i} sinh(j_k -
 j_i) over the descending chamber j_1 >= ... >= j_n with sum zero.  The
 regions of interest are cut out by linear constraints (norm bounds, gap
-thresholds), so every inner integration range is an exact interval and
-midpoint sums stay clean; a Richardson step on a half-resolution grid
-upgrades the order and yields an error estimate.
+thresholds).  One nested midpoint sum handles every n: the innermost
+coordinate gets its exact interval, the outer ones loose ranges whose
+infeasible cells contribute nothing.  A Richardson step on a
+half-resolution grid upgrades the order and yields an error estimate.
 
 Only ratios and growth rates of these integrals are meaningful here: the
 overall Haar normalization constant cancels in every reported quantity.
@@ -14,6 +15,8 @@ overall Haar normalization constant cancels in every reported quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import mul, sub
 
 import numpy as np
 
@@ -28,9 +31,10 @@ class CartanRegion:
     gap_constraints: tuple = ()  # (position k, threshold T) meaning j_k - j_{k+1} >= T
 
     def __post_init__(self):
+        # the nested grid costs cells^(n-1) points; n <= 4 is the budget
         if self.n not in (2, 3, 4):
             raise ConfigError(f"regions support n in {{2, 3, 4}}, got {self.n}")
-        if self.log_x <= 0:
+        if not self.log_x > 0:  # NaN included
             raise ConfigError("log_x must be positive")
         object.__setattr__(self, "gap_constraints", tuple(self.gap_constraints))
         for k, t in self.gap_constraints:
@@ -40,14 +44,19 @@ class CartanRegion:
                 raise ConfigError("gap thresholds must be >= 0")
 
 
+def _sinh_product(j):
+    """prod_{a<b} sinh(j_a - j_b) over coordinate arrays, in lexicographic order."""
+    out = 1.0
+    for a in range(len(j) - 1):
+        for b in range(a + 1, len(j)):
+            out = out * np.sinh(j[a] - j[b])
+    return out
+
+
 def haar_density(j) -> np.ndarray | float:
     """prod over positive roots of sinh(j_k - j_i), k < i; zero on walls."""
     arr = np.asarray(j, dtype=float)
-    n = arr.shape[-1]
-    out = np.ones(arr.shape[:-1])
-    for k in range(n - 1):
-        for i in range(k + 1, n):
-            out = out * np.sinh(arr[..., k] - arr[..., i])
+    out = np.ones(arr.shape[:-1]) * _sinh_product([arr[..., k] for k in range(arr.shape[-1])])
     return out if out.shape else float(out)
 
 
@@ -59,101 +68,53 @@ def _gap_threshold(region: CartanRegion, k: int) -> float:
     return t
 
 
-def _midpoints(lo, hi, cells: int):
-    h = (hi - lo) / cells
-    return lo + h * (np.arange(cells) + 0.5), h
+def _integrate(region: CartanRegion, cells: int) -> float:
+    """Nested midpoint sum, one grid per free coordinate j_1, ..., j_{n-1}.
 
-
-def _integrate_n2(region: CartanRegion, cells: int) -> float:
-    # j = (t, -t): density sinh(2t); t in [max(0, T/2), L]
-    lo = max(0.0, _gap_threshold(region, 1) / 2.0)
-    hi = region.log_x
-    if hi <= lo:
-        return 0.0
-    t, h = _midpoints(lo, hi, cells)
-    return float(np.sum(np.sinh(2.0 * t)) * h)
-
-
-def _j2_interval(region: CartanRegion, j1: float) -> tuple[float, float]:
-    lo = -j1 / 2.0  # j2 >= j3 = -j1 - j2
-    hi = j1  # chamber
-    t1 = _gap_threshold(region, 1)
-    t2 = _gap_threshold(region, 2)
-    if t1 > 0:
-        hi = min(hi, j1 - t1)
-    if t2 > 0:
-        lo = max(lo, (t2 - j1) / 2.0)
-    if region.symmetrized:
-        hi = min(hi, region.log_x - j1)  # j3 >= -L
-    return lo, hi
-
-
-def _integrate_n3(region: CartanRegion, cells: int) -> float:
-    l = region.log_x
-    j1, h1 = _midpoints(0.0, l, cells)
+    j_n = -(j_1 + ... + j_{n-1}) is fixed by the trace condition.  The
+    outer coordinates run over loose ranges (j_1 in [0, L], then j_{m+1}
+    in [-j_m, j_m - T_m]); cells outside the region get an empty innermost
+    interval.  The innermost coordinate j_{n-1} gets the exact interval
+    cut out by the chamber, the gap cuts T_{n-2} and T_{n-1}, and for the
+    symmetrized ball j_n >= -L.
+    """
+    n, l = region.n, region.log_x
+    cut = [_gap_threshold(region, k) for k in range(n)]  # cut[k] = T_k; T_0 = 0
+    offsets = np.arange(cells) + 0.5
     total = 0.0
-    for a in j1:
-        lo, hi = _j2_interval(region, float(a))
-        if hi <= lo:
-            continue
-        j2, h2 = _midpoints(lo, hi, cells)
-        j3 = -a - j2
-        dens = np.sinh(a - j2) * np.sinh(a - j3) * np.sinh(j2 - j3)
-        total += float(np.sum(dens)) * h2 * h1
+
+    def walk(js, widths):
+        nonlocal total
+        m = len(js)
+        if m < n - 2:  # outer coordinate j_{m+1}
+            lo, hi = (-js[-1], js[-1] - cut[m]) if js else (0.0, l)
+            if hi > lo:
+                h = (hi - lo) / cells
+                for p in (lo + h * offsets).tolist():
+                    walk(js + [p], [h] + widths)
+            return
+        # innermost j_{n-1}: j_{n-1} >= j_n and the gap cuts on both sides.
+        # The rounding order (coordinates subtracted one at a time, one
+        # running total in grid order) is the one the pinned volumes used.
+        lo = max(-sum(js) / 2, reduce(sub, js, cut[n - 1]) / 2)
+        hi = js[-1] - cut[n - 2] if js else l
+        if region.symmetrized and js:
+            hi = min(hi, reduce(sub, js, l))
+        if hi > lo:
+            h = (hi - lo) / cells
+            pts = lo + h * offsets
+            dens = _sinh_product(js + [pts, reduce(sub, js, 0.0) - pts])
+            total += reduce(mul, [h] + widths, float(dens.sum()))
+
+    walk([], [])
     return total
-
-
-def _j3_interval(region: CartanRegion, j1: float, j2: float) -> tuple[float, float]:
-    lo = -(j1 + j2) / 2.0  # j3 >= j4 = -(j1 + j2 + j3)
-    hi = j2  # chamber
-    t2 = _gap_threshold(region, 2)
-    t3 = _gap_threshold(region, 3)
-    if t2 > 0:
-        hi = min(hi, j2 - t2)
-    if t3 > 0:
-        lo = max(lo, (t3 - j1 - j2) / 2.0)
-    if region.symmetrized:
-        hi = min(hi, region.log_x - j1 - j2)  # j4 >= -L
-    return lo, hi
-
-
-def _integrate_n4(region: CartanRegion, cells: int) -> float:
-    l = region.log_x
-    t1 = _gap_threshold(region, 1)
-    j1, h1 = _midpoints(0.0, l, cells)
-    total = 0.0
-    for a in j1:
-        j2_hi = a - t1
-        j2_lo = -a  # loose; infeasible cells give empty j3 intervals
-        if j2_hi <= j2_lo:
-            continue
-        j2, h2 = _midpoints(j2_lo, j2_hi, cells)
-        for b in j2:
-            lo, hi = _j3_interval(region, float(a), float(b))
-            if hi <= lo:
-                continue
-            j3, h3 = _midpoints(lo, hi, cells)
-            j4 = -a - b - j3
-            dens = (
-                np.sinh(a - b)
-                * np.sinh(a - j3)
-                * np.sinh(a - j4)
-                * np.sinh(b - j3)
-                * np.sinh(b - j4)
-                * np.sinh(j3 - j4)
-            )
-            total += float(np.sum(dens)) * h3 * h2 * h1
-    return total
-
-
-_DISPATCH = {2: _integrate_n2, 3: _integrate_n3, 4: _integrate_n4}
 
 
 def integrate_region_raw(region: CartanRegion, cells: int) -> float:
     """Plain midpoint estimate at the given per-dimension resolution."""
     if cells < 2:
         raise ConfigError("resolution must be >= 2")
-    return _DISPATCH[region.n](region, cells)
+    return _integrate(region, cells)
 
 
 def integrate_region(region: CartanRegion, resolution: int = 512) -> float:

@@ -13,8 +13,9 @@ byte-identical.
 from __future__ import annotations
 
 import io
+import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__, serialize
 from .certify import (
@@ -78,6 +79,8 @@ class ExperimentConfig:
             BallSpec(self.n, x, self.symmetrized)  # reject a bad radius before any work
         if not 0 < self.eps < 0.25:
             raise ConfigError(f"need 0 < eps < 1/4, got {self.eps}")
+        if not (math.isfinite(self.r) and math.isfinite(self.eta)):
+            raise ConfigError(f"r and eta must be finite, got r = {self.r}, eta = {self.eta}")
         if not self.r > 2 * self.eps:
             raise ConfigError(f"need r > 2*eps, got r = {self.r}, eps = {self.eps}")
         if self.eta <= 1:
@@ -215,20 +218,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def report_to_json(rep: ExperimentReport) -> str:
-    obj = {
-        "rows": [
-            {col: row[col] for col in CSV_COLUMNS} for row in rep.rows
-        ],
-        "provenance": {
-            "config": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in rep.provenance["config"].items()
-            },
-            "version": rep.provenance["version"],
-            "timing_seconds": rep.provenance["timing_seconds"],
-        },
-    }
-    return serialize.canonical_json(obj)
+    # rows are built in CSV_COLUMNS order; canonical_json writes tuples as lists
+    return serialize.canonical_json({"rows": list(rep.rows), "provenance": rep.provenance})
 
 
 def report_to_csv(rep: ExperimentReport) -> str:
@@ -240,8 +231,6 @@ def report_to_csv(rep: ExperimentReport) -> str:
             v = row[col]
             if v is None:
                 cells.append("")
-            elif isinstance(v, bool):
-                cells.append(str(v).lower())
             elif isinstance(v, int):
                 cells.append(str(v))
             else:
@@ -270,21 +259,10 @@ def emit_report(rep: ExperimentReport, fmt: str, path: str | None = None) -> str
 def config_from_obj(obj) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("experiment config must be a JSON object")
-    known = {
-        "n",
-        "x_grid",
-        "symmetrized",
-        "pairs_per_x",
-        "eps",
-        "r",
-        "eta",
-        "oracle_depth",
-        "seed",
-    }
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"n", "x_grid", "symmetrized", "pairs_per_x"} - set(obj)
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(obj)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     try:

@@ -33,7 +33,10 @@ def pair_to_obj(g1: IntMatrix, g2: IntMatrix) -> dict:
 def pair_from_obj(obj) -> tuple[IntMatrix, IntMatrix]:
     if not isinstance(obj, dict) or "g1" not in obj or "g2" not in obj:
         raise ConfigError('pair file must be a JSON object with keys "g1" and "g2"')
-    return matrix_from_obj(obj["g1"]), matrix_from_obj(obj["g2"])
+    g1, g2 = matrix_from_obj(obj["g1"]), matrix_from_obj(obj["g2"])
+    if g1.n != g2.n:
+        raise ConfigError(f"pair holds a {g1.n}x{g1.n} and a {g2.n}x{g2.n} matrix")
+    return g1, g2
 
 
 def load_json(path: str):

@@ -73,6 +73,20 @@ def _exact_minor(entries, rows, cols) -> int:
     return det(sub)
 
 
+def _float_minor(a: np.ndarray, rows, cols) -> float:
+    sub = a[np.ix_(rows, cols)]
+    if len(rows) == 1:
+        return sub[0, 0]
+    if len(rows) == 2:
+        return sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
+    return np.linalg.det(sub)
+
+
+def _check_power(n: int, k: int):
+    if not 1 <= k <= n - 1:
+        raise ConfigError(f"wedge power k must be in [1, {n - 1}], got {k}")
+
+
 def wedge_matrix(m, k: int) -> np.ndarray:
     """Compound matrix of the wedge^k action, size C(n,k) x C(n,k).
 
@@ -80,30 +94,13 @@ def wedge_matrix(m, k: int) -> np.ndarray:
     determinants of the submatrices.
     """
     if isinstance(m, IntMatrix):
-        n = m.n
-        if not 1 <= k <= n - 1:
-            raise ConfigError(f"wedge power k must be in [1, {n - 1}], got {k}")
-        basis = subset_basis(n, k)
-        return np.array(
-            [[float(_exact_minor(m.entries, s, t)) for t in basis] for s in basis]
-        )
-    a = np.asarray(m, dtype=float)
-    n = a.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ConfigError(f"wedge power k must be in [1, {n - 1}], got {k}")
+        entries, minor = m.entries, _exact_minor
+    else:
+        entries, minor = np.asarray(m, dtype=float), _float_minor
+    n = len(entries)
+    _check_power(n, k)
     basis = subset_basis(n, k)
-    out = np.empty((len(basis), len(basis)))
-    for i, s in enumerate(basis):
-        rows = a[np.array(s), :]
-        for j, t in enumerate(basis):
-            sub = rows[:, np.array(t)]
-            if k == 1:
-                out[i, j] = sub[0, 0]
-            elif k == 2:
-                out[i, j] = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-            else:
-                out[i, j] = np.linalg.det(sub)
-    return out
+    return np.array([[float(minor(entries, s, t)) for t in basis] for s in basis])
 
 
 def _check_compatible(a: ProjElement, b: ProjElement):
@@ -146,12 +143,14 @@ def attractor_repeller_from_svd(triple: SvdTriple, k: int) -> tuple[ProjElement,
     """Attractor and repeller read off the Cartan decomposition g = k_g a_g k_g'.
 
     The attractor is the image of the lex-first basis vector under the
-    wedge action of k_g, and the repelling hyperplane's normal is the
-    lex-first row of the wedge action of k_g'.
+    wedge action of k_g: the k x k minors of the first k columns of k_g.
+    The repelling hyperplane's normal is the lex-first row of the wedge
+    action of k_g': the k x k minors of its first k rows.
     """
-    wk_left = wedge_matrix(triple.k_g, k)
-    wk_right = wedge_matrix(triple.k_g_prime, k)
     n = len(triple.sigma)
-    v = ProjElement("point", WedgeVector(n, k, wk_left[:, 0].copy()).unit())
-    h = ProjElement("hyperplane", WedgeVector(n, k, wk_right[0, :].copy()).unit())
+    _check_power(n, k)
+    first = tuple(range(k))
+    basis = subset_basis(n, k)
+    v = point(n, k, [_float_minor(triple.k_g, s, first) for s in basis])
+    h = hyperplane(n, k, [_float_minor(triple.k_g_prime, first, t) for t in basis])
     return v, h

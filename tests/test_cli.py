@@ -1,13 +1,18 @@
 """CLI subcommands, output shapes, and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pingpong.cli as cli
-from pingpong.errors import InvariantViolation
+from pingpong.errors import ConvergenceError, InvariantViolation
 from pingpong.matrices import IntMatrix
 from pingpong.serialize import pair_to_obj
 
@@ -16,6 +21,7 @@ K = IntMatrix.from_rows([[1, 1], [1, 2]])
 ROT = IntMatrix.from_rows([[0, -1], [1, 0]])
 
 SMALL_CONFIG = {"n": 2, "x_grid": [5], "symmetrized": False, "pairs_per_x": 5}
+MIXED_G2 = [["1", "0", "0"], ["0", "1", "1"], ["0", "1", "2"]]
 
 
 def run_cli(args):
@@ -180,6 +186,13 @@ def test_det_not_one_exit_code(capsys, tmp_path, command, pair):
         ["hausdorff", "--certificate", {"circles": [{"center": None, "radius": 0.5}]}],
         ["volume", "--n", "2", "--logX", "nan"],
         ["volume", "--n", "3", "--logX", "1e6"],
+        ["lyapunov", "--pair", "{mixed}"],
+        ["certify", "--pair", "{mixed}"],
+        ["lyapunov", "--pair", "{pair}", "--seed", "-1"],
+        ["wordstats", "--m", "5", "--seed", "-1"],
+        ["certify", "--pair", "{pair}", "--r", "inf"],
+        ["experiment", "--config", {**SMALL_CONFIG, "eta": math.nan}],
+        ["experiment", "--config", {**SMALL_CONFIG, "r": math.inf}],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):
@@ -190,13 +203,15 @@ def test_malformed_input_exit_code(tmp_path, argv):
         json.dumps({"n": 2, "x_grid": ["abc"], "symmetrized": False, "pairs_per_x": 5})
     )
     pair = write_pair(tmp_path, H, K)
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"g1": pair_to_obj(H, K)["g1"], "g2": MIXED_G2}))
     inline = tmp_path / "inline.json"
 
     def as_arg(a):
-        if isinstance(a, dict):  # written to a JSON file, passed by its path
+        if isinstance(a, dict):  # written to a JSON file (NaN/Infinity allowed)
             inline.write_text(json.dumps(a))
             return str(inline)
-        return a.format(file=truncated, config=config, pair=pair)
+        return a.format(file=truncated, config=config, pair=pair, mixed=mixed)
 
     argv = [as_arg(a) for a in argv]
     r = subprocess.run(
@@ -205,6 +220,92 @@ def test_malformed_input_exit_code(tmp_path, argv):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+NUM = [str(i) for i in range(-1, 51)] + ["nan", "inf", "abc", ""]
+# half the draws come from the small values where most commands do real work
+VALUE = st.one_of(st.sampled_from(["-1", "0", "1", "2", "3", "4"]), st.sampled_from(NUM))
+PAIRS = st.sampled_from(["pair", "pair3", "mixed", "zero", "one", "truncated", "list"])
+CONFIGS = st.sampled_from(
+    ["small", "small3", "eta_nan", "r_inf", "missing", "unknown", "bad_x", "truncated"]
+)
+# subcommand -> (required flags, optional flags), each flag -> strategy for
+# its value (None: a switch).  --X and --resolution come from short lists:
+# n = 3 balls past X = 4 and n = 4 volumes at the default resolution of
+# 512 take seconds each, and the other counts have no upper budget
+FUZZ = {
+    "enumerate": (
+        {"--n": VALUE, "--X": st.sampled_from(["-1", "0", "2", "3", "3/2", "1000", "nan", "abc"])},
+        {"--symmetrized": None},
+    ),
+    "certify": ({"--pair": PAIRS}, {"--n": VALUE, "--k": VALUE, "--eps": VALUE, "--r": VALUE}),
+    "schottky": ({"--pair": PAIRS}, {}),
+    "hausdorff": ({"--certificate": st.one_of(PAIRS, st.just("cert"))}, {}),
+    "oracle": ({"--pair": PAIRS}, {"--max-len": VALUE}),
+    "lyapunov": ({"--pair": PAIRS}, {"--m": VALUE, "--trials": VALUE, "--seed": VALUE}),
+    "wordstats": ({"--m": VALUE}, {"--trials": VALUE, "--seed": VALUE}),
+    "volume": (
+        {"--n": VALUE, "--logX": VALUE,
+         "--resolution": st.sampled_from(["-1", "0", "2", "63", "64", "abc", ""])},
+        {"--symmetrized": None,
+         "--gaps": st.sampled_from(["1:1", "2:0.5", "1:1,3:2", "x:1", "1:nan", "1:inf", "5:1"])},
+    ),
+    "experiment": ({"--config": CONFIGS}, {"--format": st.sampled_from(["csv", "json", "xml"])}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    block_h = [["2", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]
+    zero = [["0", "0"], ["0", "0"]]
+    objs = {
+        "pair": pair_to_obj(H, K),
+        "pair3": {"g1": block_h, "g2": MIXED_G2},
+        "mixed": {"g1": pair_to_obj(H, K)["g1"], "g2": MIXED_G2},
+        "zero": {"g1": zero, "g2": zero},
+        "one": {"g1": [["1"]], "g2": [["1"]]},
+        "list": [1, 2],
+        "cert": {"circles": [{"center": c, "radius": 0.5} for c in (-3, -1, 1, 3)]},
+        "small": {"n": 2, "x_grid": [3], "symmetrized": False, "pairs_per_x": 4},
+        "small3": {"n": 3, "x_grid": [2], "symmetrized": True, "pairs_per_x": 3},
+        "eta_nan": {**SMALL_CONFIG, "eta": math.nan},
+        "r_inf": {**SMALL_CONFIG, "r": math.inf},
+        "missing": {"n": 2, "x_grid": [3]},
+        "unknown": {**SMALL_CONFIG, "radius": 3},
+        "bad_x": {**SMALL_CONFIG, "x_grid": ["abc"]},
+    }
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    paths["truncated"] = root / "truncated.json"
+    paths["truncated"].write_text('{"g1": [["2", "1"], ["1", "1"]], "g2": [["1", ')
+    return {name: str(path) for name, path in paths.items()}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_files, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ)))
+    required, optional = FUZZ[command]
+    argv = [command]
+    for flag, values in [*required.items(), *optional.items()]:
+        if flag in required or data.draw(st.booleans()):
+            argv.append(flag)
+            if values is not None:
+                value = data.draw(values)
+                argv.append(fuzz_files.get(value, value))  # file names become paths
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and (command != "experiment" or "json" in argv):
+        json.loads(out.getvalue())
 
 
 def test_wordstats(capsys):
@@ -219,8 +320,6 @@ def test_volume(capsys):
         run_cli(["volume", "--n", "2", "--logX", "3", "--resolution", "128"]) == 0
     )
     out = json.loads(capsys.readouterr().out)
-    import math
-
     assert out["value"] == pytest.approx((math.cosh(6) - 1) / 2, rel=1e-5)
     assert run_cli(["volume", "--n", "5", "--logX", "3"]) == 2
 
@@ -272,6 +371,15 @@ def test_invariant_violation_exit_code(monkeypatch, tmp_path, capsys):
         )
     )
     assert run_cli(["experiment", "--config", str(cfg)]) == 4
+
+
+def test_convergence_error_exit_code(monkeypatch, tmp_path, capsys):
+    def stall(*args):
+        raise ConvergenceError("forced for exit-code test")
+
+    monkeypatch.setattr(cli, "ping_pong_pair", stall)
+    assert run_cli(["certify", "--pair", write_pair(tmp_path, H, K)]) == 3
+    assert "convergence error" in capsys.readouterr().err
 
 
 def test_console_script_wiring():

@@ -115,6 +115,37 @@ def test_n4_region_runs():
     assert v > 0
 
 
+# integrate_region_raw at 32 and 64 cells on regions with log_x = 3.0,
+# keyed by (n, symmetrized, gap_constraints), as produced by the
+# per-dimension integrators this nested one replaced; the nested sum
+# must keep every bit of them
+PINNED_RAW = [
+    ((2, False, ((1, 0.75),)), (100.09817643496831, 100.18238489407665)),
+    ((2, True, ((1, 0.75),)), (100.09817643496831, 100.18238489407665)),
+    ((3, False, ((1, 0.75),)), (133312.6523255506, 134761.32436909946)),
+    ((3, False, ((2, 1.0),)), (338523.39981243224, 340725.5920201973)),
+    ((3, False, ((1, 0.25), (2, 0.5))), (285074.81905547145, 287754.73751787096)),
+    ((3, True, ((1, 0.75),)), (4315.095088535367, 4322.19716265318)),
+    ((3, True, ((2, 1.0),)), (4234.348153141791, 4239.308668664383)),
+    ((3, True, ((1, 0.25), (2, 0.5))), (4362.87640960378, 4368.366236201449)),
+    ((4, False, ((1, 0.75),)), (1891809243.8110754, 2003801188.744473)),
+    ((4, False, ((2, 1.0),)), (14168964183.06485, 14190548419.20857)),
+    ((4, False, ((3, 1.25),)), (46765975362.857315, 46819885324.45386)),
+    ((4, False, ((1, 0.25), (2, 0.5), (3, 0.75))), (14785201286.226486, 15560874269.64159)),
+    ((4, True, ((1, 0.75),)), (1937904.5030770698, 1950559.0072871053)),
+    ((4, True, ((2, 1.0),)), (3273003.7252455093, 3278803.702640111)),
+    ((4, True, ((3, 1.25),)), (893946.9700444839, 898732.6204334059)),
+    ((4, True, ((1, 0.25), (2, 0.5), (3, 0.75))), (1888736.0528985516, 1892162.275625335)),
+]
+
+
+@pytest.mark.parametrize("key, values", PINNED_RAW)
+def test_raw_integrals_bit_identical(key, values):
+    n, sym, gaps = key
+    region = CartanRegion(n, 3.0, sym, gaps)
+    assert (integrate_region_raw(region, 32), integrate_region_raw(region, 64)) == values
+
+
 def test_region_validation():
     with pytest.raises(ConfigError):
         CartanRegion(5, 3.0)
