@@ -1,17 +1,19 @@
 """Freeness certificates: contraction, proximality, ping-pong, Schottky.
 
-Every inequality a certificate relies on is checked with the uniform
-numeric slack DELTA_NUM, so SVD residuals cannot flip a boundary case
-into a spurious certificate.  A pair certifier returns a ``Verdict``:
-the certificate, or the first condition that failed.  A refusal is a
-value, never an error: it only means this test could not vouch for the
-pair.
+Every float inequality a ping-pong certificate relies on is checked with
+the uniform numeric slack DELTA_NUM, so SVD residuals cannot flip a
+boundary case into a spurious certificate.  Schottky disjointness needs
+no slack: it is an integer inequality in the matrix entries.  A pair
+certifier returns a ``Verdict``: the certificate, or the first condition
+that failed.  A refusal is a value, never an error: it only means this
+test could not vouch for the pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ConfigError
 from .matrices import IntMatrix, det, inverse
@@ -151,19 +153,15 @@ def sl2_fixed_points(g: IntMatrix) -> tuple[float, float]:
     """(attracting, repelling) boundary fixed points of a hyperbolic g.
 
     Roots of c x^2 + (d - a) x - b = 0; the attracting one has Moebius
-    derivative 1/(c x + d)^2 of modulus < 1.  For c = 0 the fixed point
-    at infinity is returned as math.inf with the appropriate role.
+    derivative 1/(c x + d)^2 of modulus < 1.  In SL_2(Z), |trace| > 2
+    forces c != 0 (c = 0 gives a d = 1, so a = d = +-1).
     """
     a, b, c, d = _entries_2x2(g)
     tr = a + d
     if abs(tr) <= 2:
         raise ConfigError(f"fixed points require |trace| > 2, got trace = {tr}")
     if c == 0:
-        finite = b / (d - a)  # a != d since |a + d| > 2 and a*d = 1
-        # derivative at infinity is (a/d)^2... attracting at inf iff |a| > |d|
-        if abs(a) > abs(d):
-            return math.inf, finite
-        return finite, math.inf
+        raise ConfigError(f"fixed points require det = 1, got c = 0 and det = {a * d}")
     disc = math.sqrt(tr * tr - 4)
     r1 = ((a - d) + disc) / (2 * c)
     r2 = ((a - d) - disc) / (2 * c)
@@ -187,10 +185,10 @@ def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
     Both generators must have det 1 (ConfigError otherwise).  Conditions,
     in the order checked: g1 hyperbolic, g2 hyperbolic, the four
     isometric circles pairwise disjoint on the boundary line with
-    positive gap.  With det 1, |trace| > 2 forces c != 0, so the circles
-    are bounded; each generator then maps the exterior of its circle into
-    the closed interior of its inverse's circle (Ford, Automorphic
-    Functions, 1929).
+    positive gap, decided exactly.  With det 1, |trace| > 2 forces
+    c != 0, so the circles are bounded; each generator then maps the
+    exterior of its circle into the closed interior of its inverse's
+    circle (Ford, Automorphic Functions, 1929).
     """
     for g in (g1, g2):
         _entries_2x2(g)
@@ -200,37 +198,34 @@ def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
     for name, g in (("g1", g1), ("g2", g2)):
         if abs(g.trace()) <= 2:
             return Verdict(None, f"{name} is not hyperbolic (|trace| <= 2)")
+    (a1, _), (q1, d1) = g1.entries
+    (a2, _), (q2, d2) = g2.entries
+    # circle (p, q) has center p/q and radius 1/|q|; two are disjoint iff
+    # |p/q - p'/q'| > 1/|q| + 1/|q'|, i.e. |p q' - p' q| > |q| + |q'|
+    exact = ((-d1, q1), (-d2, q2), (a1, q1), (a2, q2))
+    for (p, q), (pp, qq) in combinations(exact, 2):
+        if abs(p * qq - pp * q) <= abs(q) + abs(qq):
+            return Verdict(None, "isometric circles are not pairwise disjoint")
     c1, c3 = isometric_circles(g1)
     c2, c4 = isometric_circles(g2)
     circles = (c1, c2, c3, c4)
-    gaps = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            gaps.append(
-                abs(circles[i].center - circles[j].center)
-                - circles[i].radius
-                - circles[j].radius
-            )
-    min_gap = min(gaps)
-    if min_gap <= DELTA_NUM:
-        return Verdict(None, "isometric circles are not pairwise disjoint")
-    a1, b1 = sl2_fixed_points(g1)
-    a2, b2 = sl2_fixed_points(g2)
-    return Verdict(
-        SchottkyCertificate((g1.trace(), g2.trace()), (a1, b1, a2, b2), circles, min_gap)
+    min_gap = min(
+        abs(u.center - v.center) - u.radius - v.radius for u, v in combinations(circles, 2)
     )
+    fixed = (*sl2_fixed_points(g1), *sl2_fixed_points(g2))  # alpha1, beta1, alpha2, beta2
+    return Verdict(SchottkyCertificate((g1.trace(), g2.trace()), fixed, circles, min_gap))
 
 
-def hausdorff_upper_bound(cert: SchottkyCertificate) -> float | None:
+def hausdorff_upper_bound(circles: tuple[Circle, ...]) -> float | None:
     """Upper bound -log 3 / (2 log lambda) on the limit-set dimension.
 
     lambda is the worst ratio radius(i) / (|center(i) - center(j)| -
-    radius(j)) over ordered pairs of distinct circles.  Returns None when
-    lambda falls outside (0, 1) and the bound is vacuous.
+    radius(j)) over ordered pairs of distinct Schottky circles.  Returns
+    None when lambda falls outside (0, 1) and the bound is vacuous.
     """
     lam = 0.0
-    for i, ci in enumerate(cert.circles):
-        for j, cj in enumerate(cert.circles):
+    for i, ci in enumerate(circles):
+        for j, cj in enumerate(circles):
             if i == j:
                 continue
             denom = abs(ci.center - cj.center) - cj.radius

@@ -18,6 +18,7 @@ from .matrices import ALPHABET, IntMatrix, free_reduce, inverse, invert_word, is
 from .spectral import spectral_norm, svd
 
 MAX_ORACLE_LEN = 12
+MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take about 30 s at the cap
 
 _LETTERS = "abAB"
 
@@ -88,6 +89,8 @@ def _check_run(m: int, trials: int, seed: int):
         raise ConfigError(f"need m >= 1 and trials >= 1, got m = {m}, trials = {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    if m * trials > MAX_STEPS:
+        raise BudgetError(f"run budget is m * trials <= {MAX_STEPS}, got {m} * {trials}")
 
 
 def reduced_length_stats(m: int, trials: int, seed: int) -> WordStats:

@@ -20,7 +20,9 @@ from operator import mul, sub
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
+
+MAX_RESOLUTION = 1024  # grid points per dimension; n = 4 at the cap takes about 40 s
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,8 @@ def integrate_region_with_error(region: CartanRegion, resolution: int = 512):
     """(value, est_error) from grids at resolution/2 and resolution."""
     if resolution < 64:
         raise ConfigError("resolution must be >= 64 grid points per dimension")
+    if resolution > MAX_RESOLUTION:
+        raise BudgetError(f"quadrature budget is resolution <= {MAX_RESOLUTION}, got {resolution}")
     coarse = integrate_region_raw(region, resolution // 2)
     fine = integrate_region_raw(region, resolution)
     value = fine + (fine - coarse) / 3.0

@@ -16,6 +16,7 @@ import io
 import math
 import statistics
 from dataclasses import MISSING, asdict, dataclass, fields
+from fractions import Fraction
 
 from . import __version__, serialize
 from .certify import (
@@ -26,13 +27,15 @@ from .certify import (
     schottky_sl2,
 )
 
-# unused here; kept as a module attribute because bench/spans.py wraps it
-from .certify import very_proximal  # noqa: F401
 from .dynamics import estimate_lyapunov, falsify_freeness
 from .errors import ConfigError, InvariantViolation
 from .matrices import IntMatrix, inverse
-from .sampler import BallSpec, enumerate_ball, sample_pairs
-from .spectral import singular_gap
+from .sampler import BallSpec, enumerate_ball, norm_at_most, sample_pairs
+from .spectral import svd
+
+# unused here; kept as module attributes because bench/spans.py wraps them
+from .certify import very_proximal  # noqa: F401
+from .spectral import singular_gap  # noqa: F401
 
 LYAPUNOV_PAIRS = 10
 LYAPUNOV_M = 200
@@ -99,19 +102,19 @@ class ExperimentReport:
     provenance: dict
 
 
-def _required_gap_positions(n: int) -> list[int]:
-    # even n: position n/2 covers g and g^-1; odd n: positions k, k+1 do
-    k = choose_k(n)
-    return [k] if n % 2 == 0 else [k, k + 1]
-
-
-def _is_gapped(g: IntMatrix, positions, eta: float) -> bool:
-    return all(singular_gap(g, p) >= eta * eta for p in positions)
+def _is_gapped(g: IntMatrix, eta: float) -> bool:
+    """sigma_i(g) / sigma_{i+1}(g) >= eta^2 at every position i (n in {2, 3})."""
+    if g.n == 2:
+        # sigma_1/sigma_2 = sigma_1^2, so the exact ball predicate decides it.
+        # Strict or not is moot: sigma_1 = eta = p/q > 1 needs the integer
+        # ||g||_F^2 = eta^2 + eta^-2 = (p^4 + q^4)/(p^2 q^2), which it never is.
+        return not norm_at_most(g, Fraction(eta))
+    sigma = svd(g).sigma
+    return all(sigma[i] / sigma[i + 1] >= eta * eta for i in range(g.n - 1))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k = choose_k(cfg.n)
-    positions = _required_gap_positions(cfg.n)
     rows = []
     for xi, x in enumerate(cfg.x_grid):
         enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized))
@@ -130,7 +133,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for g1, g2 in pairs:
             if abs(g1.trace()) > 2 and abs(g2.trace()) > 2:
                 trace_large += 1
-            if _is_gapped(g1, positions, cfg.eta) and _is_gapped(g2, positions, cfg.eta):
+            if _is_gapped(g1, cfg.eta) and _is_gapped(g2, cfg.eta):
                 gapped += 1
             # both generators are checked before the cross separations, so
             # they are very proximal iff the verdict gets that far
@@ -145,7 +148,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 if sc is not None:
                     schottky_count += 1
                     certified = True
-                    bound = hausdorff_upper_bound(sc)
+                    bound = hausdorff_upper_bound(sc.circles)
                     if bound is not None:
                         hausdorff_bounds.append(bound)
             if certified:

@@ -103,14 +103,10 @@ def det(m: IntMatrix) -> int:
 
 
 def _cofactor(m: IntMatrix, i: int, j: int) -> int:
-    sub = IntMatrix(
-        tuple(
-            tuple(row[c] for c in range(m.n) if c != j)
-            for r, row in enumerate(m.entries)
-            if r != i
-        )
+    sub = tuple(
+        tuple(row[c] for c in range(m.n) if c != j) for r, row in enumerate(m.entries) if r != i
     )
-    minor = det(sub) if m.n > 1 else 1
+    minor = det(IntMatrix(sub)) if sub else 1  # a 1x1 matrix has the empty minor
     return -minor if (i + j) % 2 else minor
 
 

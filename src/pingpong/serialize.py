@@ -36,6 +36,8 @@ def pair_from_obj(obj) -> tuple[IntMatrix, IntMatrix]:
     g1, g2 = matrix_from_obj(obj["g1"]), matrix_from_obj(obj["g2"])
     if g1.n != g2.n:
         raise ConfigError(f"pair holds a {g1.n}x{g1.n} and a {g2.n}x{g2.n} matrix")
+    if g1.n < 2:
+        raise ConfigError(f"pair holds {g1.n}x{g1.n} matrices; need n >= 2")
     return g1, g2
 
 

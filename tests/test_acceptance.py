@@ -19,7 +19,6 @@ import pytest
 
 from pingpong.certify import (
     Circle,
-    SchottkyCertificate,
     epsilon_contracting,
     hausdorff_upper_bound,
 )
@@ -179,8 +178,7 @@ def test_criterion_06_hausdorff_bounds(big_report):
     med = {row["x"]: row["median_hausdorff_bound"] for row in big_report.rows}
     assert med[180.0] < med[20.0]
     circles = tuple(Circle(2.0 * i, 0.01) for i in range(4))
-    cert = SchottkyCertificate((3, 3), (0.0,) * 4, circles, 1.0)
-    assert hausdorff_upper_bound(cert) == pytest.approx(0.1037, abs=1e-3)
+    assert hausdorff_upper_bound(circles) == pytest.approx(0.1037, abs=1e-3)
     _line(6, f"hausdorff bounds (medians {med[20.0]:.3f} -> {med[180.0]:.3f}, fixture ok)")
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from pingpong.certify import (
     Circle,
-    SchottkyCertificate,
     choose_k,
     epsilon_contracting,
     hausdorff_upper_bound,
@@ -176,6 +176,9 @@ def test_sl2_fixed_points_rejects_non_hyperbolic():
         sl2_fixed_points(PARABOLIC)
     with pytest.raises(ConfigError):
         sl2_fixed_points(ROT)
+    # c = 0 with |trace| > 2 needs det != 1
+    with pytest.raises(ConfigError):
+        sl2_fixed_points(IntMatrix.from_rows([[2, 1], [0, 3]]))
 
 
 def test_isometric_circles():
@@ -268,6 +271,52 @@ def test_isometric_circle_mapping_property(g, p, q, x, y):
     assert dist2 == Fraction(1, c * c)
 
 
+T = IntMatrix.from_rows([[1, 1], [0, 1]])
+
+
+def _shifted(g, s):
+    """T^s g T^-s: the isometric circles of g moved right by s."""
+    return T.power(s) @ g @ T.power(-s)
+
+
+def test_schottky_near_tangent_pair_certified():
+    # g1's two circles are 1/(a^2 - 3a + 1) ~ 1e-10 apart, far below the
+    # 1e-8 float slack; the integer test still sees them disjoint
+    a = 10**5
+    g1 = IntMatrix.from_rows([[a, -1], [a * a - 3 * a + 1, 3 - a]])
+    g2 = _shifted(g1, 10)
+    verdict = schottky_sl2(g1, g2)
+    assert verdict.reason is None
+    assert 0 < verdict.certificate.min_gap < 1e-8
+    assert falsify_freeness(g1, g2, 8) is None
+
+
+def test_schottky_tangent_pair_refused():
+    # circles [1, 3] (H^-1's) and [3, 5] (the shifted H's) touch at 3
+    verdict = schottky_sl2(H, _shifted(H, 5))
+    assert verdict.certificate is None
+    assert verdict.reason == "isometric circles are not pairwise disjoint"
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyperbolic_sl2(), hyperbolic_sl2())
+def test_schottky_disjointness_matches_exact_gaps(g1, g2):
+    # the integer test against the six circle gaps in exact rationals:
+    # (center, radius) = (-d/c, 1/|c|) for g, (a/c, 1/|c|) for g^-1
+    circles = [
+        (Fraction(center, c), Fraction(1, abs(c)))
+        for (a, _), (c, d) in (g1.entries, g2.entries)
+        for center in (-d, a)
+    ]
+    gaps = [abs(u[0] - v[0]) - u[1] - v[1] for u, v in combinations(circles, 2)]
+    verdict = schottky_sl2(g1, g2)
+    assert (verdict.certificate is not None) == (min(gaps) > 0)
+    if verdict.certificate is None:
+        assert verdict.reason == "isometric circles are not pairwise disjoint"
+    else:
+        assert verdict.certificate.min_gap == pytest.approx(float(min(gaps)), abs=1e-12)
+
+
 def test_schottky_attracting_point_inside_target_circle():
     g1 = H.power(4)
     g2 = IntMatrix.from_rows([[34, -21], [-21, 13]])
@@ -283,8 +332,7 @@ def test_schottky_attracting_point_inside_target_circle():
 
 def test_hausdorff_hand_fixture():
     circles = tuple(Circle(2.0 * i, 0.01) for i in range(4))
-    cert = SchottkyCertificate((3, 3), (0.0, 0.0, 0.0, 0.0), circles, 1.0)
-    bound = hausdorff_upper_bound(cert)
+    bound = hausdorff_upper_bound(circles)
     lam = 0.01 / (2 - 0.01)
     assert bound == pytest.approx(-math.log(3) / (2 * math.log(lam)), rel=1e-12)
     assert bound == pytest.approx(0.1037, abs=1e-3)
@@ -292,16 +340,12 @@ def test_hausdorff_hand_fixture():
 
 def test_hausdorff_vacuous_cases():
     overlapping = (Circle(0.0, 0.5), Circle(0.6, 0.5), Circle(3.0, 0.1), Circle(5.0, 0.1))
-    cert = SchottkyCertificate((3, 3), (0.0,) * 4, overlapping, -0.4)
-    assert hausdorff_upper_bound(cert) is None
+    assert hausdorff_upper_bound(overlapping) is None
 
 
 def test_hausdorff_monotone_in_radius():
     def bound(radius):
-        circles = tuple(Circle(2.0 * i, radius) for i in range(4))
-        return hausdorff_upper_bound(
-            SchottkyCertificate((3, 3), (0.0,) * 4, circles, 1.0)
-        )
+        return hausdorff_upper_bound(tuple(Circle(2.0 * i, radius) for i in range(4)))
 
     values = [bound(r) for r in (0.2, 0.1, 0.05, 0.01, 0.001)]
     assert all(b > a for a, b in zip(values[1:], values[:-1]))

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pingpong.cli as cli
+from pingpong.dynamics import MAX_STEPS
 from pingpong.errors import ConvergenceError, InvariantViolation
+from pingpong.haar import MAX_RESOLUTION
 from pingpong.matrices import IntMatrix
 from pingpong.serialize import pair_to_obj
 
@@ -161,6 +163,14 @@ def test_det_not_one_exit_code(capsys, tmp_path, command, pair):
     assert "det" in capsys.readouterr().err
 
 
+# one invocation over each work budget: exit 3 before any work starts
+OVER_BUDGET = [
+    ["volume", "--n", "2", "--logX", "3", "--resolution", str(MAX_RESOLUTION + 1)],
+    ["wordstats", "--m", str(MAX_STEPS + 1), "--trials", "1"],
+    ["lyapunov", "--pair", "{pair}", "--m", "1000", "--trials", str(MAX_STEPS // 1000 + 1)],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -193,9 +203,11 @@ def test_det_not_one_exit_code(capsys, tmp_path, command, pair):
         ["certify", "--pair", "{pair}", "--r", "inf"],
         ["experiment", "--config", {**SMALL_CONFIG, "eta": math.nan}],
         ["experiment", "--config", {**SMALL_CONFIG, "r": math.inf}],
+        *OVER_BUDGET,
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):
+    expected = 3 if argv in OVER_BUDGET else 2
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"g1": [["2", "1"], ["1", "1"]], "g2": [["1", ')
     config = tmp_path / "cfg.json"
@@ -217,7 +229,7 @@ def test_malformed_input_exit_code(tmp_path, argv):
     r = subprocess.run(
         [sys.executable, "-m", "pingpong.cli", *argv], capture_output=True, text=True
     )
-    assert r.returncode == 2
+    assert r.returncode == expected
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
 
@@ -229,24 +241,28 @@ PAIRS = st.sampled_from(["pair", "pair3", "mixed", "zero", "one", "truncated", "
 CONFIGS = st.sampled_from(
     ["small", "small3", "eta_nan", "r_inf", "missing", "unknown", "bad_x", "truncated"]
 )
+# run lengths past the MAX_STEPS budget of m * trials
+COUNT = st.one_of(VALUE, st.sampled_from([str(MAX_STEPS + 1), str(10 * MAX_STEPS)]))
 # subcommand -> (required flags, optional flags), each flag -> strategy for
 # its value (None: a switch).  --X and --resolution come from short lists:
 # n = 3 balls past X = 4 and n = 4 volumes at the default resolution of
-# 512 take seconds each, and the other counts have no upper budget
+# 512 take seconds each, and counts within their budgets can take as long
 FUZZ = {
     "enumerate": (
         {"--n": VALUE, "--X": st.sampled_from(["-1", "0", "2", "3", "3/2", "1000", "nan", "abc"])},
         {"--symmetrized": None},
     ),
-    "certify": ({"--pair": PAIRS}, {"--n": VALUE, "--k": VALUE, "--eps": VALUE, "--r": VALUE}),
+    "certify": ({"--pair": PAIRS}, {"--k": VALUE, "--eps": VALUE, "--r": VALUE}),
     "schottky": ({"--pair": PAIRS}, {}),
     "hausdorff": ({"--certificate": st.one_of(PAIRS, st.just("cert"))}, {}),
     "oracle": ({"--pair": PAIRS}, {"--max-len": VALUE}),
-    "lyapunov": ({"--pair": PAIRS}, {"--m": VALUE, "--trials": VALUE, "--seed": VALUE}),
-    "wordstats": ({"--m": VALUE}, {"--trials": VALUE, "--seed": VALUE}),
+    "lyapunov": ({"--pair": PAIRS}, {"--m": COUNT, "--trials": COUNT, "--seed": VALUE}),
+    "wordstats": ({"--m": COUNT}, {"--trials": COUNT, "--seed": VALUE}),
     "volume": (
         {"--n": VALUE, "--logX": VALUE,
-         "--resolution": st.sampled_from(["-1", "0", "2", "63", "64", "abc", ""])},
+         "--resolution": st.sampled_from(
+             ["-1", "0", "2", "63", "64", "abc", "", str(MAX_RESOLUTION + 1), "100000"]
+         )},
         {"--symmetrized": None,
          "--gaps": st.sampled_from(["1:1", "2:0.5", "1:1,3:2", "x:1", "1:nan", "1:inf", "5:1"])},
     ),

@@ -4,16 +4,20 @@ import json
 
 import pytest
 
+from pingpong import harness
 from pingpong.errors import ConfigError
 from pingpong.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
+    _is_gapped,
     config_from_obj,
     emit_report,
     run_experiment,
 )
+from pingpong.sampler import BallSpec, enumerate_ball
 from pingpong.serialize import canonical_json
+from pingpong.spectral import singular_gap
 
 SMALL = ExperimentConfig(n=2, x_grid=(5, 10), symmetrized=False, pairs_per_x=60, seed=7)
 
@@ -146,4 +150,35 @@ def test_golden_csv_small_config():
         "5,132,0.18,0,0,0,0,,0,0,0.258544789382\n"
         "10,580,0.47,0.69,0.29,0.02,0.03,1.35475564568,0,4,0.658629811211\n"
         "20,2356,0.64,0.94,0.42,0.02,0.22,0.792481250361,0,2,0.872267626414\n"
+    )
+
+
+def test_is_gapped_matches_singular_gap():
+    # the exact n = 2 test and the one-SVD n = 3 test against the
+    # per-position Jacobi reference, with both outcomes at every eta
+    cases = [
+        (BallSpec(2, 60), 1, (1.1, 2.0, 4.9, 5.0, 12.0)),
+        (BallSpec(3, 4, symmetrized=True), 10, (1.2, 1.5)),
+    ]
+    for spec, step, etas in cases:
+        outcomes = set()
+        for g in enumerate_ball(spec).members[::step]:
+            gaps = [singular_gap(g, i) for i in range(1, g.n)]
+            for eta in etas:
+                expected = all(gap >= eta * eta for gap in gaps)
+                assert _is_gapped(g, eta) == expected, (str(g), eta)
+                outcomes.add((eta, expected))
+        assert outcomes == {(eta, b) for eta in etas for b in (False, True)}
+
+
+def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the experiment ran a separate singular_gap")
+
+    monkeypatch.setattr(harness, "singular_gap", refuse)
+    run_experiment(ExperimentConfig(n=2, x_grid=(10,), symmetrized=False, pairs_per_x=30))
+    run_experiment(
+        ExperimentConfig(
+            n=3, x_grid=(2,), symmetrized=True, pairs_per_x=20, eta=2**0.5, oracle_depth=4
+        )
     )

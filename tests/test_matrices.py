@@ -71,6 +71,7 @@ def test_inverse_examples():
     assert inverse(I2) == I2
     assert inverse(H) == IntMatrix.from_rows([[1, -1], [-1, 2]])
     assert inverse(ROT) == IntMatrix.from_rows([[0, 1], [-1, 0]])
+    assert inverse(IntMatrix.from_rows([[1]])) == IntMatrix.from_rows([[1]])
 
 
 def test_inverse_rejects_non_unimodular():

@@ -35,6 +35,8 @@ def test_pair_round_trip():
     assert pair_from_obj(pair_to_obj(g1, g2)) == (g1, g2)
     with pytest.raises(ConfigError):
         pair_from_obj({"g1": [["1"]]})
+    with pytest.raises(ConfigError, match="1x1 matrices; need n >= 2"):
+        pair_from_obj({"g1": [["1"]], "g2": [["1"]]})
 
 
 def test_format_float_significant_digits():
