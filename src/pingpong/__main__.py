@@ -1,0 +1,8 @@
+"""``python -m pingpong``: the command-line interface of pingpong.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -110,6 +111,14 @@ def cmd_hausdorff(args):
         circles = tuple(Circle(float(c["center"]), float(c["radius"])) for c in obj["circles"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"not a valid Schottky certificate: {exc}") from exc
+    # the bound is for the four circles of a rank-2 Schottky certificate
+    if len(circles) != 4 or not all(
+        math.isfinite(c.center) and math.isfinite(c.radius) and c.radius > 0 for c in circles
+    ):
+        raise ConfigError(
+            "a Schottky certificate has exactly four circles, each with a finite center "
+            "and a finite positive radius"
+        )
     bound = hausdorff_upper_bound(circles)
     _emit({"bound": bound, "vacuous": bound is None})
 

@@ -8,6 +8,7 @@ pair that the oracle falsifies would disprove the implementation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .spectral import spectral_norm, svd
 MAX_ORACLE_LEN = 12
 MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take about 30 s at the cap
 
-_LETTERS = "abAB"
+_LETTERS = "abAB"  # letter i and letter i ^ 2 are inverses
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,75 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
     to length ceil(max_len/2) with exact products; two words mapping to
     the same matrix yield a relation.  Exactness means a returned word
     re-evaluates to the identity with no tolerance involved.
+
+    The products are first taken mod 2^64, all at once.  Reduction mod
+    2^64 is a ring homomorphism, so words with equal integer matrices have
+    equal residues; when no two residues agree, no two matrices agree and
+    the search, which visits a subset of these words, would return None.
+    Only a pair with a collision mod 2^64 runs the exact search.
     """
     if max_len > MAX_ORACLE_LEN:
         raise BudgetError(f"oracle budget is max_len <= {MAX_ORACLE_LEN}, got {max_len}")
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
+    letters = (g1, g2, inverse(g1), inverse(g2))  # in _LETTERS order
+    if g1.n != g2.n:
+        raise ConfigError("dimension mismatch")
+    if g1.n**2 <= _HASH.size and _distinct_mod_2_64(letters, (max_len + 1) // 2):
+        return None
+    return _search(g1, g2, max_len)
+
+
+# odd 64-bit multipliers, one per entry of a matrix with n <= 4 (larger n
+# goes straight to the exact search): a key is the entries' dot product with
+# them mod 2^64, so equal residues give equal keys, and a chance collision
+# of unequal ones only costs an exact search
+_HASH = np.array(
+    [
+        0xE9DD2A205F03A26F, 0x19BED63F41D5B71D, 0xBA63C3EFF1A5F753, 0xF6B87CAF10596D79,
+        0x0EF273157D48FE53, 0xCE5D0E8B3A921D61, 0x7134B950B6729FED, 0xA0DF11CA329CC939,
+        0x521F6339E26FABE9, 0xA1C2E8B74909424D, 0x38783C870FB94DB3, 0x9C84CA2D11EC33E5,
+        0xC322DDDAC44047BF, 0x91AB4CBD9EC50739, 0x2F89A1C161E78649, 0xBFEE67C48017A883,
+    ],
+    dtype=np.uint64,
+)
+
+
+@functools.cache
+def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, letter) indices of the reduced words of length k >= 1.
+
+    Word i of length k is word parent[i] of length k - 1 followed by
+    _LETTERS[letter[i]]; the letter never cancels the parent's last.
+    """
+    last = _level(k - 1)[1] if k > 1 else np.array([-1])
+    parent = np.repeat(np.arange(last.size), 4)
+    letter = np.tile(np.arange(4), last.size)
+    keep = letter != (last[parent] ^ 2)
+    parent, letter = parent[keep], letter[keep]
+    parent.flags.writeable = letter.flags.writeable = False  # shared by every call
+    return parent, letter
+
+
+def _distinct_mod_2_64(letters: tuple[IntMatrix, ...], depth: int) -> bool:
+    """Whether the reduced words of length <= depth, the empty word included,
+    have pairwise distinct keys; then their integer matrices are distinct."""
+    n = letters[0].n
+    gens = np.array(
+        [[[x % 2**64 for x in row] for row in g.entries] for g in letters], dtype=np.uint64
+    )
+    level = np.eye(n, dtype=np.uint64)[None]
+    levels = [level]
+    for k in range(1, depth + 1):
+        parent, letter = _level(k)
+        level = level[parent] @ gens[letter]  # uint64 products wrap mod 2^64
+        levels.append(level)
+    keys = np.sort(np.concatenate(levels).reshape(-1, n * n) @ _HASH[: n * n])
+    return not np.any(keys[1:] == keys[:-1])
+
+
+def _search(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
+    """The exact search of falsify_freeness; it alone picks the returned word."""
     table = {"a": g1, "A": inverse(g1), "b": g2, "B": inverse(g2)}
     identity = IntMatrix.identity(g1.n)
 

@@ -77,6 +77,17 @@ def test_oracle(capsys, pair_file):
     assert run_cli(["oracle", "--pair", pair_file, "--max-len", "13"]) == 3
 
 
+def test_package_runs_as_module(tmp_path):
+    path = write_pair(tmp_path, H, H)
+    r = subprocess.run(
+        [sys.executable, "-m", "pingpong", "oracle", "--pair", path, "--max-len", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"max_len": 4, "relation": "aB", "free_up_to_depth": False}
+
+
 def test_certify_refusal_names_condition(capsys, pair_file, tmp_path):
     assert run_cli(["certify", "--pair", pair_file, "--eps", "0.2", "--r", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -163,6 +174,8 @@ def test_det_not_one_exit_code(capsys, tmp_path, command, pair):
     assert "det" in capsys.readouterr().err
 
 
+FOUR_CIRCLES = [{"center": c, "radius": 0.5} for c in (-3, -1, 1, 3)]
+
 # one invocation over each work budget: exit 3 before any work starts
 OVER_BUDGET = [
     ["volume", "--n", "2", "--logX", "3", "--resolution", str(MAX_RESOLUTION + 1)],
@@ -204,6 +217,14 @@ OVER_BUDGET = [
         ["experiment", "--config", {**SMALL_CONFIG, "eta": math.nan}],
         ["experiment", "--config", {**SMALL_CONFIG, "r": math.inf}],
         *OVER_BUDGET,
+        ["hausdorff", "--certificate", {"circles": []}],
+        ["hausdorff", "--certificate", {"circles": FOUR_CIRCLES[:2]}],
+        ["hausdorff", "--certificate",
+         {"circles": [*FOUR_CIRCLES[:3], {"center": 3, "radius": -0.1}]}],
+        ["hausdorff", "--certificate",
+         {"circles": [*FOUR_CIRCLES[:3], {"center": 3, "radius": "nan"}]}],
+        ["hausdorff", "--certificate",
+         {"circles": [*FOUR_CIRCLES[:3], {"center": "inf", "radius": 0.5}]}],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):
@@ -282,7 +303,7 @@ def fuzz_files(tmp_path_factory):
         "zero": {"g1": zero, "g2": zero},
         "one": {"g1": [["1"]], "g2": [["1"]]},
         "list": [1, 2],
-        "cert": {"circles": [{"center": c, "radius": 0.5} for c in (-3, -1, 1, 3)]},
+        "cert": {"circles": FOUR_CIRCLES},
         "small": {"n": 2, "x_grid": [3], "symmetrized": False, "pairs_per_x": 4},
         "small3": {"n": 3, "x_grid": [2], "symmetrized": True, "pairs_per_x": 3},
         "eta_nan": {**SMALL_CONFIG, "eta": math.nan},

@@ -1,11 +1,16 @@
 """Word oracle, reduced-length statistics, Lyapunov estimation, twoops."""
 
+import functools
 import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pingpong.dynamics import (
+    _distinct_mod_2_64,
+    _search,
     check_twoops,
     estimate_lyapunov,
     falsify_freeness,
@@ -23,12 +28,17 @@ ROT = IntMatrix.from_rows([[0, -1], [1, 0]])
 PARABOLIC = IntMatrix.from_rows([[1, 1], [0, 1]])
 SANOV1 = IntMatrix.from_rows([[1, 2], [0, 1]])
 SANOV2 = IntMatrix.from_rows([[1, 0], [2, 1]])
+ORDER6 = IntMatrix.from_rows([[0, -1], [1, 1]])
 
 
 def test_oracle_identical_generators():
     word = falsify_freeness(H, H, 4)
     assert word == "aB"
     assert evaluate_word(word, H, H) == IntMatrix.identity(2)
+    # n = 5 has no hash multipliers and goes straight to the exact search
+    e5 = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(5)] for i in range(5)])
+    assert falsify_freeness(e5, e5, 4) == "aB"
+    assert falsify_freeness(e5, e5.transpose(), 4) is None
 
 
 def test_oracle_finite_order_element():
@@ -60,7 +70,7 @@ def test_oracle_returned_words_reevaluate_exactly():
     # torsion-rich pairs produce relations at several depths
     pairs = [
         (ROT, H),
-        (IntMatrix.from_rows([[0, -1], [1, 1]]), H),  # order 6
+        (ORDER6, H),
         (ROT, ROT),
     ]
     for g1, g2 in pairs:
@@ -68,6 +78,62 @@ def test_oracle_returned_words_reevaluate_exactly():
         assert word is not None
         assert free_reduce(word) == word
         assert evaluate_word(word, g1, g2) == IntMatrix.identity(g1.n)
+
+
+def test_oracle_rejects_mixed_sizes():
+    g3 = IntMatrix.from_rows([[1, 0, 0], [0, 2, 1], [0, 1, 1]])
+    for g1, g2 in ((H, g3), (g3, H)):
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            falsify_freeness(g1, g2, 4)
+
+
+def test_oracle_pair_congruent_to_identity_mod_2_64():
+    # every word is I mod 2^64, so every depth collides, yet the pair is
+    # free (Sanov): only the exact search may answer
+    g1 = IntMatrix.from_rows([[1, 2**64], [0, 1]])
+    g2 = IntMatrix.from_rows([[1, 0], [2**64, 1]])
+    letters = (g1, g2, inverse(g1), inverse(g2))
+    for depth in range(1, 7):
+        assert not _distinct_mod_2_64(letters, depth)
+    for max_len in range(1, 13):
+        assert _search(g1, g2, max_len) is None
+        assert falsify_freeness(g1, g2, max_len) is None
+
+
+def test_oracle_equal_huge_generators():
+    g = H.power(100)  # entries near 10^41, far past 2^64
+    assert falsify_freeness(g, g, 4) == "aB"
+
+
+_SL2_FACTORS = [ROT, ORDER6, H, PARABOLIC, IntMatrix.identity(2), inverse(ROT), inverse(H)]
+_SL3_FACTORS = [
+    IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, -1, 1]]),
+    IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),  # order 3
+    IntMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),  # order 2
+]
+
+
+def _product(factors):
+    return st.lists(st.sampled_from(factors), max_size=3).map(
+        lambda fs: functools.reduce(IntMatrix.__matmul__, fs, IntMatrix.identity(factors[0].n))
+    )
+
+
+@st.composite
+def _relation_rich_pairs(draw):
+    factors = draw(st.sampled_from([_SL2_FACTORS, _SL3_FACTORS]))
+    g1 = draw(_product(factors))
+    g2 = draw(st.one_of(_product(factors), st.sampled_from([g1, inverse(g1)])))
+    return g1, g2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_rich_pairs(), st.integers(1, 8))
+@example((H, ORDER6 @ ORDER6), 4)  # its -1 entries need the full mod 2^64 residue
+def test_oracle_prefilter_keeps_search_answer(pair, max_len):
+    g1, g2 = pair
+    assert falsify_freeness(g1, g2, max_len) == _search(g1, g2, max_len)
 
 
 def test_reduced_length_exact_16_cases():
