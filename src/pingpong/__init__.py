@@ -5,14 +5,7 @@ __version__ = "0.1.0"
 
 from .matrices import IntMatrix, det, evaluate_word, free_reduce, inverse, invert_word
 from .spectral import DELTA_NUM, SvdTriple, singular_gap, spectral_norm, svd
-from .wedge import (
-    ProjElement,
-    WedgeVector,
-    attractor_repeller,
-    point_hyperplane_distance,
-    proj_distance,
-    wedge_matrix,
-)
+from .wedge import attractor_repeller, point_hyperplane_distance, proj_distance, wedge_matrix
 from .sampler import BallEnumeration, BallSpec, enumerate_ball, sample_pairs
 from .certify import (
     ContractionWitness,

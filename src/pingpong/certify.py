@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ConfigError
 from .matrices import IntMatrix, det, inverse
 from .spectral import DELTA_NUM, svd
-from .wedge import ProjElement, attractor_repeller_from_svd, point_hyperplane_distance
+from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
 # unused here; kept as a module attribute because bench/spans.py wraps it
 from .wedge import attractor_repeller  # noqa: F401
@@ -30,8 +32,8 @@ CROSS_SEPARATION = "a cross separation between attractors and repelling hyperpla
 class ContractionWitness:
     epsilon: float
     k: int
-    v: ProjElement
-    h: ProjElement
+    v: np.ndarray  # attracting point, a unit vector in wedge^k(R^n)
+    h: np.ndarray  # unit normal of the repelling hyperplane
     gap: float  # a_{k+1}/a_k, the top-two ratio of the wedge action
 
 

@@ -33,8 +33,8 @@ def _witness_obj(w):
         "epsilon": w.epsilon,
         "k": w.k,
         "gap": w.gap,
-        "attractor": [float(c) for c in w.v.rep.coords],
-        "repeller_normal": [float(c) for c in w.h.rep.coords],
+        "attractor": [float(c) for c in w.v],
+        "repeller_normal": [float(c) for c in w.h],
     }
 
 

@@ -226,6 +226,8 @@ def estimate_lyapunov(
                 prod /= mx
                 log_scale += math.log(mx)
         estimates[t] = (log_scale + math.log(spectral_norm(prod))) / m
+    if not np.all(np.isfinite(estimates)):
+        raise ConfigError("Lyapunov products left the float range; the entries are too large")
     stderr = float(np.std(estimates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return LyapunovEstimate(float(np.mean(estimates)), stderr, m, trials, seed)
 

@@ -42,7 +42,7 @@ class CartanRegion:
         for k, t in self.gap_constraints:
             if not 1 <= k <= self.n - 1:
                 raise ConfigError(f"gap position {k} out of range for n = {self.n}")
-            if t < 0:
+            if not t >= 0:  # NaN included
                 raise ConfigError("gap thresholds must be >= 0")
 
 

@@ -73,8 +73,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("eps", "r", "eta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if type(self.symmetrized) is not bool:
             raise ConfigError(f"symmetrized must be true or false, got {self.symmetrized!r}")
+        if not isinstance(self.x_grid, (list, tuple)):
+            raise ConfigError(f"x_grid must be an array of radii, got {self.x_grid!r}")
         object.__setattr__(self, "x_grid", tuple(self.x_grid))
         if not self.x_grid:
             raise ConfigError("x_grid must be non-empty")

@@ -74,40 +74,52 @@ class IntMatrix:
     def to_float(self):
         import numpy as np
 
-        return np.array(self.entries, dtype=float)
+        try:
+            return np.array(self.entries, dtype=float)
+        except OverflowError as exc:
+            raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = m.n
-    a = [list(row) for row in m.entries]
+def minor(entries, rows, cols) -> int:
+    """Exact determinant of the rows x cols submatrix of ``entries``; 1 if empty.
+
+    Orders 1 and 2 are read off directly, larger ones by fraction-free
+    (Bareiss) elimination.
+    """
+    k = len(rows)
+    if k == 0:
+        return 1
+    if k == 1:
+        return entries[rows[0]][cols[0]]
+    if k == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return entries[r0][c0] * entries[r1][c1] - entries[r0][c1] * entries[r1][c0]
+    a = [[entries[r][c] for c in cols] for r in rows]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+    for p in range(k - 1):
+        if a[p][p] == 0:
+            for i in range(p + 1, k):
+                if a[i][p] != 0:
+                    a[p], a[i] = a[i], a[p]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        for i in range(p + 1, k):
+            for j in range(p + 1, k):
+                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) // prev
+        prev = a[p][p]
+    return sign * a[k - 1][k - 1]
 
 
-def _cofactor(m: IntMatrix, i: int, j: int) -> int:
-    sub = tuple(
-        tuple(row[c] for c in range(m.n) if c != j) for r, row in enumerate(m.entries) if r != i
-    )
-    minor = det(IntMatrix(sub)) if sub else 1  # a 1x1 matrix has the empty minor
-    return -minor if (i + j) % 2 else minor
+def det(m: IntMatrix) -> int:
+    """Exact determinant: the full minor."""
+    full = range(m.n)
+    return minor(m.entries, full, full)
 
 
 def inverse(m: IntMatrix) -> IntMatrix:
@@ -116,7 +128,13 @@ def inverse(m: IntMatrix) -> IntMatrix:
     if d != 1:
         raise ConfigError(f"inverse requires det = 1, got det = {d}")
     n = m.n
-    return IntMatrix(tuple(tuple(_cofactor(m, j, i) for j in range(n)) for i in range(n)))
+    rest = [tuple(r for r in range(n) if r != i) for i in range(n)]
+
+    def cofactor(i, j):  # drop row i and column j
+        c = minor(m.entries, rest[i], rest[j])
+        return -c if (i + j) % 2 else c
+
+    return IntMatrix(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
 
 
 def invert_word(w: str) -> str:

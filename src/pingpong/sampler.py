@@ -39,8 +39,10 @@ class BallSpec:
         if self.n not in (2, 3):
             raise ConfigError(f"ball enumeration supports n in {{2, 3}}, got n = {self.n}")
         try:
+            if isinstance(self.x, bool):  # Fraction(True) would be 1
+                raise TypeError
             object.__setattr__(self, "x", Fraction(self.x))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"ball radius must be a number, got {self.x!r}") from exc
         if self.x < 1:
             raise ConfigError(f"ball radius must be >= 1, got {self.x}")

@@ -107,11 +107,11 @@ def test_criterion_02_contraction_soundness():
         wk = wedge_matrix(g, w.k)
         pts = rng.normal(size=(1000, dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        normal = w.h.rep.coords
+        normal = w.h
         far = np.abs(pts @ normal) >= w.epsilon
         imgs = pts[far] @ wk.T
         imgs /= np.linalg.norm(imgs, axis=1, keepdims=True)
-        cos = np.clip(np.abs(imgs @ w.v.rep.coords), 0.0, 1.0)
+        cos = np.clip(np.abs(imgs @ w.v), 0.0, 1.0)
         dists = np.sqrt(1.0 - cos * cos)
         violations += int(np.sum(dists > w.epsilon + 1e-9))
     elapsed = time.time() - t0
@@ -137,10 +137,10 @@ def test_criterion_03_contraction_converse():
         for eps in (0.05, 0.1, 0.15, 0.2, 0.24):
             pts = rng.normal(size=(1000, g.n))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            far = np.abs(pts @ h.rep.coords) >= eps
+            far = np.abs(pts @ h) >= eps
             imgs = pts[far] @ wk.T
             imgs /= np.linalg.norm(imgs, axis=1, keepdims=True)
-            cos = np.clip(np.abs(imgs @ v.rep.coords), 0.0, 1.0)
+            cos = np.clip(np.abs(imgs @ v), 0.0, 1.0)
             if np.all(np.sqrt(1.0 - cos * cos) <= eps):
                 checked += 1
                 assert ratio <= 4 * eps * eps + 1e-8

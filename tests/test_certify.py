@@ -23,13 +23,7 @@ from pingpong.certify import (
 from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
 from pingpong.matrices import IntMatrix, det
-from pingpong.wedge import (
-    apply_wedge,
-    point,
-    point_hyperplane_distance,
-    proj_distance,
-    wedge_matrix,
-)
+from pingpong.wedge import point_hyperplane_distance, proj_distance, unit, wedge_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -96,10 +90,10 @@ def test_contraction_soundness_mapping_property():
         dim = math.comb(g.n, k)
         pts = rng.normal(size=(200, dim))
         for row in pts:
-            p = point(g.n, k, row)
+            p = unit(row)
             if point_hyperplane_distance(p, w.h) < eps:
                 continue
-            img = apply_wedge(wk, p)
+            img = unit(wk @ p)
             assert proj_distance(img, w.v) <= eps + 1e-9
     assert checked >= 20
 
@@ -217,9 +211,10 @@ def test_schottky_rejects_bad_pairs():
 @st.composite
 def hyperbolic_sl2(draw):
     """A hyperbolic SL_2(Z) matrix with c != 0: (c, d) coprime, then a, b solved."""
-    c = draw(st.integers(-40, 40).filter(bool))
     d = draw(st.integers(-40, 40))
-    assume(math.gcd(c, d) == 1)
+    # c is drawn among the values coprime to d, not filtered: two filtered
+    # draws per example tripped hypothesis's filter_too_much health check
+    c = draw(st.sampled_from([c for c in range(-40, 41) if c and math.gcd(c, d) == 1]))
     a = pow(d, -1, abs(c)) if abs(c) > 1 else 0  # a d = 1 (mod c)
     b = (a * d - 1) // c
     t = draw(st.integers(-5, 5))
@@ -374,10 +369,10 @@ def test_contraction_converse_gap_bound():
             pts = rng.normal(size=(1000, g.n))
             ok = True
             for row in pts:
-                p = point(g.n, 1, row)
+                p = unit(row)
                 if point_hyperplane_distance(p, h) < eps:
                     continue
-                if proj_distance(apply_wedge(wk, p), v) > eps:
+                if proj_distance(unit(wk @ p), v) > eps:
                     ok = False
                     break
             if ok:

@@ -176,6 +176,15 @@ def test_det_not_one_exit_code(capsys, tmp_path, command, pair):
 
 FOUR_CIRCLES = [{"center": c, "radius": 0.5} for c in (-3, -1, 1, 3)]
 
+
+def _shear_pair(digits):
+    """Det-1 pair whose g1 has the entry 10^digits."""
+    return {"g1": [["1", "1" + "0" * digits], ["0", "1"]], "g2": [["1", "0"], ["1", "1"]]}
+
+
+HUGE_PAIR = _shear_pair(400)  # an entry beyond float range
+LARGE_PAIR = _shear_pair(200)  # entries in range, products of two beyond it
+
 # one invocation over each work budget: exit 3 before any work starts
 OVER_BUDGET = [
     ["volume", "--n", "2", "--logX", "3", "--resolution", str(MAX_RESOLUTION + 1)],
@@ -225,6 +234,15 @@ OVER_BUDGET = [
          {"circles": [*FOUR_CIRCLES[:3], {"center": 3, "radius": "nan"}]}],
         ["hausdorff", "--certificate",
          {"circles": [*FOUR_CIRCLES[:3], {"center": "inf", "radius": 0.5}]}],
+        ["enumerate", "--n", "2", "--X", "1/0"],
+        ["experiment", "--config", {**SMALL_CONFIG, "x_grid": ["1/0"]}],
+        ["experiment", "--config", {**SMALL_CONFIG, "x_grid": [True]}],
+        ["experiment", "--config", {**SMALL_CONFIG, "x_grid": "99"}],
+        ["experiment", "--config", {**SMALL_CONFIG, "r": True}],
+        ["certify", "--pair", HUGE_PAIR],
+        ["lyapunov", "--pair", HUGE_PAIR],
+        ["lyapunov", "--pair", LARGE_PAIR],
+        ["volume", "--n", "3", "--logX", "5", "--gaps", "1:nan"],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):

@@ -92,6 +92,17 @@ def test_inverse_is_exact_two_sided():
         m = m @ gens[rng.randint(0, 1)]
     assert m @ inverse(m) == I2
     assert inverse(m) @ m == I2
+    # n >= 4 takes cofactors of order >= 3, which go through Bareiss elimination
+    for n in (3, 4, 5):
+        eye = IntMatrix.identity(n)
+        m = eye
+        for _ in range(40):
+            e = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+            i, j = rng.sample(range(n), 2)
+            e[i][j] = rng.choice([-2, -1, 1, 2])
+            m = m @ IntMatrix.from_rows(e)
+        assert m @ inverse(m) == eye
+        assert inverse(m) @ m == eye
 
 
 def test_evaluate_word_examples():

@@ -1,5 +1,6 @@
 """Exterior-power action and projective metric."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -7,15 +8,15 @@ import random
 import numpy as np
 import pytest
 
+from pingpong.errors import ConfigError
 from pingpong.matrices import IntMatrix, inverse
 from pingpong.spectral import _jacobi, svd
 from pingpong.wedge import (
     attractor_repeller,
-    hyperplane,
-    point,
     point_hyperplane_distance,
     proj_distance,
     subset_basis,
+    unit,
     wedge_matrix,
 )
 
@@ -80,27 +81,29 @@ def test_wedge_singular_values_are_products():
 
 
 def test_proj_distance_examples():
-    v = point(3, 1, [0.3, -1.2, 0.5])
+    v = unit([0.3, -1.2, 0.5])
     assert proj_distance(v, v) == pytest.approx(0.0, abs=1e-12)
-    e1, e2 = point(3, 1, [1, 0, 0]), point(3, 1, [0, 1, 0])
+    e1, e2 = unit([1, 0, 0]), unit([0, 1, 0])
     assert proj_distance(e1, e2) == pytest.approx(1.0)
-    mid = point(3, 1, [1, 1, 0])
+    mid = unit([1, 1, 0])
     assert proj_distance(e1, mid) == pytest.approx(math.sin(math.pi / 4), rel=1e-12)
+    with pytest.raises(ConfigError):
+        unit([0.0, 0.0, 0.0])
 
 
 def test_proj_distance_sign_invariant():
-    v = point(4, 1, [1, 2, -1, 0.5])
-    w = point(4, 1, [-1, -2, 1, -0.5])
+    v = unit([1, 2, -1, 0.5])
+    w = unit([-1, -2, 1, -0.5])
     assert proj_distance(v, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_point_hyperplane_examples():
-    h = hyperplane(3, 1, [1, 0, 0])
-    inside = point(3, 1, [0, 2, 1])
+    h = unit([1, 0, 0])
+    inside = unit([0, 2, 1])
     assert point_hyperplane_distance(inside, h) == pytest.approx(0.0, abs=1e-12)
-    normal = point(3, 1, [1, 0, 0])
+    normal = unit([1, 0, 0])
     assert point_hyperplane_distance(normal, h) == pytest.approx(1.0)
-    deg30 = point(3, 1, [math.cos(math.radians(30)), math.sin(math.radians(30)), 0])
+    deg30 = unit([math.cos(math.radians(30)), math.sin(math.radians(30)), 0])
     assert point_hyperplane_distance(deg30, h) == pytest.approx(
         math.cos(math.radians(30)), rel=1e-12
     )
@@ -113,10 +116,10 @@ def test_orthogonal_action_is_isometric():
         wq = wedge_matrix(q, k)
         d = math.comb(n, k)
         for _ in range(20):
-            a = point(n, k, rng.normal(size=d))
-            b = point(n, k, rng.normal(size=d))
-            img_a = point(n, k, wq @ a.rep.coords)
-            img_b = point(n, k, wq @ b.rep.coords)
+            a = unit(rng.normal(size=d))
+            b = unit(rng.normal(size=d))
+            img_a = unit(wq @ a)
+            img_b = unit(wq @ b)
             assert proj_distance(img_a, img_b) == pytest.approx(
                 proj_distance(a, b), abs=1e-10
             )
@@ -129,7 +132,7 @@ def test_attractor_repeller_diagonalish():
     v, h = attractor_repeller(g, 1)
     top = np.array([PHI, 1.0])
     top /= np.linalg.norm(top)
-    assert proj_distance(v, point(2, 1, top)) == pytest.approx(0.0, abs=1e-8)
+    assert proj_distance(v, unit(top)) == pytest.approx(0.0, abs=1e-8)
     # symmetric matrix: repelling hyperplane normal is the same direction
     assert point_hyperplane_distance(v, h) == pytest.approx(1.0, abs=1e-8)
 
@@ -149,3 +152,94 @@ def test_attractor_of_inverse_lies_in_repelling_hyperplane():
             _, h_g = attractor_repeller(g, k)
             v_inv, _ = attractor_repeller(inverse(g), k)
             assert point_hyperplane_distance(v_inv, h_g) == pytest.approx(0.0, abs=1e-7)
+
+
+# (g, k, attractor, repeller normal, sha256 of wedge_matrix(g, k), sha256 of
+# wedge_matrix(g / 7.0, k), inverse(g)), as produced by the wedge layer
+# before points and hyperplanes became plain arrays and before inverse and
+# the integer wedge action shared one exact minor; k = 2 and k = 3 reach
+# the direct 2 x 2 and the determinant branches of both minors
+PINNED_MINORS = [
+    (
+        [[2, -1], [-5, 3]],
+        1,
+        [0.3573727461303602, -0.933961840935295],
+        [0.8625025674352924, -0.5060526861578041],
+        "c8adecb04b2830843c9e744722dfc92bcd1f9d1970091b0d63fc9eccfe8639aa",
+        "00430d6124c50f604d283402e86ed14cb6a31b39cd77e4a708eab9427b8a9666",
+        [[3, 1], [5, 2]],
+    ),
+    (
+        [[1, 1, -2], [2, 4, -9], [-1, -2, 5]],
+        1,
+        [-0.2044788065920558, -0.8596439077714224, 0.46818881819856284],
+        [-0.20461001092688205, -0.39172872157883776, 0.8970414439248114],
+        "638da0ed854f1af7a36cb3e61602f0f9b1730c69e33265a82d1a7ca40aa9c8d8",
+        "cce52b47e402c552dc553e518395c8aa7416ab35b3d2f4ebf1dee520acacecdf",
+        [[2, -1, -1], [-1, 3, 5], [0, 1, 2]],
+    ),
+    (
+        [[1, 8, -1, -2], [-2, 5, 0, -4], [-4, 0, 1, -4], [-2, -19, 2, 5]],
+        2,
+        [-0.2140343745982988, -0.31929868803415595, 0.02785711382208725, -0.20062315983210757,
+         -0.48935540800331473, -0.7561370563041963],
+        [-0.664159883114097, 0.055132330451522646, 0.24736576844374134, -0.15958542277728455,
+         0.675172718095193, -0.115483964168343],
+        "47b7ee334215c839c5adcecc576eef04862e6769e480e78c0088d37a515bf0a0",
+        "f6b7df4ccf4b967708690ffbb5819ebe47d44ea812ff8d1738a706a0e367b1f0",
+        [[-11, 10, -7, -2], [2, -3, 2, 0], [-12, 4, -3, -4], [8, -9, 6, 1]],
+    ),
+    (
+        [[-1, 0, 4, -2, 2], [-7, 5, 0, 2, 0], [-1, 0, 3, -2, 2], [-5, 2, 6, -3, 4],
+         [-11, 4, 17, -9, 11]],
+        2,
+        [0.18636412093393037, 0.0011999003534349658, 0.08132648199078586, 0.15557811367790847,
+         -0.15890201009882848, -0.3155332123419415, -0.8800184582555074, 0.06731088037079673,
+         0.12698657023206505, -0.12061733345097368],
+        [-0.13037513728581568, 0.5823474819570988, -0.4098099037836291, 0.36931928388987084,
+         -0.4114426545328865, 0.254001386018611, -0.26283697192979066, 0.1587435115000537,
+         0.008504245961240924, -0.10665825153008478],
+        "8aa02c7d785135c3f03d7f014b87bbc71d5c84674bf4a5215a35632d80ac2f9f",
+        "7ae62ee092b0ef8b86dd1018a0a8a52b07046fcdee60f23cc1146fe1dfe5339c",
+        [[-1, 0, -2, -4, 2], [-1, 1, 2, -6, 2], [1, 0, -1, 0, 0], [-1, -2, -12, 1, 2],
+         [-3, -2, -11, -1, 3]],
+    ),
+    (
+        [[5, -5, 0, -1, 11, 0], [-8, 9, 0, 2, -19, 0], [2, -2, 1, 0, 0, 0],
+         [-4, 4, 0, 1, -9, 0], [-32, 35, 0, 8, -74, 0], [2, -2, 0, 0, 0, 1]],
+        3,
+        [-0.0051615697243718285, -9.668344756565872e-19, 5.353931857706527e-18,
+         0.005161569724371764, 0.0032353323792924235, 0.007359904945557905, 0.1410923182991094,
+         4.734520744589547e-18, 0.003235332379292412, 0.007359904945557676,
+         -0.0013705663731528473, 0.02206986023216871, -0.2442314070488015,
+         2.7123498324460894e-18, -0.0013705663731528764, 0.022069860232168694,
+         -0.015787943589872604, 0.11562246063949634, 0.9515337286063247, 0.0157879435898727],
+        [-0.0193448673011944, -2.16098052412989e-17, 2.8831720972105664e-16,
+         0.01934486730119435, 0.051420962016561066, -0.4768794568216696, 0.10283033607705853,
+         2.33667981998287e-16, 0.051420962016561066, -0.47687945682166993,
+         -0.05135159361869869, 0.4761558584830782, -0.11232231179922295,
+         -2.3344242946920026e-16, -0.05135159361869866, 0.4761558584830786,
+         0.00021337746733928625, 0.02559953971388966, -0.23783756255636335,
+         -0.0002133774673391714],
+        "1959786d1214ae7f9cffa1c227313922a7868591c9c2eb8e243ab01a76c400b6",
+        "aba69ec7e455333a60237e4cdcbba7b52d1dd14c2828ce6a79ef4d03749fd0f9",
+        [[1, 4, 0, 1, -1, 0], [0, -2, 0, -4, 1, 0], [-2, -12, 1, -10, 4, 0],
+         [4, -3, 0, 3, 1, 0], [0, -3, 0, -2, 1, 0], [-2, -12, 0, -10, 4, 1]],
+    ),
+]
+
+
+
+@pytest.mark.parametrize(
+    "rows, k, v, h, wedge_int, wedge_float, inv",
+    PINNED_MINORS,
+    ids=[f"n{len(case[0])}-k{case[1]}" for case in PINNED_MINORS],
+)
+def test_minors_and_attractors_bit_identical(rows, k, v, h, wedge_int, wedge_float, inv):
+    g = IntMatrix.from_rows(rows)
+    got_v, got_h = attractor_repeller(g, k)
+    assert (got_v.tolist(), got_h.tolist()) == (v, h)
+    digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()  # noqa: E731
+    assert digest(wedge_matrix(g, k)) == wedge_int
+    assert digest(wedge_matrix(g.to_float() / 7.0, k)) == wedge_float
+    assert inverse(g) == IntMatrix.from_rows(inv)
