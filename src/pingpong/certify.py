@@ -164,7 +164,12 @@ def sl2_fixed_points(g: IntMatrix) -> tuple[float, float]:
         raise ConfigError(f"fixed points require |trace| > 2, got trace = {tr}")
     if c == 0:
         raise ConfigError(f"fixed points require det = 1, got c = 0 and det = {a * d}")
-    disc = math.sqrt(tr * tr - 4)
+    try:
+        disc = math.sqrt(tr * tr - 4)
+    except OverflowError as exc:
+        raise ConfigError(
+            "fixed points need trace^2 - 4 within the float range (about 1.8e308)"
+        ) from exc
     r1 = ((a - d) + disc) / (2 * c)
     r2 = ((a - d) - disc) / (2 * c)
     # attracting root: |c x + d| > 1

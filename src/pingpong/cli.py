@@ -138,7 +138,7 @@ def cmd_oracle(args):
 def cmd_lyapunov(args):
     g1, g2 = serialize.load_pair(args.pair)
     gens = [g1, inverse(g1), g2, inverse(g2)]
-    est = estimate_lyapunov(gens, None, args.m, args.trials, args.seed)
+    est = estimate_lyapunov(gens, args.m, args.trials, args.seed)
     _emit(asdict(est))
 
 

@@ -189,13 +189,12 @@ _RENORM_EVERY = 8
 
 def estimate_lyapunov(
     gens: list[IntMatrix],
-    probs,
     m: int,
     trials: int,
     seed: int,
     extra_key: tuple[int, ...] = (),
 ) -> LyapunovEstimate:
-    """Trial-averaged (1/m) log ||product of m random generators||.
+    """Trial-averaged (1/m) log ||product of m uniformly random generators||.
 
     Per-trial RNG streams derive from (seed, *extra_key, trial), so the
     result is independent of evaluation order.  Products renormalize by
@@ -204,29 +203,29 @@ def estimate_lyapunov(
     if not gens:
         raise ConfigError("need at least one generator")
     _check_run(m, trials, seed)
-    if probs is None:
-        probs = [1.0 / len(gens)] * len(gens)
-    if len(probs) != len(gens):
-        raise ConfigError("probs length must match gens")
-    total = float(sum(probs))
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"probs must sum to 1, got {total}")
     mats = [g.to_float() for g in gens]
+    # an explicit p: choice draws a different stream with p=None
+    probs = [1.0 / len(mats)] * len(mats)
     n = gens[0].n
     estimates = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, *extra_key, t])
-        idx = rng.choice(len(mats), size=m, p=probs)
-        prod = np.eye(n)
-        log_scale = 0.0
-        for step, i in enumerate(idx, start=1):
-            prod = prod @ mats[i]
-            if step % _RENORM_EVERY == 0:
-                mx = float(np.max(np.abs(prod)))
-                prod /= mx
-                log_scale += math.log(mx)
-        estimates[t] = (log_scale + math.log(spectral_norm(prod))) / m
-    if not np.all(np.isfinite(estimates)):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(trials):
+                rng = np.random.default_rng([seed, *extra_key, t])
+                idx = rng.choice(len(mats), size=m, p=probs)
+                prod = np.eye(n)
+                log_scale = 0.0
+                for step, i in enumerate(idx, start=1):
+                    prod = prod @ mats[i]
+                    if step % _RENORM_EVERY == 0:
+                        mx = float(np.max(np.abs(prod)))
+                        prod /= mx
+                        log_scale += math.log(mx)
+                estimates[t] = (log_scale + math.log(spectral_norm(prod))) / m
+            finite = bool(np.all(np.isfinite(estimates)))
+    except FloatingPointError:
+        finite = False
+    if not finite:
         raise ConfigError("Lyapunov products left the float range; the entries are too large")
     stderr = float(np.std(estimates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return LyapunovEstimate(float(np.mean(estimates)), stderr, m, trials, seed)

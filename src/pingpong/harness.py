@@ -180,7 +180,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for pi, (g1, g2) in enumerate(pairs[:LYAPUNOV_PAIRS]):
             gens = [g1, inverse(g1), g2, inverse(g2)]
             est = estimate_lyapunov(
-                gens, None, LYAPUNOV_M, LYAPUNOV_TRIALS, cfg.seed, extra_key=(xi, pi)
+                gens, LYAPUNOV_M, LYAPUNOV_TRIALS, cfg.seed, extra_key=(xi, pi)
             )
             lyap_means.append(est.mean)
 

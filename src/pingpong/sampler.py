@@ -10,9 +10,13 @@ predicate with its arguments swapped.  For n = 2 the test collapses to
 ||g||_F^2 <= X^2 + X^-2, so counts carry no floating-point ambiguity at
 the boundary.
 
-Enumeration backtracks over columns, pruning any partial column whose
-Euclidean norm exceeds X; for n = 3 the third column is solved from
-w . c3 = 1 with w = c1 x c2 instead of being enumerated.
+Enumeration picks the first columns and solves the last from the one
+linear equation det = 1.  For n = 2 a primitive first column (a, c) fixes
+the second up to a line (t a - v, t c + u), from u = a^-1 mod |c|, and the
+ball cuts out an interval of t.  For n = 3 every column of a member is a
+row of ``ball``, the array of integer columns of squared norm
+<= floor(X^2): c1 and c2 run over its rows, and the third columns are
+the rows c3 with w . c3 = 1, w = c1 x c2.
 """
 
 from __future__ import annotations
@@ -130,8 +134,10 @@ def _enumerate_sl2(spec: BallSpec) -> list[IntMatrix]:
         for c in range(-c_cap, c_cap + 1):
             if math.gcd(a, c) != 1:
                 continue
-            # u a + v c = 1, so a d - b c = 1 is solved by (b, d) = (t a - v, t c + u)
-            u, v = _egcd(a, c)
+            # u a + v c = 1, so a d - b c = 1 is solved by (b, d) = (t a - v, t c + u);
+            # c = 0 forces a = +-1, and then u = a
+            u = pow(a, -1, abs(c)) if c else a
+            v = (1 - u * a) // c if c else 0
             s1 = a * a + c * c
             # s1 + (t a - v)^2 + (t c + u)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
             m = u * c - v * a
@@ -143,35 +149,6 @@ def _enumerate_sl2(spec: BallSpec) -> list[IntMatrix]:
                 members.append(IntMatrix(((a, t * a - v), (c, t * c + u))))
     members.sort(key=lambda m: m.entries)
     return members
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
-def _int_vectors_in_ball(norm_sq_cap: int) -> list[tuple[int, int, int]]:
-    cap = math.isqrt(norm_sq_cap)
-    out = []
-    for x in range(-cap, cap + 1):
-        for y in range(-cap, cap + 1):
-            r = norm_sq_cap - x * x - y * y
-            if r < 0:
-                continue
-            zc = math.isqrt(r)
-            for z in range(-zc, zc + 1):
-                if x or y or z:
-                    out.append((x, y, z))
-    return out
 
 
 def _cross(u, v):
@@ -186,11 +163,13 @@ def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
     b = _squared_radius(spec.x)
     sym = spec.symmetrized
     norm_sq_cap = math.floor(b)
-    cols = _int_vectors_in_ball(norm_sq_cap)
     cap = math.isqrt(norm_sq_cap)
+    r = np.arange(-cap, cap + 1)
+    grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    ball = grid[(grid * grid).sum(axis=1) <= norm_sq_cap]
+    # .tolist() keeps every entry a Python int
+    cols = ball.tolist()
     members = []
-    # ||c1 x c2|| is a row norm of g^-1, bounded by sigma_1 sigma_2 <= X^2
-    wn_cap = math.floor(b * b)
     for c1 in cols:
         n1 = c1[0] ** 2 + c1[1] ** 2 + c1[2] ** 2
         for c2 in cols:
@@ -201,13 +180,14 @@ def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
             # lower bound for lambda_max(g^t g)
             if not _lambda_max_le_2x2(n1 + n2, wn, b):
                 continue
-            if wn > wn_cap or (sym and wn > norm_sq_cap):
+            # ||c1 x c2|| is a row norm of g^-1
+            if sym and wn > norm_sq_cap:
                 continue
             w = _cross(c1, c2)
             # also drops w = 0, whose gcd is 0
             if math.gcd(*w) != 1:
                 continue
-            for c3 in _solve_third_column(w, cap, norm_sq_cap):
+            for c3 in ball[ball @ w == 1].tolist():
                 n3 = c3[0] ** 2 + c3[1] ** 2 + c3[2] ** 2
                 d13 = c1[0] * c3[0] + c1[1] * c3[1] + c1[2] * c3[2]
                 d23 = c2[0] * c3[0] + c2[1] * c3[1] + c2[2] * c3[2]
@@ -218,44 +198,6 @@ def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
                     members.append(IntMatrix(tuple(zip(c1, c2, c3))))
     members.sort(key=lambda m: m.entries)
     return members
-
-
-def _solve_third_column(w, cap: int, norm_sq_cap: int):
-    """Integer c3 with w . c3 = 1 and |c3|^2 <= norm_sq_cap.
-
-    Solves the pivot coordinate from the other two; the congruence on the
-    second coordinate restricts it to an arithmetic progression.
-    """
-    pivot = max(range(3), key=lambda i: abs(w[i]))
-    o0, o1 = (i for i in range(3) if i != pivot)
-    wp, w0, w1 = w[pivot], w[o0], w[o1]
-    mp = abs(wp)
-    g = math.gcd(abs(w1), mp)
-    m = mp // g
-    inv = pow((w1 // g) % m, -1, m) if m > 1 else 0
-    out = []
-    for u in range(-cap, cap + 1):
-        rem_u = 1 - w0 * u
-        if rem_u % g:
-            continue
-        if m == 1:
-            v_start, v_step = -cap, 1
-        else:
-            v0 = (inv * ((rem_u // g) % m)) % m
-            v_start = v0 - ((v0 + cap) // m) * m
-            v_step = m
-        for v in range(v_start, cap + 1, v_step):
-            rem = rem_u - w1 * v
-            if rem % wp:
-                continue
-            z = rem // wp
-            c3 = [0, 0, 0]
-            c3[o0] = u
-            c3[o1] = v
-            c3[pivot] = z
-            if c3[0] ** 2 + c3[1] ** 2 + c3[2] ** 2 <= norm_sq_cap:
-                out.append(tuple(c3))
-    return out
 
 
 def enumerate_ball(spec: BallSpec) -> BallEnumeration:

@@ -225,13 +225,13 @@ def test_criterion_10_lyapunov_growth():
         pairs = sample_pairs(e, 10, seed=[11, radius])
         ests = [
             estimate_lyapunov(
-                [g1, inverse(g1), g2, inverse(g2)], None, 200, 4, 11, extra_key=(radius, i)
+                [g1, inverse(g1), g2, inverse(g2)], 200, 4, 11, extra_key=(radius, i)
             ).mean
             for i, (g1, g2) in enumerate(pairs)
         ]
         means.append(sum(ests) / len(ests))
     assert means[0] < means[1] < means[2]
-    single = estimate_lyapunov([H], None, 400, 1, 0)
+    single = estimate_lyapunov([H], 400, 1, 0)
     assert single.mean == pytest.approx(math.log(PHI**2), rel=0.01)
     _line(10, f"lyapunov growth (means {means[0]:.3f} < {means[1]:.3f} < {means[2]:.3f})")
 

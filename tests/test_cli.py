@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -243,6 +244,10 @@ OVER_BUDGET = [
         ["lyapunov", "--pair", HUGE_PAIR],
         ["lyapunov", "--pair", LARGE_PAIR],
         ["volume", "--n", "3", "--logX", "5", "--gaps", "1:nan"],
+        # certified by the exact disjointness test; trace^2 beyond float range
+        ["schottky", "--pair", pair_to_obj(H.power(480), K.power(480))],
+        # entries beyond float range
+        ["schottky", "--pair", pair_to_obj(H.power(1000), K.power(1000))],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):
@@ -271,6 +276,17 @@ def test_malformed_input_exit_code(tmp_path, argv):
     assert r.returncode == expected
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def test_lyapunov_overflow_is_one_config_error(capsys, tmp_path):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(LARGE_PAIR))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["lyapunov", "--pair", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
 
 
 NUM = [str(i) for i in range(-1, 51)] + ["nan", "inf", "abc", ""]

@@ -172,26 +172,26 @@ def test_reduced_length_stats_deterministic():
 
 
 def test_lyapunov_identity_generator():
-    est = estimate_lyapunov([IntMatrix.identity(2)], None, 100, 3, 0)
+    est = estimate_lyapunov([IntMatrix.identity(2)], 100, 3, 0)
     assert est.mean == 0.0
     assert est.stderr == 0.0
 
 
 def test_lyapunov_single_symmetric_calibration():
-    est = estimate_lyapunov([H], None, 400, 1, 0)
+    est = estimate_lyapunov([H], 400, 1, 0)
     assert est.mean == pytest.approx(math.log(PHI**2), rel=0.01)
 
 
 def test_lyapunov_reflected_pair_strictly_inside():
-    est = estimate_lyapunov([H, inverse(H)], None, 200, 16, 3)
+    est = estimate_lyapunov([H, inverse(H)], 200, 16, 3)
     top = math.log(svd(H).sigma[0])
     assert 0.0 < est.mean < top
 
 
 def test_lyapunov_deterministic_and_seed_sensitive():
-    a = estimate_lyapunov([H, K], None, 60, 4, 21)
-    b = estimate_lyapunov([H, K], None, 60, 4, 21)
-    c = estimate_lyapunov([H, K], None, 60, 4, 22)
+    a = estimate_lyapunov([H, K], 60, 4, 21)
+    b = estimate_lyapunov([H, K], 60, 4, 21)
+    c = estimate_lyapunov([H, K], 60, 4, 22)
     assert a == b
     assert a.mean != c.mean
 
@@ -210,22 +210,15 @@ def test_lyapunov_exact_cross_check_below_length_50():
     for i in idx:
         exact = exact @ gens[int(i)]
     expected = log_spectral_norm(exact) / m
-    est = estimate_lyapunov(gens, None, m, 1, 17)
+    est = estimate_lyapunov(gens, m, 1, 17)
     assert est.mean == pytest.approx(expected, rel=1e-9)
 
 
 def test_lyapunov_subadditive_trend():
     gens = [H, inverse(H), K, inverse(K)]
-    e1 = estimate_lyapunov(gens, None, 100, 12, 5)
-    e2 = estimate_lyapunov(gens, None, 200, 12, 5)
+    e1 = estimate_lyapunov(gens, 100, 12, 5)
+    e2 = estimate_lyapunov(gens, 200, 12, 5)
     assert e2.mean <= e1.mean + 10 * e1.stderr
-
-
-def test_lyapunov_validates_probs():
-    with pytest.raises(ConfigError):
-        estimate_lyapunov([H], [0.5, 0.5], 10, 1, 0)
-    with pytest.raises(ConfigError):
-        estimate_lyapunov([H, K], [0.9, 0.2], 10, 1, 0)
 
 
 def test_twoops_empty_word():

@@ -1,5 +1,6 @@
 """Norm-ball enumeration and pair sampling."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -72,6 +73,27 @@ def test_sl3_agrees_with_brute_force():
         if norm_at_most(m, x):
             brute.append(m.entries)
     assert [m.entries for m in e.members] == sorted(brute)
+
+
+# count and sha256 of the comma-joined member entries, in enumeration order,
+# at radii where the third column is solved from columns of norm up to 4
+PINNED_SL3 = [
+    (3, False, 23064, "437160e2ee8409312935dce8f3f33d97b74bc376c054a9d11652a95cf951e253"),
+    (3, True, 6360, "cf08c238a5365b20e94edd63ac24d52300d00f068cc5d82d37c6a7d655a502de"),
+    (4, True, 26232, "b1123a76811e962538625707ce273c90ed5e13e9dfa03ba2b0e0f526d6759b58"),
+]
+
+
+@pytest.mark.parametrize(
+    "x, symmetrized, count, digest", PINNED_SL3, ids=["3-plain", "3-sym", "4-sym"]
+)
+def test_sl3_pinned_balls(x, symmetrized, count, digest):
+    e = enumerate_ball(BallSpec(3, x, symmetrized))
+    flat = [v for m in e.members for row in m.entries for v in row]
+    # exact arithmetic downstream needs Python ints, not numpy scalars
+    assert all(type(v) is int for v in flat)
+    assert e.count == count
+    assert hashlib.sha256(",".join(map(str, flat)).encode()).hexdigest() == digest
 
 
 def test_membership_matches_float_norm():
