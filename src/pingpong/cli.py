@@ -43,8 +43,9 @@ def cmd_enumerate(args):
     enum = enumerate_ball(spec)
     if args.members_out:
         with open(args.members_out, "w") as fh:
-            for m in enum.members:
-                fh.write(json.dumps(serialize.matrix_to_obj(m)) + "\n")
+            # one row at a time, so no IntMatrix and no list of the whole ball
+            for m in enum.entries:
+                fh.write(json.dumps(serialize.matrix_to_obj(m.tolist())) + "\n")
     _emit(
         {
             "n": spec.n,

@@ -13,10 +13,16 @@ the boundary.
 Enumeration picks the first columns and solves the last from the one
 linear equation det = 1.  For n = 2 a primitive first column (a, c) fixes
 the second up to a line (t a - v, t c + u), from u = a^-1 mod |c|, and the
-ball cuts out an interval of t.  For n = 3 every column of a member is a
-row of ``ball``, the array of integer columns of squared norm
-<= floor(X^2): c1 and c2 run over its rows, and the third columns are
-the rows c3 with w . c3 = 1, w = c1 x c2.
+ball cuts out an interval of t.  For each a, numpy does this for all c at
+once and sorts the chunk; a ascends across chunks, so their concatenation
+is the sorted ball.  For n = 3 every column of a member is a row of
+``ball``, the array of integer columns of squared norm <= floor(X^2): c1
+and c2 run over its rows, and the third columns are the rows c3 with
+w . c3 = 1, w = c1 x c2.
+
+A ball is stored as one (N, n, n) int64 array sorted by row-major entries.
+``IntMatrix`` objects, with Python-int entries for exact arithmetic, are
+built only for the sampled members, or for ``members`` when asked.
 """
 
 from __future__ import annotations
@@ -52,14 +58,26 @@ class BallSpec:
             raise ConfigError(f"ball radius must be >= 1, got {self.x}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallEnumeration:
+    """The members of a ball as one (N, n, n) int64 array, sorted row-major."""
+
     spec: BallSpec
-    members: tuple[IntMatrix, ...]
+    entries: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.entries)
+
+    @property
+    def members(self) -> tuple[IntMatrix, ...]:
+        return tuple(_matrix(rows) for rows in self.entries.tolist())
+
+
+def _matrix(rows: list) -> IntMatrix:
+    # rows come from .tolist(), so every entry is a Python int: exact
+    # arithmetic downstream must never see a wrapping np.int64
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def _squared_radius(x: int | Fraction) -> int | Fraction:
@@ -121,34 +139,47 @@ def in_ball(g: IntMatrix, spec: BallSpec) -> bool:
     return _member(g.n, *_frobenius_sq(g), _squared_radius(spec.x), spec.symmetrized)
 
 
-def _enumerate_sl2(spec: BallSpec) -> list[IntMatrix]:
+def _sorted(flat: np.ndarray, n: int) -> np.ndarray:
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
+
+
+def _enumerate_sl2(spec: BallSpec) -> np.ndarray:
     b = _squared_radius(spec.x)
     bfloor = math.floor(b)
     # _member(2, s, s, b, ...) holds for an integer s = ||g||_F^2 iff
     # s <= b + 1/b; with f = f_inv the symmetrized test adds nothing
     s_cap = (b * b + 1) // b
     amax = math.isqrt(bfloor)
-    members = []
+    # at X <= MAX_X[2] every intermediate (disc <~ 1e11) is far below 2^53, so
+    # int64 arithmetic and the corrected float square root are exact
+    chunks = []
     for a in range(-amax, amax + 1):
         c_cap = math.isqrt(bfloor - a * a)
-        for c in range(-c_cap, c_cap + 1):
-            if math.gcd(a, c) != 1:
-                continue
-            # u a + v c = 1, so a d - b c = 1 is solved by (b, d) = (t a - v, t c + u);
-            # c = 0 forces a = +-1, and then u = a
-            u = pow(a, -1, abs(c)) if c else a
-            v = (1 - u * a) // c if c else 0
-            s1 = a * a + c * c
-            # s1 + (t a - v)^2 + (t c + u)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
-            m = u * c - v * a
-            disc = m * m - s1 * (s1 + u * u + v * v - s_cap)
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            for t in range(-((m + r) // s1), (r - m) // s1 + 1):
-                members.append(IntMatrix(((a, t * a - v), (c, t * c + u))))
-    members.sort(key=lambda m: m.entries)
-    return members
+        c = np.arange(-c_cap, c_cap + 1)
+        c = c[np.gcd(a, c) == 1]
+        # u a + v c = 1, so a d - b c = 1 is solved by (b, d) = (t a - v, t c + u);
+        # c = 0 forces a = +-1, and then u = a and v = 0
+        u = np.array([pow(a, -1, abs(ci)) if ci else a for ci in c.tolist()], dtype=np.int64)
+        v = (1 - u * a) // np.where(c == 0, 1, c)
+        s1 = a * a + c * c
+        # s1 + (t a - v)^2 + (t c + u)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
+        m = u * c - v * a
+        disc = m * m - s1 * (s1 + u * u + v * v - s_cap)
+        keep = disc >= 0
+        c, u, v, s1, m, disc = c[keep], u[keep], v[keep], s1[keep], m[keep], disc[keep]
+        r = np.sqrt(disc).astype(np.int64)
+        r -= r * r > disc
+        r += (r + 1) * (r + 1) <= disc
+        lo = -((m + r) // s1)
+        k = (r - m) // s1 + 1 - lo
+        # t runs over lo, lo + 1, ..., lo + k - 1 for each column
+        start = np.cumsum(k) - k
+        t = np.arange(k.sum()) - np.repeat(start - lo, k)
+        c, u, v = np.repeat(c, k), np.repeat(u, k), np.repeat(v, k)
+        flat = np.stack([np.full_like(t, a), t * a - v, c, t * c + u], axis=1)
+        chunks.append(_sorted(flat, 2))
+    # a ascends across chunks, so their concatenation is sorted
+    return np.concatenate(chunks)
 
 
 def _cross(u, v):
@@ -159,7 +190,7 @@ def _cross(u, v):
     )
 
 
-def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
+def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     b = _squared_radius(spec.x)
     sym = spec.symmetrized
     norm_sq_cap = math.floor(b)
@@ -195,9 +226,10 @@ def _enumerate_sl3(spec: BallSpec) -> list[IntMatrix]:
                 # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
                 f_inv = wn + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
                 if _member(3, n1 + n2 + n3, f_inv, b, sym):
-                    members.append(IntMatrix(tuple(zip(c1, c2, c3))))
-    members.sort(key=lambda m: m.entries)
-    return members
+                    members.append((*c1, *c2, *c3))
+    # the 9-tuples hold columns; the transpose makes them row-major
+    by_column = np.array(members, dtype=np.int64).reshape(-1, 3, 3)
+    return _sorted(by_column.transpose(0, 2, 1).reshape(-1, 9), 3)
 
 
 def enumerate_ball(spec: BallSpec) -> BallEnumeration:
@@ -207,8 +239,7 @@ def enumerate_ball(spec: BallSpec) -> BallEnumeration:
             f"X = {spec.x} exceeds the n = {spec.n} enumeration budget "
             f"(X <= {MAX_X[spec.n]}); use sampling at larger radii"
         )
-    members = _enumerate_sl2(spec) if spec.n == 2 else _enumerate_sl3(spec)
-    return BallEnumeration(spec, tuple(members))
+    return BallEnumeration(spec, _enumerate_sl2(spec) if spec.n == 2 else _enumerate_sl3(spec))
 
 
 def sample_pairs(
@@ -219,4 +250,4 @@ def sample_pairs(
         raise ConfigError("cannot sample from an empty enumeration")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, e.count, size=(count, 2))
-    return [(e.members[int(i)], e.members[int(j)]) for i, j in idx]
+    return [(_matrix(g1), _matrix(g2)) for g1, g2 in e.entries[idx].tolist()]

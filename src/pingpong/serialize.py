@@ -15,8 +15,9 @@ from .errors import ConfigError
 from .matrices import IntMatrix
 
 
-def matrix_to_obj(m: IntMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+def matrix_to_obj(m: IntMatrix | list[list[int]]) -> list[list[str]]:
+    rows = m.entries if isinstance(m, IntMatrix) else m
+    return [[str(x) for x in row] for row in rows]
 
 
 def matrix_from_obj(obj) -> IntMatrix:

@@ -56,6 +56,24 @@ def test_sl2_agrees_with_brute_force(x):
     assert [m.entries for m in e.members] == brute_force_sl2(x)
 
 
+# count and sha256 of the comma-joined row-major entries, in enumeration
+# order; 999/2 is a non-integer radius and 500 the budget edge
+PINNED_SL2 = [
+    (60, 21316, "bcaa1d91c8f26a7d26aa3311a0b71efd0f36e344bdd2de6f51e5c81003aaeee5"),
+    (180, 194116, "c5bd6eacf5e8b489c7b966aaf005ec9c95aa898813c72b4329889c9be706bed3"),
+    (Fraction(999, 2), 1498052, "2301fc91cb1833214eecb71cd0283787629fbc14dd199f2859fc6cdc8b71e699"),
+    (500, 1500740, "526acb06be0e22cf2599af22a899c684f1a107c8840d17ea96eaf79dba37a219"),
+]
+
+
+@pytest.mark.parametrize("x, count, digest", PINNED_SL2, ids=["60", "180", "499.5", "500"])
+def test_sl2_pinned_balls(x, count, digest):
+    e = enumerate_ball(BallSpec(2, x))
+    assert e.count == count
+    flat = e.entries.ravel().tolist()
+    assert hashlib.sha256(",".join(map(str, flat)).encode()).hexdigest() == digest
+
+
 def test_sl3_unit_ball_is_so3z():
     # 24 signed permutation matrices of determinant one
     assert enumerate_ball(BallSpec(3, 1)).count == 24
@@ -185,9 +203,20 @@ def test_sample_pairs_deterministic():
 def test_sample_pairs_edge_cases():
     e = enumerate_ball(BallSpec(2, 1))
     assert sample_pairs(e, 0, 1) == []
-    single = type(e)(e.spec, (e.members[0],))
+    single = type(e)(e.spec, e.entries[:1])
     pairs = sample_pairs(single, 5, 3)
-    assert all(a is e.members[0] and b is e.members[0] for a, b in pairs)
+    assert len(pairs) == 5
+    assert all(a.entries == b.entries == e.members[0].entries for a, b in pairs)
+
+
+@pytest.mark.parametrize("spec", [BallSpec(2, 20), BallSpec(3, 2, symmetrized=True)])
+def test_members_and_samples_hold_python_ints(spec):
+    # IntMatrix.power, inverse and the word oracle need exact integers; an
+    # np.int64 entry would wrap silently
+    e = enumerate_ball(spec)
+    drawn = [g for pair in sample_pairs(e, 50, 0) for g in pair]
+    for g in list(e.members) + drawn:
+        assert all(type(v) is int for row in g.entries for v in row)
 
 
 def test_in_ball_spot_checks():
