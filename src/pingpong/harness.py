@@ -27,10 +27,10 @@ from .certify import (
     schottky_sl2,
 )
 
-from .dynamics import estimate_lyapunov, falsify_freeness
-from .errors import ConfigError, InvariantViolation
+from .dynamics import MAX_ORACLE_LEN, estimate_lyapunov, falsify_freeness
+from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix, inverse
-from .sampler import BallSpec, enumerate_ball, norm_at_most, sample_pairs
+from .sampler import BallSpec, check_budget, enumerate_ball, norm_at_most, sample_pairs
 from .spectral import svd
 
 # unused here; kept as module attributes because bench/spans.py wraps them
@@ -84,8 +84,8 @@ class ExperimentConfig:
         object.__setattr__(self, "x_grid", tuple(self.x_grid))
         if not self.x_grid:
             raise ConfigError("x_grid must be non-empty")
-        for x in self.x_grid:
-            BallSpec(self.n, x, self.symmetrized)  # reject a bad radius before any work
+        # reject a bad radius before any work
+        specs = [BallSpec(self.n, x, self.symmetrized) for x in self.x_grid]
         if not 0 < self.eps < 0.25:
             raise ConfigError(f"need 0 < eps < 1/4, got {self.eps}")
         if not (math.isfinite(self.r) and math.isfinite(self.eta)):
@@ -94,12 +94,19 @@ class ExperimentConfig:
             raise ConfigError(f"need r > 2*eps, got r = {self.r}, eps = {self.eps}")
         if self.eta <= 1:
             raise ConfigError("eta must be > 1")
-        if not 1 <= self.oracle_depth <= 12:
-            raise ConfigError("oracle_depth must be in [1, 12]")
+        if self.oracle_depth < 1:
+            raise ConfigError("oracle_depth must be >= 1")
         if self.pairs_per_x < 1:
             raise ConfigError("pairs_per_x must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        # budgets last, so a malformed config is a config error at any size
+        for spec in specs:
+            check_budget(spec)
+        if self.oracle_depth > MAX_ORACLE_LEN:
+            raise BudgetError(
+                f"oracle budget is oracle_depth <= {MAX_ORACLE_LEN}, got {self.oracle_depth}"
+            )
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from .errors import ConfigError
 
 ALPHABET = "aAbB"
 
-_INVERSE_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
-
 
 @dataclass(frozen=True, slots=True)
 class IntMatrix:
@@ -146,9 +144,9 @@ def free_reduce(w: str) -> str:
     """Unique reduced word freely equal to ``w`` (stack cancellation)."""
     stack: list[str] = []
     for ch in w:
-        if ch not in _INVERSE_LETTER:
+        if ch not in ALPHABET:
             raise ConfigError(f"letter {ch!r} not in alphabet {ALPHABET!r}")
-        if stack and stack[-1] == _INVERSE_LETTER[ch]:
+        if stack and stack[-1] == ch.swapcase():
             stack.pop()
         else:
             stack.append(ch)

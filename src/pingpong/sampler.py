@@ -16,9 +16,12 @@ the second up to a line (t a - v, t c + u), from u = a^-1 mod |c|, and the
 ball cuts out an interval of t.  For each a, numpy does this for all c at
 once and sorts the chunk; a ascends across chunks, so their concatenation
 is the sorted ball.  For n = 3 every column of a member is a row of
-``ball``, the array of integer columns of squared norm <= floor(X^2): c1
-and c2 run over its rows, and the third columns are the rows c3 with
-w . c3 = 1, w = c1 x c2.
+``ball``, the array of integer columns of squared norm <= floor(X^2).  One
+loop runs over c1; for each, numpy cuts all c2 at once by the Gram minor of
+(c1, c2), reads the third columns as the rows c3 with (c1 x c2) . c3 = 1,
+and applies the membership predicate to every (c2, c3) together.  The
+predicates take ints and int64 arrays alike; a non-integer X turns the
+arrays into exact object arrays of Fractions.
 
 A ball is stored as one (N, n, n) int64 array sorted by row-major entries.
 ``IntMatrix`` objects, with Python-int entries for exact arithmetic, are
@@ -34,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ConfigError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
 
@@ -87,47 +90,39 @@ def _squared_radius(x: int | Fraction) -> int | Fraction:
     return x * x
 
 
-def _lambda_max_le_2x2(gram_trace: int, gram_det: int, bound) -> bool:
+def _lambda_max_le_2x2(gram_trace, gram_det, bound):
     # p(L) = L^2 - tr L + det; largest root <= bound iff p(bound) >= 0
-    # and bound sits at or right of the parabola vertex.  bound may be an
-    # int or a Fraction; both keep the test exact.
+    # and bound sits at or right of the parabola vertex.  The predicates
+    # join tests with &, not `and`, so they also take int64 arrays.
     p = bound * bound - gram_trace * bound + gram_det
-    return p >= 0 and 2 * bound >= gram_trace
+    return (p >= 0) & (2 * bound >= gram_trace)
 
 
-def _sigma1_sq_le(n: int, f: int, f_inv: int, bound) -> bool:
+def _sigma1_sq_le(n: int, f, f_inv, bound):
     """sigma_1(g)^2 <= bound for g in SL_n(Z), from f = ||g||_F^2, f_inv = ||g^-1||_F^2."""
     if n == 2:
         return _lambda_max_le_2x2(f, 1, bound)
     # p(L) = L^3 - f L^2 + f_inv L - 1 has only real roots, so its largest
     # root is <= bound iff p, p' and p'' are all >= 0 at bound
     return (
-        ((bound - f) * bound + f_inv) * bound >= 1
-        and (3 * bound - 2 * f) * bound + f_inv >= 0
-        and 3 * bound >= f
+        (((bound - f) * bound + f_inv) * bound >= 1)
+        & ((3 * bound - 2 * f) * bound + f_inv >= 0)
+        & (3 * bound >= f)
     )
 
 
-def _member(n: int, f: int, f_inv: int, bound, symmetrized: bool) -> bool:
+def _member(n: int, f, f_inv, bound, symmetrized: bool):
     # (g^t g)^-1 has the polynomial of g^t g with f and f_inv swapped
-    return _sigma1_sq_le(n, f, f_inv, bound) and (
-        not symmetrized or _sigma1_sq_le(n, f_inv, f, bound)
-    )
+    inside = _sigma1_sq_le(n, f, f_inv, bound)
+    return inside & _sigma1_sq_le(n, f_inv, f, bound) if symmetrized else inside
 
 
 def _frobenius_sq(g: IntMatrix) -> tuple[int, int]:
-    """(||g||_F^2, ||g^-1||_F^2) for g in SL_n(Z), n in {2, 3}.
-
-    g^-1 is the adjugate, so ||g^-1||_F^2 is the sum of the squared
-    (n-1)-minors of g: the entries for n = 2, |ci x cj|^2 over column
-    pairs for n = 3.
-    """
+    """(||g||_F^2, ||g^-1||_F^2) for g in SL_n(Z), n in {2, 3}."""
     f = sum(v * v for row in g.entries for v in row)
-    if g.n == 2:
+    if g.n == 2:  # the adjugate permutes and negates the entries
         return f, f
-    c1, c2, c3 = g.transpose().entries
-    f_inv = sum(v * v for u, w in ((c1, c2), (c1, c3), (c2, c3)) for v in _cross(u, w))
-    return f, f_inv
+    return f, sum(v * v for row in inverse(g).entries for v in row)
 
 
 def norm_at_most(g: IntMatrix, x: int | Fraction) -> bool:
@@ -182,69 +177,56 @@ def _enumerate_sl2(spec: BallSpec) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     b = _squared_radius(spec.x)
-    sym = spec.symmetrized
     norm_sq_cap = math.floor(b)
     cap = math.isqrt(norm_sq_cap)
     r = np.arange(-cap, cap + 1)
     grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     ball = grid[(grid * grid).sum(axis=1) <= norm_sq_cap]
-    # .tolist() keeps every entry a Python int
-    cols = ball.tolist()
-    members = []
-    for c1 in cols:
-        n1 = c1[0] ** 2 + c1[1] ** 2 + c1[2] ** 2
-        for c2 in cols:
-            n2 = c2[0] ** 2 + c2[1] ** 2 + c2[2] ** 2
-            d12 = c1[0] * c2[0] + c1[1] * c2[1] + c1[2] * c2[2]
-            wn = n1 * n2 - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
-            # interlacing: top eigenvalue of the 2-column Gram minor is a
-            # lower bound for lambda_max(g^t g)
-            if not _lambda_max_le_2x2(n1 + n2, wn, b):
-                continue
-            # ||c1 x c2|| is a row norm of g^-1
-            if sym and wn > norm_sq_cap:
-                continue
-            w = _cross(c1, c2)
-            # also drops w = 0, whose gcd is 0
-            if math.gcd(*w) != 1:
-                continue
-            for c3 in ball[ball @ w == 1].tolist():
-                n3 = c3[0] ** 2 + c3[1] ** 2 + c3[2] ** 2
-                d13 = c1[0] * c3[0] + c1[1] * c3[1] + c1[2] * c3[2]
-                d23 = c2[0] * c3[0] + c2[1] * c3[1] + c2[2] * c3[2]
-                # the rows of g^-1 are c2 x c3, c3 x c1 and c1 x c2, and
-                # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
-                f_inv = wn + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
-                if _member(3, n1 + n2 + n3, f_inv, b, sym):
-                    members.append((*c1, *c2, *c3))
-    # the 9-tuples hold columns; the transpose makes them row-major
-    by_column = np.array(members, dtype=np.int64).reshape(-1, 3, 3)
-    return _sorted(by_column.transpose(0, 2, 1).reshape(-1, 9), 3)
+    norms = (ball * ball).sum(axis=1)
+    # at integer X <= MAX_X[3] every intermediate is below about 3e5 (5 X^6
+    # in general), so int64 arithmetic is exact
+    chunks = []
+    for c1, n1 in zip(ball, norms):
+        d12 = ball @ c1
+        wn = n1 * norms - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
+        # the int64 cut first: ||c1 x c2|| is a row norm of g^-1.  Then
+        # interlacing: the top eigenvalue of the 2-column Gram minor is a
+        # lower bound for lambda_max(g^t g)
+        keep = np.flatnonzero(wn <= norm_sq_cap) if spec.symmetrized else np.arange(len(ball))
+        keep = keep[_lambda_max_le_2x2(n1 + norms[keep], wn[keep], b)]
+        # the third columns c3 solve (c1 x c2) . c3 = 1; a non-primitive
+        # c1 x c2, zero included, has none
+        i, j = np.nonzero(np.cross(c1, ball[keep]) @ ball.T == 1)
+        k = keep[i]
+        c2, n2, c3, n3 = ball[k], norms[k], ball[j], norms[j]
+        d13, d23 = c3 @ c1, (c2 * c3).sum(axis=1)
+        # the rows of g^-1 are c2 x c3, c3 x c1 and c1 x c2, and
+        # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
+        f_inv = wn[k] + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
+        inside = _member(3, n1 + n2 + n3, f_inv, b, spec.symmetrized)
+        g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside]
+        chunks.append(g.reshape(-1, 9))
+    return _sorted(np.concatenate(chunks), 3)
 
 
-def enumerate_ball(spec: BallSpec) -> BallEnumeration:
-    """Complete, deterministic enumeration of the requested norm ball."""
+def check_budget(spec: BallSpec) -> None:
+    """Raise BudgetError for a ball beyond the enumeration budget MAX_X."""
     if spec.x > MAX_X[spec.n]:
         raise BudgetError(
             f"X = {spec.x} exceeds the n = {spec.n} enumeration budget "
             f"(X <= {MAX_X[spec.n]}); use sampling at larger radii"
         )
+
+
+def enumerate_ball(spec: BallSpec) -> BallEnumeration:
+    """Complete, deterministic enumeration of the requested norm ball."""
+    check_budget(spec)
     return BallEnumeration(spec, _enumerate_sl2(spec) if spec.n == 2 else _enumerate_sl3(spec))
 
 
-def sample_pairs(
-    e: BallEnumeration, count: int, seed
-) -> list[tuple[IntMatrix, IntMatrix]]:
+def sample_pairs(e: BallEnumeration, count: int, seed) -> list[tuple[IntMatrix, IntMatrix]]:
     """Uniform ordered pairs with replacement; numpy PCG64 keyed by seed."""
     if e.count == 0:
         raise ConfigError("cannot sample from an empty enumeration")

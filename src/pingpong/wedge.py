@@ -35,11 +35,10 @@ def unit(coords) -> np.ndarray:
 
 
 def _float_minor(a: np.ndarray, rows, cols) -> float:
-    if len(rows) == 1:
-        return a[rows[0], cols[0]]
-    if len(rows) == 2:
-        (r0, r1), (c0, c1) = rows, cols
-        return a[r0, c0] * a[r1, c1] - a[r0, c1] * a[r1, c0]
+    # orders 1 and 2 are matrices.minor's direct products; larger orders use
+    # LAPACK, since Bareiss elimination divides exactly only on integers
+    if len(rows) <= 2:
+        return minor(a, rows, cols)
     return np.linalg.det(a[np.ix_(rows, cols)])
 
 

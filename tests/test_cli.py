@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pingpong.cli as cli
-from pingpong.dynamics import MAX_STEPS
+from pingpong.dynamics import MAX_ORACLE_LEN, MAX_STEPS
 from pingpong.errors import ConvergenceError, InvariantViolation
 from pingpong.haar import MAX_RESOLUTION
 from pingpong.matrices import IntMatrix
@@ -191,6 +191,8 @@ OVER_BUDGET = [
     ["volume", "--n", "2", "--logX", "3", "--resolution", str(MAX_RESOLUTION + 1)],
     ["wordstats", "--m", str(MAX_STEPS + 1), "--trials", "1"],
     ["lyapunov", "--pair", "{pair}", "--m", "1000", "--trials", str(MAX_STEPS // 1000 + 1)],
+    ["experiment", "--config", {**SMALL_CONFIG, "x_grid": [20, 501]}],
+    ["experiment", "--config", {**SMALL_CONFIG, "oracle_depth": MAX_ORACLE_LEN + 1}],
 ]
 
 

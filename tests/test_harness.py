@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pingpong import harness
-from pingpong.errors import ConfigError
+from pingpong.errors import BudgetError, ConfigError
 from pingpong.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -34,10 +34,20 @@ def test_config_validation():
         ExperimentConfig(n=2, x_grid=(5,), symmetrized=False, pairs_per_x=10, eps=0.3)
     with pytest.raises(ConfigError):
         ExperimentConfig(n=2, x_grid=(5,), symmetrized=False, pairs_per_x=10, r=0.3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(BudgetError):
         ExperimentConfig(
             n=2, x_grid=(5,), symmetrized=False, pairs_per_x=10, oracle_depth=13
         )
+
+
+def test_radius_over_budget_fails_before_any_work(monkeypatch):
+    def unreachable(spec):
+        raise AssertionError(f"enumerated {spec} before the budget check")
+
+    monkeypatch.setattr(harness, "enumerate_ball", unreachable)
+    obj = {"n": 2, "x_grid": [20, 501], "symmetrized": False, "pairs_per_x": 1000}
+    with pytest.raises(BudgetError):
+        run_experiment(config_from_obj(obj))
 
 
 def test_config_from_obj_errors():

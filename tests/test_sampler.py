@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from pingpong.errors import BudgetError, ConfigError
 from pingpong.matrices import IntMatrix, det, inverse
 from pingpong.sampler import (
+    MAX_X,
     BallSpec,
+    _frobenius_sq,
+    _member,
     enumerate_ball,
     in_ball,
     norm_at_most,
@@ -93,17 +97,23 @@ def test_sl3_agrees_with_brute_force():
     assert [m.entries for m in e.members] == sorted(brute)
 
 
-# count and sha256 of the comma-joined member entries, in enumeration order,
-# at radii where the third column is solved from columns of norm up to 4
+# count and sha256 of the comma-joined member entries, in enumeration order;
+# 5/2 is a non-integer radius (exact Fraction predicates) and 6 the budget edge
 PINNED_SL3 = [
+    (Fraction(5, 2), False, 6072, "3717683a7a15bf215550a74db3a26863fbccbebcbc55ffd096c34b7448ed339f"),
+    (Fraction(5, 2), True, 2616, "08dcf8b4b6a3f1369a774d9f78eea1e538143e5d1fc373d2d98187607e9d8f3b"),
     (3, False, 23064, "437160e2ee8409312935dce8f3f33d97b74bc376c054a9d11652a95cf951e253"),
     (3, True, 6360, "cf08c238a5365b20e94edd63ac24d52300d00f068cc5d82d37c6a7d655a502de"),
+    (4, False, 135672, "14d8b0411f799f419de2ab160ed82d7138b86024860f1ea9ba20652ed457edf6"),
     (4, True, 26232, "b1123a76811e962538625707ce273c90ed5e13e9dfa03ba2b0e0f526d6759b58"),
+    (6, True, 175704, "d1e6e97b3e2c463ea8907270a8c33bf7022a07078469dfc099d3721672774985"),
 ]
 
 
 @pytest.mark.parametrize(
-    "x, symmetrized, count, digest", PINNED_SL3, ids=["3-plain", "3-sym", "4-sym"]
+    "x, symmetrized, count, digest",
+    PINNED_SL3,
+    ids=["2.5-plain", "2.5-sym", "3-plain", "3-sym", "4-plain", "4-sym", "6-sym"],
 )
 def test_sl3_pinned_balls(x, symmetrized, count, digest):
     e = enumerate_ball(BallSpec(3, x, symmetrized))
@@ -217,6 +227,50 @@ def test_members_and_samples_hold_python_ints(spec):
     drawn = [g for pair in sample_pairs(e, 50, 0) for g in pair]
     for g in list(e.members) + drawn:
         assert all(type(v) is int for row in g.entries for v in row)
+
+
+@pytest.fixture(scope="module")
+def gram_invariants():
+    # the distinct (f, f_inv) of the X = 3 ball and every pair in a small
+    # grid, which holds the cases where a predicate sits on its boundary
+    pairs = {_frobenius_sq(g) for g in enumerate_ball(BallSpec(3, 3)).members}
+    pairs.update(product(range(40), repeat=2))
+    return np.array(sorted(pairs), dtype=np.int64).T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("symmetrized", [False, True])
+@pytest.mark.parametrize("bound", [1, 4, 9, Fraction(25, 4), Fraction(196, 25)])
+def test_member_on_arrays_matches_scalars(gram_invariants, n, symmetrized, bound):
+    f, f_inv = gram_invariants
+    inside = _member(n, f, f_inv, bound, symmetrized)
+    expected = [
+        _member(n, a, b, bound, symmetrized) for a, b in zip(f.tolist(), f_inv.tolist())
+    ]
+    assert all(type(v) is bool for v in expected)
+    assert inside.dtype == bool
+    assert inside.tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+def test_scalar_predicates_return_python_bools():
+    for g in (IntMatrix.identity(2), IntMatrix.identity(3), _elementary(0, 2, 5)):
+        for x in (3, Fraction(5, 2)):
+            assert type(norm_at_most(g, x)) is bool
+            assert type(in_ball(g, BallSpec(g.n, x, symmetrized=True))) is bool
+
+
+def test_int64_intermediates_fit_at_the_budget():
+    # Raising MAX_X past these bounds must fail here instead of wrapping.
+    # n = 3: columns of squared norm <= b = X^2 give f <= 3 X^2 and
+    # f_inv <= 3 X^4, so ((b - f) b + f_inv) b, the largest term, is <= 5 X^6
+    x = MAX_X[3]
+    assert 5 * x**6 < 2**63
+    # n = 2: s1 <= X^2, s_cap <= X^2 + 1, |u| < |c| <= X and |v| <= X + 1,
+    # so |m| <= X^2 + (X + 1) X; disc must stay exact as a float
+    x = MAX_X[2]
+    m = x * x + (x + 1) * x
+    assert m * m + x * x * (x * x + 1) < 2**53
 
 
 def test_in_ball_spot_checks():
