@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, det, inverse
-from .spectral import DELTA_NUM, svd
+from .spectral import DELTA_NUM, SvdTriple, svd
 from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
 # unused here; kept as a module attribute because bench/spans.py wraps it
@@ -74,17 +74,18 @@ def choose_k(n: int) -> int:
     return n // 2
 
 
-def epsilon_contracting(g: IntMatrix, k: int, eps: float) -> ContractionWitness | None:
+def epsilon_contracting(g: IntMatrix | SvdTriple, k: int, eps: float) -> ContractionWitness | None:
     """Witness that g contracts P(wedge^k(R^n)), or None.
 
-    Issues a witness iff a_{k+1}(g)/a_k(g) <= eps^2 - DELTA_NUM; the
+    g is a determinant-one integer matrix or its SvdTriple.  Issues a
+    witness iff a_{k+1}(g)/a_k(g) <= eps^2 - DELTA_NUM; the
     attractor/repeller pair then realizes the contraction.
     """
     if not 0 < eps < 0.25:
         raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
-    triple = svd(g)
-    if not 1 <= k <= g.n - 1:
-        raise ConfigError(f"k must be in [1, {g.n - 1}], got {k}")
+    triple = g if isinstance(g, SvdTriple) else svd(g)
+    if not 1 <= k < len(triple.sigma):
+        raise ConfigError(f"k must be in [1, {len(triple.sigma) - 1}], got {k}")
     gap = triple.sigma[k] / triple.sigma[k - 1]
     if gap > eps * eps - DELTA_NUM:
         return None
@@ -92,14 +93,14 @@ def epsilon_contracting(g: IntMatrix, k: int, eps: float) -> ContractionWitness 
     return ContractionWitness(eps, k, v, h, gap)
 
 
-def _very_proximal_or_reason(g: IntMatrix, name: str, k: int, r: float, eps: float):
+def _very_proximal_or_reason(g: IntMatrix, name: str, k: int, r: float, eps: float, triples=None):
     """(witnesses for g and g^-1, None), or (None, the first failed condition)."""
     if not (math.isfinite(r) and r > 2 * eps):
         raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
     out = []
     # g^-1 is inverted exactly and gets its own SVD: reading its small
     # singular values off g's decomposition loses relative accuracy
-    for label, m in ((name, g), (f"{name}^-1", inverse(g))):
+    for label, m in zip((name, f"{name}^-1"), triples or (g, inverse(g))):
         w = epsilon_contracting(m, k, eps)
         if w is None:
             return None, f"{label} is not eps-contracting on the k = {k} exterior power"
@@ -116,7 +117,9 @@ def very_proximal(
     return _very_proximal_or_reason(g, "g", k, r, eps)[0]
 
 
-def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -> Verdict:
+def ping_pong_pair(
+    g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float, triples=None
+) -> Verdict:
     """Verdict on whether (g1, g2) plays ping-pong on P(wedge^k(R^n)).
 
     Conditions, in the order checked: g1, g1^-1, g2, g2^-1 each
@@ -125,11 +128,15 @@ def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -
     every attracting point of one generator at least r away from every
     repelling hyperplane of the other (reason ``CROSS_SEPARATION``).  A
     certificate implies the group generated is free.
+
+    ``triples``, if given, are the SvdTriples of g1, g1^-1, g2 and g2^-1,
+    in that order, for example four entries of a ``spectral.SvdBatch``.
     """
-    vp1, reason = _very_proximal_or_reason(g1, "g1", k, r, eps)
+    t1, t2 = (None, None) if triples is None else (triples[:2], triples[2:])
+    vp1, reason = _very_proximal_or_reason(g1, "g1", k, r, eps, t1)
     if vp1 is None:
         return Verdict(None, reason)
-    vp2, reason = _very_proximal_or_reason(g2, "g2", k, r, eps)
+    vp2, reason = _very_proximal_or_reason(g2, "g2", k, r, eps, t2)
     if vp2 is None:
         return Verdict(None, reason)
     witnesses = (vp1[0], vp1[1], vp2[0], vp2[1])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .matrices import ALPHABET, IntMatrix, free_reduce, inverse, invert_word, is_reduced
-from .spectral import spectral_norm, svd
+from .spectral import svd, svd_batch
 
 MAX_ORACLE_LEN = 12
 MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take about 30 s at the cap
@@ -207,7 +207,8 @@ def estimate_lyapunov(
     # an explicit p: choice draws a different stream with p=None
     probs = [1.0 / len(mats)] * len(mats)
     n = gens[0].n
-    estimates = np.empty(trials)
+    prods = np.empty((trials, n, n))
+    estimates = np.empty(trials)  # the log scales, until the top singular values are in
     try:
         with np.errstate(over="raise", invalid="raise"):
             for t in range(trials):
@@ -221,7 +222,9 @@ def estimate_lyapunov(
                         mx = float(np.max(np.abs(prod)))
                         prod /= mx
                         log_scale += math.log(mx)
-                estimates[t] = (log_scale + math.log(spectral_norm(prod))) / m
+                prods[t], estimates[t] = prod, log_scale
+            tops = svd_batch(prods).sigma[:, 0].tolist()
+            estimates = np.array([(e + math.log(s)) / m for e, s in zip(estimates.tolist(), tops)])
             finite = bool(np.all(np.isfinite(estimates)))
     except FloatingPointError:
         finite = False

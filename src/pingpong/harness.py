@@ -18,6 +18,8 @@ import statistics
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__, serialize
 from .certify import (
     CROSS_SEPARATION,
@@ -31,7 +33,7 @@ from .dynamics import MAX_ORACLE_LEN, estimate_lyapunov, falsify_freeness
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix, inverse
 from .sampler import BallSpec, check_budget, enumerate_ball, norm_at_most, sample_pairs
-from .spectral import svd
+from .spectral import svd, svd_batch
 
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .certify import very_proximal  # noqa: F401
@@ -115,14 +117,14 @@ class ExperimentReport:
     provenance: dict
 
 
-def _is_gapped(g: IntMatrix, eta: float) -> bool:
+def _is_gapped(g: IntMatrix, eta: float, sigma=None) -> bool:
     """sigma_i(g) / sigma_{i+1}(g) >= eta^2 at every position i (n in {2, 3})."""
     if g.n == 2:
         # sigma_1/sigma_2 = sigma_1^2, so the exact ball predicate decides it.
         # Strict or not is moot: sigma_1 = eta = p/q > 1 needs the integer
         # ||g||_F^2 = eta^2 + eta^-2 = (p^4 + q^4)/(p^2 q^2), which it never is.
         return not norm_at_most(g, Fraction(eta))
-    sigma = svd(g).sigma
+    sigma = svd(g).sigma if sigma is None else sigma
     return all(sigma[i] / sigma[i + 1] >= eta * eta for i in range(g.n - 1))
 
 
@@ -133,6 +135,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized))
         pairs = sample_pairs(enum, cfg.pairs_per_x, seed=[cfg.seed, xi])
         n_pairs = len(pairs)
+        row = {"x": float(enum.spec.x), "count_ball": enum.count}
+        del enum  # the ball array is the largest object of the radius
+        # g1, g1^-1, g2, g2^-1 of each pair in one Jacobi pass; each exact inverse gets its own SVD
+        mats = (m.entries for g1, g2 in pairs for m in (g1, inverse(g1), g2, inverse(g2)))
+        svds = svd_batch(np.fromiter(mats, np.dtype((float, (cfg.n, cfg.n))), 4 * n_pairs))
 
         trace_large = 0
         gapped = 0
@@ -143,14 +150,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         uncertified_pairs = []
         hausdorff_bounds = []
 
-        for g1, g2 in pairs:
+        for pi, (g1, g2) in enumerate(pairs):
             if abs(g1.trace()) > 2 and abs(g2.trace()) > 2:
                 trace_large += 1
-            if _is_gapped(g1, cfg.eta) and _is_gapped(g2, cfg.eta):
+            triples = svds[4 * pi : 4 * pi + 4]
+            sigma = triples.sigma
+            if _is_gapped(g1, cfg.eta, sigma[0]) and _is_gapped(g2, cfg.eta, sigma[2]):
                 gapped += 1
             # both generators are checked before the cross separations, so
             # they are very proximal iff the verdict gets that far
-            pp = ping_pong_pair(g1, g2, k, cfg.r, cfg.eps)
+            pp = ping_pong_pair(g1, g2, k, cfg.r, cfg.eps, triples)
             certified = pp.certificate is not None
             if certified or pp.reason == CROSS_SEPARATION:
                 very_prox += 1
@@ -193,8 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
         rows.append(
             {
-                "x": float(enum.spec.x),
-                "count_ball": enum.count,
+                **row,
                 "frac_trace_large": trace_large / n_pairs,
                 "frac_gapped": gapped / n_pairs,
                 "frac_very_proximal": very_prox / n_pairs,

@@ -5,10 +5,15 @@ rotations, which preserves high relative accuracy in the small singular
 values -- exactly what the gap ratios a_k/a_{k+1} downstream need.  The
 decomposition is g = k_g  diag(sigma)  k_g' with both k-factors special
 orthogonal and sigma sorted descending.
+
+One Jacobi runs over a whole (M, n, n) stack, and one matrix is the
+stack of one, with the same bits.  Each dot product is a sequential sum,
+not a BLAS kernel, so no result depends on the host's BLAS build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,67 +41,88 @@ class SvdTriple:
     residual: float
 
 
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, IntMatrix):
-        return m.to_float()
-    return np.asarray(m, dtype=float)
+@dataclass(frozen=True)
+class SvdBatch:
+    """SvdTriple fields stacked over M matrices: [i] builds triple i, [i:j] is a sub-batch."""
+
+    k_g: np.ndarray
+    sigma: np.ndarray
+    k_g_prime: np.ndarray
+    residual: np.ndarray
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SvdBatch(self.k_g[i], self.sigma[i], self.k_g_prime[i], self.residual[i])
+        sigma = tuple(self.sigma[i].tolist())
+        return SvdTriple(self.k_g[i], sigma, self.k_g_prime[i], float(self.residual[i]))
 
 
-def _jacobi(a: np.ndarray):
-    """One-sided Jacobi on columns; returns (u, sigma, vt) unsorted-fixed.
+def seq_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 as (p_0 + p_1) + p_2 ..., never a BLAS kernel or a pairwise sum."""
+    return functools.reduce(np.add, p)
 
-    Rotations are applied on the right until all column pairs are
-    orthogonal to relative tolerance _JACOBI_TOL.
+
+def svd_batch(a: np.ndarray) -> SvdBatch:
+    """Cartan decompositions of an (M, n, n) float stack by one-sided Jacobi, in one pass.
+
+    Each matrix gets the rotations it would get alone: pairs (i, j) in
+    order, each rotated where the columns' cosine exceeds _JACOBI_TOL,
+    until a sweep rotates nothing and the matrix leaves the active set.
     """
-    n = a.shape[0]
-    scale = np.max(np.abs(a))
-    if scale == 0:
+    m, n, _ = a.shape
+    scale = np.max(np.abs(a), axis=(1, 2))
+    if np.any(scale == 0):
         raise ConvergenceError("zero matrix has no SVD with positive sigma")
-    b = a / scale
-    v = np.eye(n)
+    # the working copy b above v: each rotation acts on the columns of both
+    w = np.concatenate([a / scale[:, None, None], np.tile(np.eye(n), (m, 1, 1))], axis=1)
+    active = np.arange(m)
     for _ in range(_MAX_SWEEPS):
-        off = 0.0
+        rotated = np.zeros(active.size, dtype=bool)
         for i in range(n - 1):
             for j in range(i + 1, n):
-                bi, bj = b[:, i], b[:, j]
-                gamma = float(bi @ bj)
-                alpha = float(bi @ bi)
-                beta = float(bj @ bj)
+                bi, bj = w[active, :n, i].T, w[active, :n, j].T
+                gamma, alpha, beta = seq_sum(bi * bj), seq_sum(bi * bi), seq_sum(bj * bj)
                 denom = np.sqrt(alpha * beta)
-                rel = abs(gamma) / denom if denom > 0 else 0.0
-                off = max(off, rel)
-                if rel <= _JACOBI_TOL:
+                rot = np.abs(gamma) / np.where(denom > 0, denom, np.inf) > _JACOBI_TOL
+                if not rot.any():
                     continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                b[:, i], b[:, j] = c * bi - s * bj, s * bi + c * bj
-                v[:, i], v[:, j] = c * v[:, i] - s * v[:, j], s * v[:, i] + c * v[:, j]
-        if off <= _JACOBI_TOL:
+                rotated |= rot
+                zeta = (beta[rot] - alpha[rot]) / (2.0 * gamma[rot])
+                t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                t[zeta == 0.0] = 1.0
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                idx = active[rot]
+                wi, wj = w[idx, :, i], w[idx, :, j]
+                w[idx, :, i], w[idx, :, j] = c * wi - s * wj, s * wi + c * wj
+        active = active[rotated]
+        if not active.size:
             break
     else:
         raise ConvergenceError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps")
 
-    norms = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
+    norms = np.sqrt(seq_sum((w[:, :n] * w[:, :n]).swapaxes(0, 1)))
+    order = np.argsort(-norms, axis=1, kind="stable")
+    norms = np.take_along_axis(norms, order, axis=1)
+    w = np.take_along_axis(w, order[:, None, :], axis=2)
     # columns that underflowed to zero stay zero in u; sigma keeps the 0
-    safe = np.where(norms > 0, norms, 1.0)
-    u = b[:, order] / safe
-    v = v[:, order]
+    u, v = w[:, :n] / np.where(norms > 0, norms, 1.0)[:, None, :], w[:, n:]
     # keep both K-factors special orthogonal (flips cancel in the product)
-    if np.linalg.det(u) < 0:
-        u[:, -1] = -u[:, -1]
-        v[:, -1] = -v[:, -1]
-    return u, norms * scale, v.T
+    flip = np.linalg.det(u) < 0
+    for f in (u, v):
+        f[flip, :, -1] = -f[flip, :, -1]
+    sigma, vt = norms * scale[:, None], v.transpose(0, 2, 1)
+    err = (u * sigma[:, None, :]) @ vt
+    err -= a
+    residual = np.max(np.abs(err, out=err), axis=(1, 2))
+    # guard the reported bound against rounding in the residual computation
+    residual += a.shape[1] * np.finfo(float).eps * sigma[:, 0]
+    return SvdBatch(u, sigma, vt, residual)
 
 
 def _singular_values(m) -> np.ndarray:
-    _, sigma, _ = _jacobi(_as_array(m))
-    return sigma
+    a = m.to_float() if isinstance(m, IntMatrix) else np.asarray(m, dtype=float)
+    return svd_batch(a[None]).sigma[0]
 
 
 def svd(m: IntMatrix) -> SvdTriple:
@@ -104,12 +130,7 @@ def svd(m: IntMatrix) -> SvdTriple:
     d = exact_det(m)
     if d != 1:
         raise ConfigError(f"svd requires det = 1, got det = {d}")
-    a = m.to_float()
-    u, sigma, vt = _jacobi(a)
-    residual = float(np.max(np.abs(u @ np.diag(sigma) @ vt - a)))
-    # guard the reported bound against rounding in the residual computation
-    residual += m.n * np.finfo(float).eps * float(sigma[0])
-    return SvdTriple(u, tuple(float(s) for s in sigma), vt, residual)
+    return svd_batch(m.to_float()[None])[0]
 
 
 def spectral_norm(m) -> float:
@@ -147,6 +168,7 @@ __all__ = [
     "DELTA_NUM",
     "SvdTriple",
     "svd",
+    "svd_batch",
     "spectral_norm",
     "log_spectral_norm",
     "singular_gap",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, minor
-from .spectral import SvdTriple, svd
+from .spectral import SvdTriple, seq_sum, svd
 
 
 def subset_basis(n: int, k: int) -> list[tuple[int, ...]]:
@@ -28,7 +28,7 @@ def subset_basis(n: int, k: int) -> list[tuple[int, ...]]:
 def unit(coords) -> np.ndarray:
     """``coords`` as a float array scaled to length 1."""
     v = np.asarray(coords, dtype=float)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(seq_sum(v * v))
     if norm == 0:
         raise ConfigError("cannot normalize the zero wedge vector")
     return v / norm
@@ -65,13 +65,13 @@ def wedge_matrix(m, k: int) -> np.ndarray:
 
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Sine of the angle between two unit points, in [0, 1]."""
-    c = min(1.0, abs(float(np.dot(a, b))))
+    c = min(1.0, abs(float(seq_sum(a * b))))
     return math.sqrt(max(0.0, 1.0 - c * c))
 
 
 def point_hyperplane_distance(v: np.ndarray, h: np.ndarray) -> float:
     """|<h, v>| for a unit point v and unit normal h: 0 iff v lies on the hyperplane."""
-    return min(1.0, abs(float(np.dot(v, h))))
+    return min(1.0, abs(float(seq_sum(v * h))))
 
 
 def attractor_repeller(g: IntMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:

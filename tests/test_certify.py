@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pingpong.certify import (
+    CROSS_SEPARATION,
     Circle,
     choose_k,
     epsilon_contracting,
@@ -22,7 +23,9 @@ from pingpong.certify import (
 )
 from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
-from pingpong.matrices import IntMatrix, det
+from pingpong.matrices import IntMatrix, det, inverse
+from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
+from pingpong.spectral import svd_batch
 from pingpong.wedge import point_hyperplane_distance, proj_distance, unit, wedge_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -377,3 +380,42 @@ def test_contraction_converse_gap_bound():
                     break
             if ok:
                 assert ratio <= 4 * eps * eps + 1e-8
+
+
+def _verdict_bits(verdict):
+    """A Verdict as bytes: its reason, and each witness and min_separation bit for bit."""
+    cert = verdict.certificate
+    if cert is None:
+        return verdict.reason
+    witnesses = [(w.k, w.gap.hex(), w.v.tobytes(), w.h.tobytes()) for w in cert.witnesses]
+    return cert.r, cert.epsilon, witnesses, cert.min_separation.hex()
+
+
+def _pair_svds(pairs):
+    # the experiment's stack: g1, g1^-1, g2, g2^-1 of every pair
+    mats = [m.to_float() for g1, g2 in pairs for m in (g1, inverse(g1), g2, inverse(g2))]
+    return svd_batch(np.array(mats))
+
+
+def test_ping_pong_pair_takes_precomputed_triples():
+    block_h = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    block_k = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
+    readme, block = (H.power(8), K.power(8)), (block_h.power(8), block_k.power(8))
+    cases = [([readme], 0.25, 0.1), ([block], 0.25, 0.1)]
+    for spec in (BallSpec(2, 60), BallSpec(3, 4, symmetrized=True)):
+        sampled = sample_pairs(enumerate_ball(spec), 200, seed=[7, 0])
+        cases += [(sampled, 0.5, 0.2), (sampled, 0.25, 0.1)]
+    reasons = set()
+    for pairs, r, eps in cases:
+        svds = _pair_svds(pairs)
+        for pi, (g1, g2) in enumerate(pairs):
+            k = choose_k(g1.n)
+            alone = ping_pong_pair(g1, g2, k, r, eps)
+            given = ping_pong_pair(g1, g2, k, r, eps, svds[4 * pi : 4 * pi + 4])
+            assert _verdict_bits(given) == _verdict_bits(alone), (str(g1), str(g2))
+            reasons.add(alone.reason)
+    # certified pairs, whose witnesses come in the order g1, g1^-1, g2, g2^-1,
+    # and refusals at g1, at g2 and at the cross separations
+    assert {None, CROSS_SEPARATION} <= reasons
+    for label in ("g1 ", "g2 "):
+        assert any(r and r.startswith(label) for r in reasons), label

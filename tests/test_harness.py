@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pingpong import harness
@@ -15,9 +16,10 @@ from pingpong.harness import (
     emit_report,
     run_experiment,
 )
-from pingpong.sampler import BallSpec, enumerate_ball
+from pingpong.matrices import inverse
+from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
 from pingpong.serialize import canonical_json
-from pingpong.spectral import singular_gap
+from pingpong.spectral import singular_gap, svd_batch
 
 SMALL = ExperimentConfig(n=2, x_grid=(5, 10), symmetrized=False, pairs_per_x=60, seed=7)
 
@@ -192,3 +194,17 @@ def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):
             n=3, x_grid=(2,), symmetrized=True, pairs_per_x=20, eta=2**0.5, oracle_depth=4
         )
     )
+
+
+def test_is_gapped_takes_precomputed_sigma():
+    # the n = 3 gap test on the experiment's stack, as run_experiment builds it
+    pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 200, seed=[7, 0])
+    gens = [m for g1, g2 in pairs for m in (g1, inverse(g1), g2, inverse(g2))]
+    svds = svd_batch(np.array([m.to_float() for m in gens]))
+    outcomes = set()
+    for i, g in enumerate(gens):
+        for eta in (1.2, 1.5):
+            alone = _is_gapped(g, eta)
+            assert _is_gapped(g, eta, svds.sigma[i]) == alone, (str(g), eta)
+            outcomes.add((eta, alone))
+    assert outcomes == {(eta, b) for eta in (1.2, 1.5) for b in (False, True)}

@@ -87,13 +87,14 @@ def test_sl3_agrees_with_brute_force():
     x = Fraction(9, 5)
     e = enumerate_ball(BallSpec(3, x))
     cap = math.ceil(x)
+    rows = np.array(list(product(range(-cap, cap + 1), repeat=3)))
     brute = []
-    for entries in product(range(-cap, cap + 1), repeat=9):
-        m = IntMatrix((entries[0:3], entries[3:6], entries[6:9]))
-        if det(m) != 1:
-            continue
-        if norm_at_most(m, x):
-            brute.append(m.entries)
+    for r1 in rows:
+        # det(r1; r2; r3) = (r1 x r2) . r3, exact in int64 for every row pair
+        for i, j in zip(*np.nonzero(np.cross(r1, rows) @ rows.T == 1)):
+            m = IntMatrix.from_rows([r1, rows[i], rows[j]])
+            if norm_at_most(m, x):
+                brute.append(m.entries)
     assert [m.entries for m in e.members] == sorted(brute)
 
 

@@ -2,13 +2,16 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pingpong.errors import ConfigError
+from pingpong import spectral
+from pingpong.errors import ConfigError, ConvergenceError
 from pingpong.matrices import IntMatrix, inverse
-from pingpong.spectral import log_spectral_norm, singular_gap, spectral_norm, svd
+from pingpong.sampler import BallSpec, enumerate_ball
+from pingpong.spectral import log_spectral_norm, singular_gap, spectral_norm, svd, svd_batch
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -121,3 +124,57 @@ def test_log_spectral_norm_huge_entries():
     g = H.power(300)  # entries far beyond float range
     expected = 600 * math.log(PHI)
     assert log_spectral_norm(g) == pytest.approx(expected, rel=1e-9)
+
+
+def _sweeps(a, monkeypatch):
+    """Sweeps the Jacobi takes on float matrix a alone: the fewest it converges in."""
+    for cap in range(1, 65):
+        monkeypatch.setattr(spectral, "_MAX_SWEEPS", cap)
+        try:
+            svd_batch(a[None])
+        except ConvergenceError:
+            continue
+        monkeypatch.undo()
+        return cap
+    raise AssertionError("no convergence within 64 sweeps")
+
+
+def _bits(t):
+    return t.k_g.tobytes(), np.array(t.sigma).tobytes(), t.k_g_prime.tobytes()
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def test_batch_matches_single(monkeypatch):
+    # per n: matrices done after one sweep (identity, signed permutation),
+    # ball members needing more, and a near-degenerate float matrix with
+    # sigma_1 / sigma_2 = 1 + 1e-12
+    near = _rotation(0.3) @ np.diag([1 + 1e-12, 1.0]) @ _rotation(1.1)
+    stacks = {
+        2: [IntMatrix.identity(2), IntMatrix.from_rows([[0, -1], [1, 0]]), near],
+        3: [
+            IntMatrix.identity(3),
+            IntMatrix.from_rows([[0, 0, 1], [-1, 0, 0], [0, -1, 0]]),
+            np.pad(near, (0, 1)) + np.diag([0, 0, 1.0]),
+        ],
+    }
+    for n, x, step in ((2, 60, 401), (3, Fraction(5, 2), 97)):
+        stacks[n] += enumerate_ball(BallSpec(n, x)).members[::step]
+    for n, mats in stacks.items():
+        a = np.array([m.to_float() if isinstance(m, IntMatrix) else m for m in mats])
+        batch = svd_batch(a)
+        sweeps = []
+        for i, m in enumerate(mats):
+            alone = svd(m) if isinstance(m, IntMatrix) else svd_batch(a[i : i + 1])[0]
+            assert _bits(batch[i]) == _bits(alone), (n, i)
+            sweeps.append(_sweeps(a[i], monkeypatch))
+        assert sweeps[:2] == [1, 1]
+        assert any(3 <= s <= 5 for s in sweeps[3:])
+    with pytest.raises(ConvergenceError):
+        svd_batch(np.array([np.eye(2), np.zeros((2, 2))]))
+    with pytest.raises(ConvergenceError):
+        spectral_norm(np.zeros((3, 3)))
+    with pytest.raises(ConfigError):
+        svd(IntMatrix.from_rows([[1, 2], [3, 4]]))
