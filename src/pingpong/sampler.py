@@ -10,18 +10,19 @@ predicate with its arguments swapped.  For n = 2 the test collapses to
 ||g||_F^2 <= X^2 + X^-2, so counts carry no floating-point ambiguity at
 the boundary.
 
-Enumeration picks the first columns and solves the last from the one
-linear equation det = 1.  For n = 2 a primitive first column (a, c) fixes
-the second up to a line (t a - v, t c + u), from u = a^-1 mod |c|, and the
-ball cuts out an interval of t.  For each a, numpy does this for all c at
-once and sorts the chunk; a ascends across chunks, so their concatenation
-is the sorted ball.  For n = 3 every column of a member is a row of
-``ball``, the array of integer columns of squared norm <= floor(X^2).  One
-loop runs over c1; for each, numpy cuts all c2 at once by the Gram minor of
-(c1, c2), reads the third columns as the rows c3 with (c1 x c2) . c3 = 1,
-and applies the membership predicate to every (c2, c3) together.  The
-predicates take ints and int64 arrays alike; a non-integer X turns the
-arrays into exact object arrays of Fractions.
+Enumeration picks the first rows or columns and solves the last from the
+one linear equation det = 1.  For n = 2 a primitive first row (a, b) fixes
+the second up to a line (c0 + t a, d0 + t b), with a d0 - b c0 = 1 from a
+vectorized extended Euclid, and the ball cuts out an interval of t.  Rows
+come in lexicographic order and each interval runs the way (c, d) ascends,
+so the ball is written sorted into one preallocated array.  For n = 3
+every column of a member is a row of ``ball``, the array of integer
+columns of squared norm <= floor(X^2).  One loop runs over c1; for each,
+numpy cuts all c2 at once by the Gram minor of (c1, c2), reads the third
+columns as the rows c3 with (c1 x c2) . c3 = 1, and applies the membership
+predicate to every (c2, c3) together.  The predicates take ints and int64
+arrays alike; a non-integer X turns the arrays into exact object arrays of
+Fractions.
 
 A ball is stored as one (N, n, n) int64 array sorted by row-major entries.
 ``IntMatrix`` objects, with Python-int entries for exact arithmetic, are
@@ -40,6 +41,7 @@ from .errors import BudgetError, ConfigError
 from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
+_A_BLOCK = 8  # values of a per numpy block of n = 2 first rows (a, b)
 
 
 @dataclass(frozen=True)
@@ -134,47 +136,64 @@ def in_ball(g: IntMatrix, spec: BallSpec) -> bool:
     return _member(g.n, *_frobenius_sq(g), _squared_radius(spec.x), spec.symmetrized)
 
 
-def _sorted(flat: np.ndarray, n: int) -> np.ndarray:
-    return flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
+def _bezout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows (g, x, y) with x a + y b = g = +-gcd(a, b), lane by lane (extended
+    Euclid); |g x| <= |b| and |g y| <= |a| when a and b are both nonzero."""
+    # (r, x, y) at two consecutive steps; a finished lane swaps with quotient 0
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    u, v = np.stack([a, one, zero]), np.stack([b, zero, one])
+    while (u[0] * v[0]).any():
+        q = np.floor_divide(u[0], v[0], out=np.zeros_like(a), where=v[0] != 0)
+        u, v = v, u - q * v
+    return np.where(v[0] != 0, v, u)  # a lane one swap past (g, 0) holds (0, g)
 
 
 def _enumerate_sl2(spec: BallSpec) -> np.ndarray:
-    b = _squared_radius(spec.x)
-    bfloor = math.floor(b)
-    # _member(2, s, s, b, ...) holds for an integer s = ||g||_F^2 iff
-    # s <= b + 1/b; with f = f_inv the symmetrized test adds nothing
-    s_cap = (b * b + 1) // b
+    bound = _squared_radius(spec.x)
+    bfloor = math.floor(bound)
+    # _member(2, s, s, bound, ...) holds for an integer s = ||g||_F^2 iff
+    # s <= bound + 1/bound; with f = f_inv the symmetrized test adds nothing
+    s_cap = (bound * bound + 1) // bound
     amax = math.isqrt(bfloor)
-    # at X <= MAX_X[2] every intermediate (disc <~ 1e11) is far below 2^53, so
+    # at X <= MAX_X[2] every intermediate (disc <~ 1.3e11) is far below 2^53, so
     # int64 arithmetic and the corrected float square root are exact
-    chunks = []
-    for a in range(-amax, amax + 1):
-        c_cap = math.isqrt(bfloor - a * a)
-        c = np.arange(-c_cap, c_cap + 1)
-        c = c[np.gcd(a, c) == 1]
-        # u a + v c = 1, so a d - b c = 1 is solved by (b, d) = (t a - v, t c + u);
-        # c = 0 forces a = +-1, and then u = a and v = 0
-        u = np.array([pow(a, -1, abs(ci)) if ci else a for ci in c.tolist()], dtype=np.int64)
-        v = (1 - u * a) // np.where(c == 0, 1, c)
-        s1 = a * a + c * c
-        # s1 + (t a - v)^2 + (t c + u)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
-        m = u * c - v * a
-        disc = m * m - s1 * (s1 + u * u + v * v - s_cap)
-        keep = disc >= 0
-        c, u, v, s1, m, disc = c[keep], u[keep], v[keep], s1[keep], m[keep], disc[keep]
+    blocks = []
+    for a_lo in range(-amax, amax + 1, _A_BLOCK):
+        # every row (a, b) of squared norm <= bfloor, for _A_BLOCK values of a
+        a_run = range(a_lo, min(a_lo + _A_BLOCK, amax + 1))
+        caps = np.array([math.isqrt(bfloor - a * a) for a in a_run])
+        width = 2 * caps + 1
+        a = np.repeat(a_run, width)
+        b = np.arange(len(a)) - np.repeat(np.cumsum(width) - width + caps, width)
+        g, x, y = _bezout(a, b)
+        # for primitive rows g = +-1, so a d0 - b c0 = g (x a + y b) = 1
+        c0, d0 = -g * y, g * x
+        s1 = a * a + b * b
+        # s1 + (c0 + t a)^2 + (d0 + t b)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
+        m = a * c0 + b * d0
+        disc = m * m - s1 * (s1 + c0 * c0 + d0 * d0 - s_cap)
+        keep = (np.abs(g) == 1) & (disc >= 0)
+        a, b, c0, d0, s1, m, disc = (v[keep] for v in (a, b, c0, d0, s1, m, disc))
         r = np.sqrt(disc).astype(np.int64)
         r -= r * r > disc
         r += (r + 1) * (r + 1) <= disc
-        lo = -((m + r) // s1)
-        k = (r - m) // s1 + 1 - lo
-        # t runs over lo, lo + 1, ..., lo + k - 1 for each column
-        start = np.cumsum(k) - k
-        t = np.arange(k.sum()) - np.repeat(start - lo, k)
-        c, u, v = np.repeat(c, k), np.repeat(u, k), np.repeat(v, k)
-        flat = np.stack([np.full_like(t, a), t * a - v, c, t * c + u], axis=1)
-        chunks.append(_sorted(flat, 2))
-    # a ascends across chunks, so their concatenation is sorted
-    return np.concatenate(chunks)
+        lo, hi = -((m + r) // s1), (r - m) // s1
+        # c = c0 + t a ascends with t iff a > 0; a = 0 forces b = +-1, c = -b,
+        # and d = d0 + t b ascends iff b > 0.  t runs that way: rows come sorted
+        step = np.where(a == 0, b, np.sign(a))
+        k = hi + 1 - lo
+        base = np.where(step > 0, lo, hi) - step * (np.cumsum(k) - k)
+        blocks.append((a, b, c0, d0, step, base, k))
+    out = np.empty((sum(int(k.sum()) for *_, k in blocks), 4), dtype=np.int64)
+    end = 0
+    for a, b, c0, d0, step, base, k in blocks:
+        rows = out[end : (end := end + k.sum())]
+        # the j-th member of the block has t = step j + base, per first row
+        t = np.arange(len(rows)) * np.repeat(step, k) + np.repeat(base, k)
+        rows[:, 0], rows[:, 1] = np.repeat(a, k), np.repeat(b, k)
+        rows[:, 2] = rows[:, 0] * t + np.repeat(c0, k)
+        rows[:, 3] = rows[:, 1] * t + np.repeat(d0, k)
+    return out.reshape(-1, 2, 2)
 
 
 def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
@@ -208,7 +227,8 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
         inside = _member(3, n1 + n2 + n3, f_inv, b, spec.symmetrized)
         g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside]
         chunks.append(g.reshape(-1, 9))
-    return _sorted(np.concatenate(chunks), 3)
+    flat = np.concatenate(chunks)
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, 3, 3)
 
 
 def check_budget(spec: BallSpec) -> None:

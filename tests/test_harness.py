@@ -17,9 +17,9 @@ from pingpong.harness import (
     run_experiment,
 )
 from pingpong.matrices import inverse
-from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
+from pingpong.sampler import BallEnumeration, BallSpec, enumerate_ball, sample_pairs
 from pingpong.serialize import canonical_json
-from pingpong.spectral import singular_gap, svd_batch
+from pingpong.spectral import svd_batch
 
 SMALL = ExperimentConfig(n=2, x_grid=(5, 10), symmetrized=False, pairs_per_x=60, seed=7)
 
@@ -167,17 +167,20 @@ def test_golden_csv_small_config():
 
 def test_is_gapped_matches_singular_gap():
     # the exact n = 2 test and the one-SVD n = 3 test against the
-    # per-position Jacobi reference, with both outcomes at every eta
+    # per-position gaps of one Jacobi pass over the ball's float stack,
+    # with both outcomes at every eta
     cases = [
         (BallSpec(2, 60), 1, (1.1, 2.0, 4.9, 5.0, 12.0)),
         (BallSpec(3, 4, symmetrized=True), 10, (1.2, 1.5)),
     ]
     for spec, step, etas in cases:
+        entries = enumerate_ball(spec).entries[::step]
+        sigma = svd_batch(entries.astype(float)).sigma
+        gaps = sigma[:, :-1] / sigma[:, 1:]
         outcomes = set()
-        for g in enumerate_ball(spec).members[::step]:
-            gaps = [singular_gap(g, i) for i in range(1, g.n)]
+        for g, gap in zip(BallEnumeration(spec, entries).members, gaps):
             for eta in etas:
-                expected = all(gap >= eta * eta for gap in gaps)
+                expected = bool((gap >= eta * eta).all())
                 assert _is_gapped(g, eta) == expected, (str(g), eta)
                 outcomes.add((eta, expected))
         assert outcomes == {(eta, b) for eta in etas for b in (False, True)}

@@ -15,6 +15,7 @@ from pingpong.matrices import IntMatrix, det, inverse
 from pingpong.sampler import (
     MAX_X,
     BallSpec,
+    _bezout,
     _frobenius_sq,
     _member,
     enumerate_ball,
@@ -54,7 +55,7 @@ def test_sl2_unit_ball_symmetrized_same():
     assert enumerate_ball(BallSpec(2, 1, symmetrized=True)).count == 4
 
 
-@pytest.mark.parametrize("x", [1, 2, Fraction(5, 2), 3, 4, 5])
+@pytest.mark.parametrize("x", [1, 2, Fraction(7, 3), Fraction(5, 2), 3, 4, Fraction(9, 2), 5])
 def test_sl2_agrees_with_brute_force(x):
     e = enumerate_ball(BallSpec(2, x))
     assert [m.entries for m in e.members] == brute_force_sl2(x)
@@ -267,11 +268,25 @@ def test_int64_intermediates_fit_at_the_budget():
     # f_inv <= 3 X^4, so ((b - f) b + f_inv) b, the largest term, is <= 5 X^6
     x = MAX_X[3]
     assert 5 * x**6 < 2**63
-    # n = 2: s1 <= X^2, s_cap <= X^2 + 1, |u| < |c| <= X and |v| <= X + 1,
-    # so |m| <= X^2 + (X + 1) X; disc must stay exact as a float
+    # n = 2: for a first row (a, b), s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1.
+    # _bezout gives |c0| = |g y| <= |a| and |d0| = |g x| <= |b| (and
+    # (c0, d0) = (-b, 0) or (0, a) when a = 0 or b = 0), so c0^2 + d0^2 <= s1
+    # and |m| = |a c0 + b d0| <= s1 on every lane; disc must stay exact as a float
     x = MAX_X[2]
-    m = x * x + (x + 1) * x
-    assert m * m + x * x * (x * x + 1) < 2**53
+    assert x**4 + x * x * (x * x + 1) < 2**53
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-MAX_X[2], MAX_X[2])] * 2), min_size=1, max_size=50))
+def test_bezout_identity_and_coefficient_bound(pairs):
+    a, b = np.array(pairs + [(0, 0), (0, 7), (-7, 0), (0, -1), (1, 0)]).T
+    g, x, y = _bezout(a, b)
+    assert (x * a + y * b == g).all()
+    assert (np.abs(g) == [math.gcd(*p) for p in zip(a.tolist(), b.tolist())]).all()
+    # the bound the n = 2 enumerator relies on; it implies |x| <= |b|, |y| <= |a|
+    both = (a != 0) & (b != 0)
+    assert (np.abs(g * x)[both] <= np.abs(b[both])).all()
+    assert (np.abs(g * y)[both] <= np.abs(a[both])).all()
 
 
 def test_in_ball_spot_checks():
