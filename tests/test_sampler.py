@@ -271,7 +271,8 @@ def test_int64_intermediates_fit_at_the_budget():
     # n = 2: for a first row (a, b), s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1.
     # _bezout gives |c0| = |g y| <= |a| and |d0| = |g x| <= |b| (and
     # (c0, d0) = (-b, 0) or (0, a) when a = 0 or b = 0), so c0^2 + d0^2 <= s1
-    # and |m| = |a c0 + b d0| <= s1 on every lane; disc must stay exact as a float
+    # and |m| = |a c0 + b d0| <= s1 on every lane.  disc <= m^2 + s1 s_cap
+    # must stay exact as a float
     x = MAX_X[2]
     assert x**4 + x * x * (x * x + 1) < 2**53
 
@@ -283,10 +284,12 @@ def test_bezout_identity_and_coefficient_bound(pairs):
     g, x, y = _bezout(a, b)
     assert (x * a + y * b == g).all()
     assert (np.abs(g) == [math.gcd(*p) for p in zip(a.tolist(), b.tolist())]).all()
-    # the bound the n = 2 enumerator relies on; it implies |x| <= |b|, |y| <= |a|
+    # the bounds the n = 2 enumerator relies on, with (c0, d0) = (-g y, g x);
+    # they imply |x| <= |b| and |y| <= |a|
     both = (a != 0) & (b != 0)
     assert (np.abs(g * x)[both] <= np.abs(b[both])).all()
     assert (np.abs(g * y)[both] <= np.abs(a[both])).all()
+    assert ((g * y) ** 2 + (g * x) ** 2 <= a * a + b * b).all()
 
 
 def test_in_ball_spot_checks():
