@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, det, inverse
-from .spectral import DELTA_NUM, SvdTriple, svd
+from .spectral import DELTA_NUM, SvdBatch, SvdTriple, svd, svd_batch
 from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
 # unused here; kept as a module attribute because bench/spans.py wraps it
@@ -93,28 +93,45 @@ def epsilon_contracting(g: IntMatrix | SvdTriple, k: int, eps: float) -> Contrac
     return ContractionWitness(eps, k, v, h, gap)
 
 
-def _very_proximal_or_reason(g: IntMatrix, name: str, k: int, r: float, eps: float, triples=None):
-    """(witnesses for g and g^-1, None), or (None, the first failed condition)."""
+def svd_with_inverses(gens) -> SvdBatch:
+    """One Jacobi pass over g, g^-1 for each g of gens: a pair gives g1, g1^-1, g2, g2^-1."""
+    # each g^-1 is the exact inverse with its own SVD: reading its small
+    # singular values off g's decomposition loses relative accuracy
+    n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise ConfigError("dimension mismatch")
+    mats = (m.entries for g in gens for m in (g, inverse(g)))
+    try:
+        stack = np.fromiter(mats, np.dtype((float, (n, n))), 2 * len(gens))
+    except OverflowError as exc:
+        raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
+    return svd_batch(stack)
+
+
+def _check_r(r: float, eps: float):
     if not (math.isfinite(r) and r > 2 * eps):
         raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
+
+
+def _very_proximal_or_reason(triples, names, k: int, r: float, eps: float):
+    """(witnesses for the rows g, g^-1 per name, None), or (None, the first failed condition)."""
     out = []
-    # g^-1 is inverted exactly and gets its own SVD: reading its small
-    # singular values off g's decomposition loses relative accuracy
-    for label, m in zip((name, f"{name}^-1"), triples or (g, inverse(g))):
-        w = epsilon_contracting(m, k, eps)
+    for label, t in zip((f"{g}{inv}" for g in names for inv in ("", "^-1")), triples):
+        w = epsilon_contracting(t, k, eps)
         if w is None:
             return None, f"{label} is not eps-contracting on the k = {k} exterior power"
         if point_hyperplane_distance(w.v, w.h) < r + DELTA_NUM:
             return None, f"{label} has attractor within r of its own repelling hyperplane"
         out.append(w)
-    return (out[0], out[1]), None
+    return tuple(out), None
 
 
 def very_proximal(
     g: IntMatrix, k: int, r: float, eps: float
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
-    return _very_proximal_or_reason(g, "g", k, r, eps)[0]
+    _check_r(r, eps)
+    return _very_proximal_or_reason(svd_with_inverses([g]), ["g"], k, r, eps)[0]
 
 
 def ping_pong_pair(
@@ -129,20 +146,17 @@ def ping_pong_pair(
     repelling hyperplane of the other (reason ``CROSS_SEPARATION``).  A
     certificate implies the group generated is free.
 
-    ``triples``, if given, are the SvdTriples of g1, g1^-1, g2 and g2^-1,
-    in that order, for example four entries of a ``spectral.SvdBatch``.
+    ``triples``, if given, are the pair's four rows of one ``svd_with_inverses``
+    batch over many generators; by default the pair gets its own.
     """
-    t1, t2 = (None, None) if triples is None else (triples[:2], triples[2:])
-    vp1, reason = _very_proximal_or_reason(g1, "g1", k, r, eps, t1)
-    if vp1 is None:
+    _check_r(r, eps)
+    triples = svd_with_inverses([g1, g2]) if triples is None else triples
+    witnesses, reason = _very_proximal_or_reason(triples, ["g1", "g2"], k, r, eps)
+    if witnesses is None:
         return Verdict(None, reason)
-    vp2, reason = _very_proximal_or_reason(g2, "g2", k, r, eps, t2)
-    if vp2 is None:
-        return Verdict(None, reason)
-    witnesses = (vp1[0], vp1[1], vp2[0], vp2[1])
     separations = [point_hyperplane_distance(w.v, w.h) for w in witnesses]
-    for wa in vp1:
-        for wb in vp2:
+    for wa in witnesses[:2]:
+        for wb in witnesses[2:]:
             separations.append(point_hyperplane_distance(wa.v, wb.h))
             separations.append(point_hyperplane_distance(wb.v, wa.h))
     min_sep = min(separations)

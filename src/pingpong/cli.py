@@ -169,9 +169,9 @@ def cmd_volume(args):
 
 def cmd_experiment(args):
     cfg = config_from_obj(serialize.load_json(args.config))
-    start = time.time()
+    start = time.perf_counter()
     rep = run_experiment(cfg)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     text = emit_report(rep, args.format, args.out)
     if args.out:
         print(f"report written to {args.out} ({elapsed:.1f} s)", file=sys.stderr)

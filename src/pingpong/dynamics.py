@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import svd_with_inverses
 from .errors import BudgetError, ConfigError
 from .matrices import ALPHABET, IntMatrix, free_reduce, inverse, invert_word, is_reduced
-from .spectral import svd, svd_batch
+from .spectral import seq_sum, svd_batch
 
 MAX_ORACLE_LEN = 12
 MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take about 30 s at the cap
@@ -234,12 +235,6 @@ def estimate_lyapunov(
     return LyapunovEstimate(float(np.mean(estimates)), stderr, m, trials, seed)
 
 
-def _top_vectors(g: IntMatrix):
-    """(u1, v1): top left/right singular directions, ||g x|| >= sigma1 |<x, v1>|."""
-    triple = svd(g)
-    return triple.k_g[:, 0], triple.k_g_prime[0, :], triple.sigma[0]
-
-
 def check_twoops(
     A: IntMatrix, B: IntMatrix, w: str, eps: float, lam: float
 ) -> dict:
@@ -253,10 +248,12 @@ def check_twoops(
     if not is_reduced(w):
         raise ConfigError("word must be reduced")
     table = {"a": A, "A": inverse(A), "b": B, "B": inverse(B)}
-    data = {letter: _top_vectors(g) for letter, g in table.items()}
-    u1_A = data["a"][0]
+    svds = svd_with_inverses([A, B])  # rows a, A, b, B
+    # top left/right singular directions: ||g x|| >= sigma1 |<x, v1>|
+    u1 = dict(zip("aAbB", svds.k_g[:, :, 0]))
+    v1 = dict(zip("aAbB", svds.k_g_prime[:, 0, :]))
 
-    min_sigma = min(d[2] for d in data.values())
+    min_sigma = float(svds.sigma[:, 0].min())
     diagnostics = {
         "word": w,
         "k": len(w),
@@ -273,11 +270,9 @@ def check_twoops(
     # incoming direction to have inner product > eps with the next v1
     needed = []
     if w:
-        needed.append(abs(float(np.dot(data[w[-1]][1], u1_A))))
+        needed.append(abs(float(seq_sum(v1[w[-1]] * u1["a"]))))
         for i in range(len(w) - 1, 0, -1):
-            incoming_u1 = data[w[i]][0]
-            next_v1 = data[w[i - 1]][1]
-            needed.append(abs(float(np.dot(next_v1, incoming_u1))))
+            needed.append(abs(float(seq_sum(v1[w[i - 1]] * u1[w[i]]))))
     min_inner = min(needed) if needed else 1.0
     diagnostics["min_inner_product"] = min_inner
     if min_inner <= eps:
@@ -285,11 +280,11 @@ def check_twoops(
         diagnostics["reason"] = "junction inner product not above eps"
         return diagnostics
 
-    vec = u1_A.copy()
+    vec = u1["a"].copy()
     log_norm = 0.0
     for letter in reversed(w):
         vec = table[letter].to_float() @ vec
-        nrm = float(np.linalg.norm(vec))
+        nrm = math.sqrt(seq_sum(vec * vec))
         vec /= nrm
         log_norm += math.log(nrm)
     k = len(w)

@@ -18,8 +18,6 @@ import statistics
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, serialize
 from .certify import (
     CROSS_SEPARATION,
@@ -27,13 +25,13 @@ from .certify import (
     hausdorff_upper_bound,
     ping_pong_pair,
     schottky_sl2,
+    svd_with_inverses,
 )
 
 from .dynamics import MAX_ORACLE_LEN, estimate_lyapunov, falsify_freeness
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix, inverse
-from .sampler import BallSpec, check_budget, enumerate_ball, norm_at_most, sample_pairs
-from .spectral import svd, svd_batch
+from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs, sl2_frobenius_cap
 
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .certify import very_proximal  # noqa: F401
@@ -42,6 +40,7 @@ from .spectral import singular_gap  # noqa: F401
 LYAPUNOV_PAIRS = 10
 LYAPUNOV_M = 200
 LYAPUNOV_TRIALS = 4
+MAX_PAIRS = 10**5  # pairs_per_x; 2 * 10^8 would be 1.6 GB of indices alone
 
 CSV_COLUMNS = [
     "x",
@@ -109,6 +108,10 @@ class ExperimentConfig:
             raise BudgetError(
                 f"oracle budget is oracle_depth <= {MAX_ORACLE_LEN}, got {self.oracle_depth}"
             )
+        if self.pairs_per_x > MAX_PAIRS:
+            raise BudgetError(
+                f"sampling budget is pairs_per_x <= {MAX_PAIRS}, got {self.pairs_per_x}"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,19 +120,18 @@ class ExperimentReport:
     provenance: dict
 
 
-def _is_gapped(g: IntMatrix, eta: float, sigma=None) -> bool:
+def _is_gapped(g: IntMatrix, sigma, eta: float, cap: int) -> bool:
     """sigma_i(g) / sigma_{i+1}(g) >= eta^2 at every position i (n in {2, 3})."""
     if g.n == 2:
-        # sigma_1/sigma_2 = sigma_1^2, so the exact ball predicate decides it.
-        # Strict or not is moot: sigma_1 = eta = p/q > 1 needs the integer
-        # ||g||_F^2 = eta^2 + eta^-2 = (p^4 + q^4)/(p^2 q^2), which it never is.
-        return not norm_at_most(g, Fraction(eta))
-    sigma = svd(g).sigma if sigma is None else sigma
+        # sigma_1/sigma_2 = sigma_1^2 > eta^2 iff ||g||_F^2 > cap = sl2_frobenius_cap(eta^2);
+        # equality is moot: (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2 is no integer for eta = p/q > 1
+        return sum(v * v for row in g.entries for v in row) > cap
     return all(sigma[i] / sigma[i + 1] >= eta * eta for i in range(g.n - 1))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k = choose_k(cfg.n)
+    cap = sl2_frobenius_cap(Fraction(cfg.eta) ** 2)
     rows = []
     for xi, x in enumerate(cfg.x_grid):
         enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized))
@@ -137,9 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_pairs = len(pairs)
         row = {"x": float(enum.spec.x), "count_ball": enum.count}
         del enum  # the ball array is the largest object of the radius
-        # g1, g1^-1, g2, g2^-1 of each pair in one Jacobi pass; each exact inverse gets its own SVD
-        mats = (m.entries for g1, g2 in pairs for m in (g1, inverse(g1), g2, inverse(g2)))
-        svds = svd_batch(np.fromiter(mats, np.dtype((float, (cfg.n, cfg.n))), 4 * n_pairs))
+        svds = svd_with_inverses([g for pair in pairs for g in pair])
 
         trace_large = 0
         gapped = 0
@@ -155,7 +155,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 trace_large += 1
             triples = svds[4 * pi : 4 * pi + 4]
             sigma = triples.sigma
-            if _is_gapped(g1, cfg.eta, sigma[0]) and _is_gapped(g2, cfg.eta, sigma[2]):
+            if _is_gapped(g1, sigma[0], cfg.eta, cap) and _is_gapped(g2, sigma[2], cfg.eta, cap):
                 gapped += 1
             # both generators are checked before the cross separations, so
             # they are very proximal iff the verdict gets that far

@@ -136,6 +136,12 @@ def in_ball(g: IntMatrix, spec: BallSpec) -> bool:
     return _member(g.n, *_frobenius_sq(g), _squared_radius(spec.x), spec.symmetrized)
 
 
+def sl2_frobenius_cap(bound) -> int:
+    """floor(bound + 1/bound), exact for an int or Fraction bound >= 1: g in SL_2(Z)
+    has sigma_1(g)^2 <= bound iff ||g||_F^2 = sigma_1^2 + sigma_1^-2 is at most that."""
+    return (bound * bound + 1) // bound
+
+
 def _bezout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows (g, x, y) with x a + y b = g = +-gcd(a, b), lane by lane (extended
     Euclid); |g x| <= |b| and |g y| <= |a| when a and b are both nonzero."""
@@ -151,9 +157,8 @@ def _bezout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _enumerate_sl2(spec: BallSpec) -> np.ndarray:
     bound = _squared_radius(spec.x)
     bfloor = math.floor(bound)
-    # _member(2, s, s, bound, ...) holds for an integer s = ||g||_F^2 iff
-    # s <= bound + 1/bound; with f = f_inv the symmetrized test adds nothing
-    s_cap = (bound * bound + 1) // bound
+    # ||g^-1||_F = ||g||_F, so the symmetrized test adds nothing
+    s_cap = sl2_frobenius_cap(bound)
     amax = math.isqrt(bfloor)
     # at X <= MAX_X[2] every intermediate (disc <~ 1.3e11) is far below 2^53, so
     # int64 arithmetic and the corrected float square root are exact

@@ -19,13 +19,14 @@ from pingpong.certify import (
     ping_pong_pair,
     schottky_sl2,
     sl2_fixed_points,
+    svd_with_inverses,
     very_proximal,
 )
 from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
 from pingpong.matrices import IntMatrix, det, inverse
 from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
-from pingpong.spectral import svd_batch
+from pingpong.spectral import svd
 from pingpong.wedge import point_hyperplane_distance, proj_distance, unit, wedge_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -359,8 +360,6 @@ def test_contraction_converse_gap_bound():
         H @ K,
         (H @ K).power(2),
     ]
-    from pingpong.spectral import svd
-
     for g in fixtures:
         sigma = svd(g).sigma
         ratio = sigma[1] / sigma[0]
@@ -391,10 +390,27 @@ def _verdict_bits(verdict):
     return cert.r, cert.epsilon, witnesses, cert.min_separation.hex()
 
 
-def _pair_svds(pairs):
-    # the experiment's stack: g1, g1^-1, g2, g2^-1 of every pair
-    mats = [m.to_float() for g1, g2 in pairs for m in (g1, inverse(g1), g2, inverse(g2))]
-    return svd_batch(np.array(mats))
+def test_svd_with_inverses_rows_and_float_range():
+    # row 2i is gens[i] and row 2i + 1 its exact inverse, each bitwise its own svd
+    block = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]).power(5)
+    for gens in ([H.power(8), K, ROT, SHEAR4], [block, inverse(block)]):
+        svds = svd_with_inverses(gens)
+        for i, m in enumerate(m for g in gens for m in (g, inverse(g))):
+            alone, row = svd(m), svds[i]
+            assert row.sigma == alone.sigma
+            assert row.k_g.tobytes() == alone.k_g.tobytes()
+            assert row.k_g_prime.tobytes() == alone.k_g_prime.tobytes()
+    with pytest.raises(ConfigError, match="float range"):
+        svd_with_inverses([H, IntMatrix.from_rows([[1, 10**400], [0, 1]])])
+
+
+def test_ping_pong_pair_refuses_mixed_sizes_and_any_det_not_one():
+    block = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    with pytest.raises(ConfigError, match="dimension mismatch"):
+        ping_pong_pair(H, block, 1, 0.5, 0.2)
+    # g1 = I would be refused first, but g2 lies outside SL_2(Z)
+    with pytest.raises(ConfigError, match="det"):
+        ping_pong_pair(IntMatrix.identity(2), IntMatrix.from_rows([[3, 1], [0, 1]]), 1, 0.5, 0.2)
 
 
 def test_ping_pong_pair_takes_precomputed_triples():
@@ -407,7 +423,7 @@ def test_ping_pong_pair_takes_precomputed_triples():
         cases += [(sampled, 0.5, 0.2), (sampled, 0.25, 0.1)]
     reasons = set()
     for pairs, r, eps in cases:
-        svds = _pair_svds(pairs)
+        svds = svd_with_inverses([g for pair in pairs for g in pair])
         for pi, (g1, g2) in enumerate(pairs):
             k = choose_k(g1.n)
             alone = ping_pong_pair(g1, g2, k, r, eps)

@@ -16,6 +16,7 @@ import pingpong.cli as cli
 from pingpong.dynamics import MAX_ORACLE_LEN, MAX_STEPS
 from pingpong.errors import ConvergenceError, InvariantViolation
 from pingpong.haar import MAX_RESOLUTION
+from pingpong.harness import MAX_PAIRS
 from pingpong.matrices import IntMatrix
 from pingpong.serialize import pair_to_obj
 
@@ -165,6 +166,8 @@ def test_schottky_refusal(capsys, pair_file, tmp_path):
         {"g1": [["-6", "-5"], ["-2", "-2"]], "g2": [["-6", "2"], ["-4", "1"]]},
         {"g1": [["4", "1"], ["2", "1"]], "g2": [["4", "-1"], ["-2", "1"]]},
         {"g1": [["3", "1"], ["0", "1"]], "g2": [["2", "1"], ["1", "1"]]},
+        # g1 = I would be refused first; g2 has det 3
+        {"g1": [["1", "0"], ["0", "1"]], "g2": [["3", "1"], ["0", "1"]]},
     ],
 )
 @pytest.mark.parametrize("command", ["certify", "schottky"])
@@ -193,6 +196,7 @@ OVER_BUDGET = [
     ["lyapunov", "--pair", "{pair}", "--m", "1000", "--trials", str(MAX_STEPS // 1000 + 1)],
     ["experiment", "--config", {**SMALL_CONFIG, "x_grid": [20, 501]}],
     ["experiment", "--config", {**SMALL_CONFIG, "oracle_depth": MAX_ORACLE_LEN + 1}],
+    ["experiment", "--config", {**SMALL_CONFIG, "pairs_per_x": MAX_PAIRS + 1}],
 ]
 
 

@@ -1,14 +1,15 @@
 """Experiment orchestration, report emission, determinism."""
 
 import json
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from pingpong import harness
+from pingpong import certify, harness, wedge
 from pingpong.errors import BudgetError, ConfigError
 from pingpong.harness import (
     CSV_COLUMNS,
+    MAX_PAIRS,
     ExperimentConfig,
     ExperimentReport,
     _is_gapped,
@@ -16,10 +17,15 @@ from pingpong.harness import (
     emit_report,
     run_experiment,
 )
-from pingpong.matrices import inverse
-from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
+from pingpong.sampler import (
+    BallSpec,
+    enumerate_ball,
+    norm_at_most,
+    sample_pairs,
+    sl2_frobenius_cap,
+)
 from pingpong.serialize import canonical_json
-from pingpong.spectral import svd_batch
+from pingpong.spectral import singular_gap
 
 SMALL = ExperimentConfig(n=2, x_grid=(5, 10), symmetrized=False, pairs_per_x=60, seed=7)
 
@@ -40,6 +46,8 @@ def test_config_validation():
         ExperimentConfig(
             n=2, x_grid=(5,), symmetrized=False, pairs_per_x=10, oracle_depth=13
         )
+    with pytest.raises(BudgetError):
+        ExperimentConfig(n=2, x_grid=(5,), symmetrized=False, pairs_per_x=MAX_PAIRS + 1)
 
 
 def test_radius_over_budget_fails_before_any_work(monkeypatch):
@@ -166,48 +174,43 @@ def test_golden_csv_small_config():
 
 
 def test_is_gapped_matches_singular_gap():
-    # the exact n = 2 test and the one-SVD n = 3 test against the
-    # per-position gaps of one Jacobi pass over the ball's float stack,
-    # with both outcomes at every eta
-    cases = [
-        (BallSpec(2, 60), 1, (1.1, 2.0, 4.9, 5.0, 12.0)),
-        (BallSpec(3, 4, symmetrized=True), 10, (1.2, 1.5)),
-    ]
-    for spec, step, etas in cases:
-        e = enumerate_ball(spec)
-        sigma = svd_batch(e.entries[::step].astype(float)).sigma
-        gaps = sigma[:, :-1] / sigma[:, 1:]
+    # n = 2: the integer cap against the exact ball predicate sigma_1 > eta on
+    # every member of the X = 60 ball; n = 3: the experiment's sigma rows
+    # against the per-position singular_gap of each of 300 sampled matrices.
+    # Both outcomes occur at every eta
+    members = enumerate_ball(BallSpec(2, 60)).members
+    for eta in (1.1, 2.0, 4.9, 5.0, 12.0):
+        cap = sl2_frobenius_cap(Fraction(eta) ** 2)
         outcomes = set()
-        for g, gap in zip(e.members[::step], gaps):
-            for eta in etas:
-                expected = bool((gap >= eta * eta).all())
-                assert _is_gapped(g, eta) == expected, (str(g), eta)
-                outcomes.add((eta, expected))
-        assert outcomes == {(eta, b) for eta in etas for b in (False, True)}
+        for g in members:
+            expected = not norm_at_most(g, Fraction(eta))
+            assert _is_gapped(g, None, eta, cap) == expected, (str(g), eta)
+            outcomes.add(expected)
+        assert outcomes == {False, True}, eta
+    pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 150, seed=[7, 0])
+    gens = [g for pair in pairs for g in pair]
+    sigma = certify.svd_with_inverses(gens).sigma[::2]  # the rows of g, not g^-1
+    for eta in (1.2, 1.5):
+        outcomes = set()
+        for g, row in zip(gens, sigma):
+            expected = all(singular_gap(g, i) >= eta * eta for i in (1, 2))
+            assert _is_gapped(g, row, eta, None) == expected, (str(g), eta)
+            outcomes.add(expected)
+        assert outcomes == {False, True}, eta
 
 
 def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):
+    # every decomposition comes from the radius's one batch: no singular_gap
+    # and no single-matrix svd, in the certifier or in the wedge geometry
     def refuse(*args):
-        raise AssertionError("the experiment ran a separate singular_gap")
+        raise AssertionError("the experiment ran a separate single-matrix SVD")
 
     monkeypatch.setattr(harness, "singular_gap", refuse)
+    monkeypatch.setattr(certify, "svd", refuse)
+    monkeypatch.setattr(wedge, "svd", refuse)
     run_experiment(ExperimentConfig(n=2, x_grid=(10,), symmetrized=False, pairs_per_x=30))
     run_experiment(
         ExperimentConfig(
             n=3, x_grid=(2,), symmetrized=True, pairs_per_x=20, eta=2**0.5, oracle_depth=4
         )
     )
-
-
-def test_is_gapped_takes_precomputed_sigma():
-    # the n = 3 gap test on the experiment's stack, as run_experiment builds it
-    pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 200, seed=[7, 0])
-    gens = [m for g1, g2 in pairs for m in (g1, inverse(g1), g2, inverse(g2))]
-    svds = svd_batch(np.array([m.to_float() for m in gens]))
-    outcomes = set()
-    for i, g in enumerate(gens):
-        for eta in (1.2, 1.5):
-            alone = _is_gapped(g, eta)
-            assert _is_gapped(g, eta, svds.sigma[i]) == alone, (str(g), eta)
-            outcomes.add((eta, alone))
-    assert outcomes == {(eta, b) for eta in (1.2, 1.5) for b in (False, True)}
