@@ -18,14 +18,18 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError
-from .matrices import IntMatrix, det, inverse
-from .spectral import DELTA_NUM, SvdBatch, SvdTriple, svd, svd_batch
+from .matrices import IntMatrix, adjugate, det, inverse
+from .spectral import DELTA_NUM, SvdBatch, svd_batch
 from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
-# unused here; kept as a module attribute because bench/spans.py wraps it
+# unused here; kept as module attributes because bench/spans.py wraps them
+from .spectral import svd  # noqa: F401
 from .wedge import attractor_repeller  # noqa: F401
 
 CROSS_SEPARATION = "a cross separation between attractors and repelling hyperplanes is below r"
+# codes of decide_pairs (from VERY_PROXIMAL on, both generators passed their own
+# checks) and decide_schottky for a pair with no failed condition
+VERY_PROXIMAL, CERTIFIED, SCHOTTKY_CERTIFIED = 8, 9, 3
 
 
 @dataclass(frozen=True)
@@ -74,38 +78,41 @@ def choose_k(n: int) -> int:
     return n // 2
 
 
-def epsilon_contracting(g: IntMatrix | SvdTriple, k: int, eps: float) -> ContractionWitness | None:
-    """Witness that g contracts P(wedge^k(R^n)), or None.
+def _witnesses(gap, v, h, rows, k: int, eps: float) -> tuple[ContractionWitness, ...]:
+    return tuple(ContractionWitness(eps, k, v[:, j], h[:, j], float(gap[j])) for j in rows)
 
-    g is a determinant-one integer matrix or its SvdTriple.  Issues a
-    witness iff a_{k+1}(g)/a_k(g) <= eps^2 - DELTA_NUM; the
+
+def epsilon_contracting(g: IntMatrix, k: int, eps: float) -> ContractionWitness | None:
+    """Witness that the determinant-one integer matrix g contracts P(wedge^k(R^n)), or None.
+
+    Issues a witness iff a_{k+1}(g)/a_k(g) <= eps^2 - DELTA_NUM; the
     attractor/repeller pair then realizes the contraction.
     """
-    if not 0 < eps < 0.25:
-        raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
-    triple = g if isinstance(g, SvdTriple) else svd(g)
-    if not 1 <= k < len(triple.sigma):
-        raise ConfigError(f"k must be in [1, {len(triple.sigma) - 1}], got {k}")
-    gap = triple.sigma[k] / triple.sigma[k - 1]
-    if gap > eps * eps - DELTA_NUM:
-        return None
-    v, h = attractor_repeller_from_svd(triple, k)
-    return ContractionWitness(eps, k, v, h, gap)
+    # code 0 of the pair (g, g): its first row, g, is not eps-contracting; r is moot
+    code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, 1.0, eps)
+    return _witnesses(gap, v, h, [0], k, eps)[0] if code[0] else None
 
 
-def svd_with_inverses(gens) -> SvdBatch:
-    """One Jacobi pass over g, g^-1 for each g of gens: a pair gives g1, g1^-1, g2, g2^-1."""
+def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
+    """Integer rows g, g^-1 for each g of gens and one Jacobi pass over them: a pair
+    gives g1, g1^-1, g2, g2^-1.  gens is an (M, n, n) int64 stack of ball members
+    (n <= 3, det 1), inverted at once by ``adjugate``, or a list of IntMatrix, each
+    inverted by ``inverse`` (which checks det = 1) into Python ints."""
     # each g^-1 is the exact inverse with its own SVD: reading its small
     # singular values off g's decomposition loses relative accuracy
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise ConfigError("dimension mismatch")
-    mats = (m.entries for g in gens for m in (g, inverse(g)))
+    if isinstance(gens, np.ndarray):
+        inv = np.moveaxis(np.array(adjugate(np.moveaxis(gens, 0, -1))), -1, 0)
+        rows = np.stack([gens, inv], axis=1)
+    else:
+        if any(g.n != gens[0].n for g in gens):
+            raise ConfigError("dimension mismatch")
+        rows = np.array([(g.entries, inverse(g).entries) for g in gens], dtype=object)
+    rows = rows.reshape(-1, *rows.shape[2:])
     try:
-        stack = np.fromiter(mats, np.dtype((float, (n, n))), 2 * len(gens))
+        stack = rows.astype(float)
     except OverflowError as exc:
         raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
-    return svd_batch(stack)
+    return rows, svd_batch(stack)
 
 
 def _check_r(r: float, eps: float):
@@ -113,17 +120,32 @@ def _check_r(r: float, eps: float):
         raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
 
 
-def _very_proximal_or_reason(triples, names, k: int, r: float, eps: float):
-    """(witnesses for the rows g, g^-1 per name, None), or (None, the first failed condition)."""
-    out = []
-    for label, t in zip((f"{g}{inv}" for g in names for inv in ("", "^-1")), triples):
-        w = epsilon_contracting(t, k, eps)
-        if w is None:
-            return None, f"{label} is not eps-contracting on the k = {k} exterior power"
-        if point_hyperplane_distance(w.v, w.h) < r + DELTA_NUM:
-            return None, f"{label} has attractor within r of its own repelling hyperplane"
-        out.append(w)
-    return tuple(out), None
+def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
+    """Ping-pong decisions for every pair of rows g1, g1^-1, g2, g2^-1 of svds, in one pass.
+
+    Returns (code, min_sep, gap, v, h).  Per pair, code is the first failed
+    condition in ping_pong_pair's order (2 j: row j is not eps-contracting;
+    2 j + 1: its attractor is within r of its own repelling hyperplane;
+    VERY_PROXIMAL: a cross separation is below r) or CERTIFIED, and min_sep
+    the least separation.  Per row, gap, v and h give its ContractionWitness.
+    """
+    if not 0 < eps < 0.25:
+        raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
+    p, n = len(svds.sigma) // 4, svds.sigma.shape[1]
+    if not 1 <= k < n:
+        raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
+    gap = svds.sigma[:, k] / svds.sigma[:, k - 1]
+    v, h = attractor_repeller_from_svd(svds.k_g, svds.k_g_prime, k)
+    vs, hs = v.reshape(-1, p, 4), h.reshape(-1, p, 4)
+    own = point_hyperplane_distance(vs, hs)
+    # one generator's attractors against the other's repelling hyperplanes
+    i, j = [0, 0, 1, 1, 2, 2, 3, 3], [2, 3, 2, 3, 0, 1, 0, 1]
+    cross = point_hyperplane_distance(vs[..., i], hs[..., j])
+    min_sep = np.minimum(own.min(axis=1), cross.min(axis=1))
+    not_contracting = (gap > eps * eps - DELTA_NUM).reshape(p, 4)
+    failed = np.stack([not_contracting, own < r + DELTA_NUM], axis=2).reshape(p, 8)
+    failed = np.column_stack([failed, min_sep < r + DELTA_NUM])
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), CERTIFIED), min_sep, gap, v, h
 
 
 def very_proximal(
@@ -131,12 +153,11 @@ def very_proximal(
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
     _check_r(r, eps)
-    return _very_proximal_or_reason(svd_with_inverses([g]), ["g"], k, r, eps)[0]
+    code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, r, eps)
+    return _witnesses(gap, v, h, [0, 1], k, eps) if code[0] >= VERY_PROXIMAL else None
 
 
-def ping_pong_pair(
-    g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float, triples=None
-) -> Verdict:
+def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -> Verdict:
     """Verdict on whether (g1, g2) plays ping-pong on P(wedge^k(R^n)).
 
     Conditions, in the order checked: g1, g1^-1, g2, g2^-1 each
@@ -144,25 +165,20 @@ def ping_pong_pair(
     hyperplane (so both generators are (r, eps)-very proximal), then
     every attracting point of one generator at least r away from every
     repelling hyperplane of the other (reason ``CROSS_SEPARATION``).  A
-    certificate implies the group generated is free.
-
-    ``triples``, if given, are the pair's four rows of one ``svd_with_inverses``
-    batch over many generators; by default the pair gets its own.
+    certificate implies the group generated is free.  This is
+    ``decide_pairs`` on a batch of one pair.
     """
     _check_r(r, eps)
-    triples = svd_with_inverses([g1, g2]) if triples is None else triples
-    witnesses, reason = _very_proximal_or_reason(triples, ["g1", "g2"], k, r, eps)
-    if witnesses is None:
-        return Verdict(None, reason)
-    separations = [point_hyperplane_distance(w.v, w.h) for w in witnesses]
-    for wa in witnesses[:2]:
-        for wb in witnesses[2:]:
-            separations.append(point_hyperplane_distance(wa.v, wb.h))
-            separations.append(point_hyperplane_distance(wb.v, wa.h))
-    min_sep = min(separations)
-    if min_sep < r + DELTA_NUM:
+    (code,), (min_sep,), gap, v, h = decide_pairs(svd_with_inverses([g1, g2])[1], k, r, eps)
+    if code == CERTIFIED:
+        witnesses = _witnesses(gap, v, h, range(4), k, eps)
+        return Verdict(PingPongCertificate(r, eps, witnesses, float(min_sep)))
+    if code == VERY_PROXIMAL:
         return Verdict(None, CROSS_SEPARATION)
-    return Verdict(PingPongCertificate(r, eps, witnesses, min_sep))
+    label = ("g1", "g1^-1", "g2", "g2^-1")[code // 2]
+    if code % 2:
+        return Verdict(None, f"{label} has attractor within r of its own repelling hyperplane")
+    return Verdict(None, f"{label} is not eps-contracting on the k = {k} exterior power")
 
 
 def _entries_2x2(g: IntMatrix) -> tuple[int, int, int, int]:
@@ -204,7 +220,24 @@ def isometric_circles(g: IntMatrix) -> tuple[Circle, Circle]:
     a, b, c, d = _entries_2x2(g)
     if c == 0:
         raise ConfigError("isometric circles require c != 0")
-    return Circle(-d / c, 1 / abs(c)), Circle(a / c, 1 / abs(c))
+    try:
+        return Circle(-d / c, 1 / abs(c)), Circle(a / c, 1 / abs(c))
+    except OverflowError as exc:
+        raise ConfigError("isometric circles exceed the float range (about 1.8e308)") from exc
+
+
+def decide_schottky(pairs: np.ndarray) -> np.ndarray:
+    """Per pair of a (P, 2, 2, 2) stack of det-1 integer matrices (int64, or object
+    for Python ints), the index of schottky_sl2's first failed condition, or
+    SCHOTTKY_CERTIFIED."""
+    a, c, d = pairs[:, :, 0, 0], pairs[:, :, 1, 0], pairs[:, :, 1, 1]
+    # circle (p, q) has center p/q and radius 1/|q|; two are disjoint iff
+    # |p/q - p'/q'| > 1/|q| + 1/|q'|, i.e. |p q' - p' q| > |q| + |q'|
+    p, q = np.concatenate([-d, a], axis=1), np.concatenate([c, c], axis=1)
+    i, j = np.triu_indices(4, 1)
+    gaps = np.abs(p[:, i] * q[:, j] - p[:, j] * q[:, i]) - np.abs(q[:, i]) - np.abs(q[:, j])
+    failed = np.column_stack([np.abs(a + d) <= 2, ~np.all(gaps > 0, axis=1)])
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), SCHOTTKY_CERTIFIED)
 
 
 def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
@@ -216,26 +249,20 @@ def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
     positive gap, decided exactly.  With det 1, |trace| > 2 forces
     c != 0, so the circles are bounded; each generator then maps the
     exterior of its circle into the closed interior of its inverse's
-    circle (Ford, Automorphic Functions, 1929).
+    circle (Ford, Automorphic Functions, 1929).  This is
+    ``decide_schottky`` on a batch of one pair.
     """
     for g in (g1, g2):
         _entries_2x2(g)
         d = det(g)
         if d != 1:
             raise ConfigError(f"schottky_sl2 requires det = 1, got det = {d}")
-    for name, g in (("g1", g1), ("g2", g2)):
-        if abs(g.trace()) <= 2:
-            return Verdict(None, f"{name} is not hyperbolic (|trace| <= 2)")
-    (a1, _), (q1, d1) = g1.entries
-    (a2, _), (q2, d2) = g2.entries
-    # circle (p, q) has center p/q and radius 1/|q|; two are disjoint iff
-    # |p/q - p'/q'| > 1/|q| + 1/|q'|, i.e. |p q' - p' q| > |q| + |q'|
-    exact = ((-d1, q1), (-d2, q2), (a1, q1), (a2, q2))
-    for (p, q), (pp, qq) in combinations(exact, 2):
-        if abs(p * qq - pp * q) <= abs(q) + abs(qq):
-            return Verdict(None, "isometric circles are not pairwise disjoint")
-    c1, c3 = isometric_circles(g1)
-    c2, c4 = isometric_circles(g2)
+    code = decide_schottky(np.array([[g1.entries, g2.entries]], dtype=object))[0]
+    if code < 2:
+        return Verdict(None, f"g{code + 1} is not hyperbolic (|trace| <= 2)")
+    if code == 2:
+        return Verdict(None, "isometric circles are not pairwise disjoint")
+    (c1, c3), (c2, c4) = isometric_circles(g1), isometric_circles(g2)
     circles = (c1, c2, c3, c4)
     min_gap = min(
         abs(u.center - v.center) - u.radius - v.radius for u, v in combinations(circles, 2)

@@ -53,13 +53,8 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
     Meet-in-the-middle search: reduced words are enumerated breadth-first
     to length ceil(max_len/2) with exact products; two words mapping to
     the same matrix yield a relation.  Exactness means a returned word
-    re-evaluates to the identity with no tolerance involved.
-
-    The products are first taken mod 2^64, all at once.  Reduction mod
-    2^64 is a ring homomorphism, so words with equal integer matrices have
-    equal residues; when no two residues agree, no two matrices agree and
-    the search, which visits a subset of these words, would return None.
-    Only a pair with a collision mod 2^64 runs the exact search.
+    re-evaluates to the identity with no tolerance involved.  This is
+    ``find_relations`` on a batch of one pair.
     """
     if max_len > MAX_ORACLE_LEN:
         raise BudgetError(f"oracle budget is max_len <= {MAX_ORACLE_LEN}, got {max_len}")
@@ -68,9 +63,31 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
     letters = (g1, g2, inverse(g1), inverse(g2))  # in _LETTERS order
     if g1.n != g2.n:
         raise ConfigError("dimension mismatch")
-    if g1.n**2 <= _HASH.size and _distinct_mod_2_64(letters, (max_len + 1) // 2):
-        return None
-    return _search(g1, g2, max_len)
+    return find_relations(np.array([[g.entries for g in letters]], dtype=object), max_len)[0]
+
+
+def find_relations(letters: np.ndarray, max_len: int) -> list:
+    """falsify_freeness for every pair of a (P, 4, n, n) integer stack of the
+    letters g1, g2, g1^-1, g2^-1 (int64, or object for Python ints).
+
+    The products are first taken mod 2^64, all at once.  Reduction mod
+    2^64 is a ring homomorphism, so words with equal integer matrices have
+    equal residues; when no two residues agree, no two matrices agree and
+    the search, which visits a subset of these words, would return None.
+    Only a pair with a collision mod 2^64 runs the exact search.
+    """
+    collide = np.ones(len(letters), dtype=bool)
+    if letters.shape[-1] ** 2 <= _HASH.size:
+        # int64 -> uint64 keeps the residue mod 2^64
+        residues = (letters % 2**64 if letters.dtype == object else letters).astype(np.uint64)
+        depth = (max_len + 1) // 2
+        step = max(1, 2**16 // (2 * 3**depth - 1))  # pairs per chunk of 2^16 words
+        for lo in range(0, len(letters), step):
+            collide[lo : lo + step] = _collisions_mod_2_64(residues[lo : lo + step], depth)
+    return [
+        _search(*map(IntMatrix.from_rows, pair), max_len) if hit else None
+        for pair, hit in zip(letters[:, :2].tolist(), collide)
+    ]
 
 
 # odd 64-bit multipliers, one per entry of a matrix with n <= 4 (larger n
@@ -104,21 +121,19 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, letter
 
 
-def _distinct_mod_2_64(letters: tuple[IntMatrix, ...], depth: int) -> bool:
-    """Whether the reduced words of length <= depth, the empty word included,
-    have pairwise distinct keys; then their integer matrices are distinct."""
-    n = letters[0].n
-    gens = np.array(
-        [[[x % 2**64 for x in row] for row in g.entries] for g in letters], dtype=np.uint64
-    )
-    level = np.eye(n, dtype=np.uint64)[None]
+def _collisions_mod_2_64(gens: np.ndarray, depth: int) -> np.ndarray:
+    """Per pair of a (P, 4, n, n) uint64 stack of letters: whether two reduced words
+    of length <= depth, the empty word included, have equal keys.  If not, their
+    integer matrices are distinct."""
+    p, _, n, _ = gens.shape
+    level = np.broadcast_to(np.eye(n, dtype=np.uint64), (p, 1, n, n))
     levels = [level]
     for k in range(1, depth + 1):
         parent, letter = _level(k)
-        level = level[parent] @ gens[letter]  # uint64 products wrap mod 2^64
+        level = level[:, parent] @ gens[:, letter]  # uint64 products wrap mod 2^64
         levels.append(level)
-    keys = np.sort(np.concatenate(levels).reshape(-1, n * n) @ _HASH[: n * n])
-    return not np.any(keys[1:] == keys[:-1])
+    keys = np.sort(np.concatenate(levels, axis=1).reshape(p, -1, n * n) @ _HASH[: n * n], axis=1)
+    return np.any(keys[:, 1:] == keys[:, :-1], axis=1)
 
 
 def _search(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
@@ -247,8 +262,8 @@ def check_twoops(
     """
     if not is_reduced(w):
         raise ConfigError("word must be reduced")
-    table = {"a": A, "A": inverse(A), "b": B, "B": inverse(B)}
-    svds = svd_with_inverses([A, B])  # rows a, A, b, B
+    rows, svds = svd_with_inverses([A, B])  # rows a, A, b, B
+    table = dict(zip("aAbB", rows.astype(float)))
     # top left/right singular directions: ||g x|| >= sigma1 |<x, v1>|
     u1 = dict(zip("aAbB", svds.k_g[:, :, 0]))
     v1 = dict(zip("aAbB", svds.k_g_prime[:, 0, :]))
@@ -283,7 +298,7 @@ def check_twoops(
     vec = u1["a"].copy()
     log_norm = 0.0
     for letter in reversed(w):
-        vec = table[letter].to_float() @ vec
+        vec = table[letter] @ vec
         nrm = math.sqrt(seq_sum(vec * vec))
         vec /= nrm
         log_norm += math.log(nrm)

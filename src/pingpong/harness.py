@@ -20,21 +20,25 @@ from fractions import Fraction
 
 from . import __version__, serialize
 from .certify import (
-    CROSS_SEPARATION,
+    CERTIFIED,
+    SCHOTTKY_CERTIFIED,
+    VERY_PROXIMAL,
     choose_k,
+    decide_pairs,
+    decide_schottky,
     hausdorff_upper_bound,
-    ping_pong_pair,
-    schottky_sl2,
+    isometric_circles,
     svd_with_inverses,
 )
-
-from .dynamics import MAX_ORACLE_LEN, estimate_lyapunov, falsify_freeness
+from .dynamics import MAX_ORACLE_LEN, estimate_lyapunov, find_relations
 from .errors import BudgetError, ConfigError, InvariantViolation
-from .matrices import IntMatrix, inverse
+from .matrices import IntMatrix
 from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs, sl2_frobenius_cap
 
 # unused here; kept as module attributes because bench/spans.py wraps them
-from .certify import very_proximal  # noqa: F401
+from .certify import ping_pong_pair, schottky_sl2, very_proximal  # noqa: F401
+from .dynamics import falsify_freeness  # noqa: F401
+from .matrices import inverse  # noqa: F401
 from .spectral import singular_gap  # noqa: F401
 
 LYAPUNOV_PAIRS = 10
@@ -89,8 +93,12 @@ class ExperimentConfig:
         specs = [BallSpec(self.n, x, self.symmetrized) for x in self.x_grid]
         if not 0 < self.eps < 0.25:
             raise ConfigError(f"need 0 < eps < 1/4, got {self.eps}")
-        if not (math.isfinite(self.r) and math.isfinite(self.eta)):
-            raise ConfigError(f"r and eta must be finite, got r = {self.r}, eta = {self.eta}")
+        try:  # an int beyond the float range raises OverflowError
+            finite = math.isfinite(self.r) and math.isfinite(self.eta)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"r and eta must be finite floats, got {self.r} and {self.eta}")
         if not self.r > 2 * self.eps:
             raise ConfigError(f"need r > 2*eps, got r = {self.r}, eps = {self.eps}")
         if self.eta <= 1:
@@ -120,13 +128,13 @@ class ExperimentReport:
     provenance: dict
 
 
-def _is_gapped(g: IntMatrix, sigma, eta: float, cap: int) -> bool:
-    """sigma_i(g) / sigma_{i+1}(g) >= eta^2 at every position i (n in {2, 3})."""
-    if g.n == 2:
+def _is_gapped(gens, sigma, eta: float, cap: int):
+    """sigma_i / sigma_{i+1} >= eta^2 at every i, per g of an (..., n, n) stack, n in {2, 3}."""
+    if gens.shape[-1] == 2:
         # sigma_1/sigma_2 = sigma_1^2 > eta^2 iff ||g||_F^2 > cap = sl2_frobenius_cap(eta^2);
         # equality is moot: (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2 is no integer for eta = p/q > 1
-        return sum(v * v for row in g.entries for v in row) > cap
-    return all(sigma[i] / sigma[i + 1] >= eta * eta for i in range(g.n - 1))
+        return (gens * gens).sum(axis=(-2, -1)) > cap
+    return (sigma[..., :-1] / sigma[..., 1:] >= eta * eta).all(axis=-1)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -135,66 +143,51 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for xi, x in enumerate(cfg.x_grid):
         enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized))
-        pairs = sample_pairs(enum, cfg.pairs_per_x, seed=[cfg.seed, xi])
+        pairs = sample_pairs(enum, cfg.pairs_per_x, seed=[cfg.seed, xi])  # (P, 2, n, n) int64
         n_pairs = len(pairs)
         row = {"x": float(enum.spec.x), "count_ball": enum.count}
         del enum  # the ball array is the largest object of the radius
-        svds = svd_with_inverses([g for pair in pairs for g in pair])
+        quads, svds = svd_with_inverses(pairs.reshape(-1, cfg.n, cfg.n))
+        quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)  # g1, g1^-1, g2, g2^-1
 
-        trace_large = 0
-        gapped = 0
-        very_prox = 0
-        pingpong = 0
-        schottky_count = 0
-        certified_pairs = []
-        uncertified_pairs = []
+        trace_large = int((abs(pairs.trace(axis1=2, axis2=3)) > 2).all(axis=1).sum())
+        sigma = svds.sigma.reshape(n_pairs, 4, cfg.n)[:, ::2]
+        gapped = int(_is_gapped(pairs, sigma, cfg.eta, cap).all(axis=1).sum())
+        code = decide_pairs(svds, k, cfg.r, cfg.eps)[0]
+        # both generators are checked before the cross separations, so they
+        # are very proximal iff the verdict gets that far
+        very_prox = int((code >= VERY_PROXIMAL).sum())
+        certified = code == CERTIFIED
+        pingpong = int(certified.sum())
         hausdorff_bounds = []
+        if cfg.n == 2:
+            schottky = decide_schottky(pairs) == SCHOTTKY_CERTIFIED
+            schottky_count = int(schottky.sum())
+            for g1, g2 in pairs[schottky].tolist():
+                (c1, c3), (c2, c4) = (isometric_circles(IntMatrix.from_rows(g)) for g in (g1, g2))
+                bound = hausdorff_upper_bound((c1, c2, c3, c4))
+                if bound is not None:
+                    hausdorff_bounds.append(bound)
+            certified |= schottky
 
-        for pi, (g1, g2) in enumerate(pairs):
-            if abs(g1.trace()) > 2 and abs(g2.trace()) > 2:
-                trace_large += 1
-            triples = svds[4 * pi : 4 * pi + 4]
-            sigma = triples.sigma
-            if _is_gapped(g1, sigma[0], cfg.eta, cap) and _is_gapped(g2, sigma[2], cfg.eta, cap):
-                gapped += 1
-            # both generators are checked before the cross separations, so
-            # they are very proximal iff the verdict gets that far
-            pp = ping_pong_pair(g1, g2, k, cfg.r, cfg.eps, triples)
-            certified = pp.certificate is not None
-            if certified or pp.reason == CROSS_SEPARATION:
-                very_prox += 1
-            if certified:
-                pingpong += 1
-            if cfg.n == 2:
-                sc = schottky_sl2(g1, g2).certificate
-                if sc is not None:
-                    schottky_count += 1
-                    certified = True
-                    bound = hausdorff_upper_bound(sc.circles)
-                    if bound is not None:
-                        hausdorff_bounds.append(bound)
-            if certified:
-                certified_pairs.append((g1, g2))
-            else:
-                uncertified_pairs.append((g1, g2))
-
-        falsifications = 0
-        for g1, g2 in certified_pairs:
-            word = falsify_freeness(g1, g2, cfg.oracle_depth)
+        # the oracle letters g1, g2, g1^-1, g2^-1; the control group is the
+        # first len(certified) uncertified pairs in sample order
+        letters = quads[:, [0, 2, 1, 3]]
+        chosen, control = certified.nonzero()[0], (~certified).nonzero()[0]
+        for i, word in zip(chosen, find_relations(letters[chosen], cfg.oracle_depth)):
             if word is not None:
+                g1, g2 = (IntMatrix.from_rows(m) for m in pairs[i].tolist())
                 raise InvariantViolation(
                     "certified pair falsified by the exact word oracle: "
                     f"word {word!r} is the identity for g1 = {g1}, g2 = {g2} "
                     f"(x = {x}, seed = {cfg.seed})"
                 )
-        control_falsified = 0
-        for g1, g2 in uncertified_pairs[: len(certified_pairs)]:
-            if falsify_freeness(g1, g2, cfg.oracle_depth) is not None:
-                control_falsified += 1
+        relations = find_relations(letters[control[: len(chosen)]], cfg.oracle_depth)
+        control_falsified = sum(word is not None for word in relations)
 
         lyap_means = []
-        for pi, (g1, g2) in enumerate(pairs[:LYAPUNOV_PAIRS]):
-            gens = [g1, inverse(g1), g2, inverse(g2)]
+        for pi, quad in enumerate(quads[:LYAPUNOV_PAIRS].tolist()):
+            gens = [IntMatrix.from_rows(m) for m in quad]  # g1, g1^-1, g2, g2^-1
             est = estimate_lyapunov(
                 gens, LYAPUNOV_M, LYAPUNOV_TRIALS, cfg.seed, extra_key=(xi, pi)
             )
@@ -211,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 "median_hausdorff_bound": (
                     statistics.median(hausdorff_bounds) if hausdorff_bounds else None
                 ),
-                "oracle_falsifications": falsifications,
+                "oracle_falsifications": 0,  # a falsification raises above
                 "control_falsified": control_falsified,
                 "lyapunov_mean": (
                     sum(lyap_means) / len(lyap_means) if lyap_means else None

@@ -120,19 +120,25 @@ def det(m: IntMatrix) -> int:
     return minor(m.entries, full, full)
 
 
+def adjugate(entries) -> list:
+    """Transposed cofactor matrix, as rows.  Orders 1 and 2 of ``minor`` are elementwise
+    products, so for n <= 3 an (n, n, M) array gives all M adjugates at once."""
+    n = len(entries)
+    rest = [tuple(r for r in range(n) if r != i) for i in range(n)]
+
+    def cofactor(i, j):  # drop row i and column j
+        c = minor(entries, rest[i], rest[j])
+        return -c if (i + j) % 2 else c
+
+    return [[cofactor(j, i) for j in range(n)] for i in range(n)]
+
+
 def inverse(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse; requires det = 1 (inverse = adjugate)."""
     d = det(m)
     if d != 1:
         raise ConfigError(f"inverse requires det = 1, got det = {d}")
-    n = m.n
-    rest = [tuple(r for r in range(n) if r != i) for i in range(n)]
-
-    def cofactor(i, j):  # drop row i and column j
-        c = minor(m.entries, rest[i], rest[j])
-        return -c if (i + j) % 2 else c
-
-    return IntMatrix(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
+    return IntMatrix(tuple(map(tuple, adjugate(m.entries))))
 
 
 def invert_word(w: str) -> str:

@@ -76,13 +76,9 @@ class BallEnumeration:
 
     @property
     def members(self) -> tuple[IntMatrix, ...]:
-        return tuple(_matrix(rows) for rows in self.entries.tolist())
-
-
-def _matrix(rows: list) -> IntMatrix:
-    # rows come from .tolist(), so every entry is a Python int: exact
-    # arithmetic downstream must never see a wrapping np.int64
-    return IntMatrix(tuple(map(tuple, rows)))
+        # from_rows makes every entry a Python int: exact arithmetic
+        # downstream must never see a wrapping np.int64
+        return tuple(IntMatrix.from_rows(rows) for rows in self.entries.tolist())
 
 
 def _squared_radius(x: int | Fraction) -> int | Fraction:
@@ -251,10 +247,10 @@ def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     return BallEnumeration(spec, _enumerate_sl2(spec) if spec.n == 2 else _enumerate_sl3(spec))
 
 
-def sample_pairs(e: BallEnumeration, count: int, seed) -> list[tuple[IntMatrix, IntMatrix]]:
-    """Uniform ordered pairs with replacement; numpy PCG64 keyed by seed."""
+def sample_pairs(e: BallEnumeration, count: int, seed) -> np.ndarray:
+    """Uniform ordered pairs with replacement, as a (count, 2, n, n) int64 stack;
+    numpy PCG64 keyed by seed."""
     if e.count == 0:
         raise ConfigError("cannot sample from an empty enumeration")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, e.count, size=(count, 2))
-    return [(_matrix(g1), _matrix(g2)) for g1, g2 in e.entries[idx].tolist()]
+    return e.entries[rng.integers(0, e.count, size=(count, 2))]

@@ -43,7 +43,7 @@ class SvdTriple:
 
 @dataclass(frozen=True)
 class SvdBatch:
-    """SvdTriple fields stacked over M matrices: [i] builds triple i, [i:j] is a sub-batch."""
+    """SvdTriple fields stacked over M matrices: [i] builds triple i."""
 
     k_g: np.ndarray
     sigma: np.ndarray
@@ -51,8 +51,6 @@ class SvdBatch:
     residual: np.ndarray
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SvdBatch(self.k_g[i], self.sigma[i], self.k_g_prime[i], self.residual[i])
         sigma = tuple(self.sigma[i].tolist())
         return SvdTriple(self.k_g[i], sigma, self.k_g_prime[i], float(self.residual[i]))
 

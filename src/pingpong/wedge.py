@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, minor
-from .spectral import SvdTriple, seq_sum, svd
+from .spectral import seq_sum, svd
 
 
 def subset_basis(n: int, k: int) -> list[tuple[int, ...]]:
@@ -26,20 +26,21 @@ def subset_basis(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def unit(coords) -> np.ndarray:
-    """``coords`` as a float array scaled to length 1."""
+    """``coords`` as a float array scaled to length 1 along axis 0, column by column."""
     v = np.asarray(coords, dtype=float)
-    norm = math.sqrt(seq_sum(v * v))
-    if norm == 0:
+    norm = np.sqrt(seq_sum(v * v))
+    if np.any(norm == 0):
         raise ConfigError("cannot normalize the zero wedge vector")
     return v / norm
 
 
-def _float_minor(a: np.ndarray, rows, cols) -> float:
+def _float_minor(a: np.ndarray, rows, cols):
     # orders 1 and 2 are matrices.minor's direct products; larger orders use
-    # LAPACK, since Bareiss elimination divides exactly only on integers
+    # LAPACK, since Bareiss elimination divides exactly only on integers.
+    # An (n, n, M) stack, the member axis last, gives M minors at once
     if len(rows) <= 2:
         return minor(a, rows, cols)
-    return np.linalg.det(a[np.ix_(rows, cols)])
+    return np.linalg.det(np.moveaxis(a[np.ix_(rows, cols)], (0, 1), (-2, -1)))
 
 
 def _check_power(n: int, k: int):
@@ -69,28 +70,32 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - c * c))
 
 
-def point_hyperplane_distance(v: np.ndarray, h: np.ndarray) -> float:
-    """|<h, v>| for a unit point v and unit normal h: 0 iff v lies on the hyperplane."""
-    return min(1.0, abs(float(seq_sum(v * h))))
+def point_hyperplane_distance(v: np.ndarray, h: np.ndarray):
+    """|<h, v>| for a unit point v and unit normal h (or columns of them): 0 iff v is on H."""
+    return np.minimum(1.0, np.abs(seq_sum(v * h)))
 
 
 def attractor_repeller(g: IntMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Attracting point and repelling hyperplane's normal of g on P(wedge^k(R^n))."""
-    return attractor_repeller_from_svd(svd(g), k)
+    triple = svd(g)
+    v, h = attractor_repeller_from_svd(triple.k_g[None], triple.k_g_prime[None], k)
+    return v[:, 0], h[:, 0]
 
 
-def attractor_repeller_from_svd(triple: SvdTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Attractor and repeller read off the Cartan decomposition g = k_g a_g k_g'.
+def attractor_repeller_from_svd(k_g: np.ndarray, k_g_prime: np.ndarray, k: int):
+    """Attractors and repellers read off the Cartan decompositions g = k_g a_g k_g'.
 
     The attractor is the image of the lex-first basis vector under the
     wedge action of k_g: the k x k minors of the first k columns of k_g.
     The repelling hyperplane's normal is the lex-first row of the wedge
-    action of k_g': the k x k minors of its first k rows.
+    action of k_g': the k x k minors of its first k rows.  The factors are
+    (M, n, n) stacks; v and h have one unit column per matrix.
     """
-    n = len(triple.sigma)
+    n = k_g.shape[-1]
     _check_power(n, k)
     first = tuple(range(k))
     basis = subset_basis(n, k)
-    v = unit([_float_minor(triple.k_g, s, first) for s in basis])
-    h = unit([_float_minor(triple.k_g_prime, first, t) for t in basis])
+    u, vt = np.moveaxis(k_g, 0, -1), np.moveaxis(k_g_prime, 0, -1)
+    v = unit([_float_minor(u, s, first) for s in basis])
+    h = unit([_float_minor(vt, first, t) for t in basis])
     return v, h

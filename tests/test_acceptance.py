@@ -222,7 +222,7 @@ def test_criterion_10_lyapunov_growth():
     means = []
     for radius in (5, 20, 100):
         e = enumerate_ball(BallSpec(2, radius, symmetrized=True))
-        pairs = sample_pairs(e, 10, seed=[11, radius])
+        pairs = [map(IntMatrix.from_rows, p) for p in sample_pairs(e, 10, seed=[11, radius])]
         ests = [
             estimate_lyapunov(
                 [g1, inverse(g1), g2, inverse(g2)], 200, 4, 11, extra_key=(radius, i)

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from pingpong.certify import (
     CROSS_SEPARATION,
+    SCHOTTKY_CERTIFIED,
     Circle,
     choose_k,
+    decide_pairs,
+    decide_schottky,
     epsilon_contracting,
     hausdorff_upper_bound,
     isometric_circles,
@@ -381,25 +384,21 @@ def test_contraction_converse_gap_bound():
                 assert ratio <= 4 * eps * eps + 1e-8
 
 
-def _verdict_bits(verdict):
-    """A Verdict as bytes: its reason, and each witness and min_separation bit for bit."""
-    cert = verdict.certificate
-    if cert is None:
-        return verdict.reason
-    witnesses = [(w.k, w.gap.hex(), w.v.tobytes(), w.h.tobytes()) for w in cert.witnesses]
-    return cert.r, cert.epsilon, witnesses, cert.min_separation.hex()
-
-
 def test_svd_with_inverses_rows_and_float_range():
-    # row 2i is gens[i] and row 2i + 1 its exact inverse, each bitwise its own svd
+    # row 2i is gens[i] and row 2i + 1 its exact inverse, each bitwise its own
+    # svd; an int64 stack gives the same rows through the stacked adjugate
     block = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]).power(5)
     for gens in ([H.power(8), K, ROT, SHEAR4], [block, inverse(block)]):
-        svds = svd_with_inverses(gens)
+        rows, svds = svd_with_inverses(gens)
+        stacked_rows, stacked = svd_with_inverses(np.array([g.entries for g in gens]))
+        assert stacked_rows.dtype == np.int64 and stacked_rows.tolist() == rows.tolist()
         for i, m in enumerate(m for g in gens for m in (g, inverse(g))):
-            alone, row = svd(m), svds[i]
-            assert row.sigma == alone.sigma
-            assert row.k_g.tobytes() == alone.k_g.tobytes()
-            assert row.k_g_prime.tobytes() == alone.k_g_prime.tobytes()
+            alone = svd(m)
+            assert rows[i].tolist() == [list(r) for r in m.entries]
+            for row in (svds[i], stacked[i]):
+                assert row.sigma == alone.sigma
+                assert row.k_g.tobytes() == alone.k_g.tobytes()
+                assert row.k_g_prime.tobytes() == alone.k_g_prime.tobytes()
     with pytest.raises(ConfigError, match="float range"):
         svd_with_inverses([H, IntMatrix.from_rows([[1, 10**400], [0, 1]])])
 
@@ -413,25 +412,53 @@ def test_ping_pong_pair_refuses_mixed_sizes_and_any_det_not_one():
         ping_pong_pair(IntMatrix.identity(2), IntMatrix.from_rows([[3, 1], [0, 1]]), 1, 0.5, 0.2)
 
 
-def test_ping_pong_pair_takes_precomputed_triples():
+def _decision_bits(decided, i):
+    """Pair i of a decide_pairs result as bytes: code, min_sep and its rows' gaps and witnesses."""
+    code, min_sep, gap, v, h = decided
+    rows = slice(4 * i, 4 * i + 4)
+    witnesses = gap[rows].tobytes(), v[:, rows].tobytes(), h[:, rows].tobytes()
+    return code[i], min_sep[i].hex(), witnesses
+
+
+def _block_sum(a, b):
+    """The block-diagonal integer matrix a (+) b."""
+    rows = [list(r) + [0] * b.n for r in a.entries] + [[0] * a.n + list(r) for r in b.entries]
+    return IntMatrix.from_rows(rows)
+
+
+def test_pair_decided_in_a_batch_matches_alone():
+    # the experiment decides a radius's pairs in one pass over an int64 stack;
+    # each pair must get the reason, min_sep and witness bits it gets alone
     block_h = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
     block_k = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
-    readme, block = (H.power(8), K.power(8)), (block_h.power(8), block_k.power(8))
-    cases = [([readme], 0.25, 0.1), ([block], 0.25, 0.1)]
-    for spec in (BallSpec(2, 60), BallSpec(3, 4, symmetrized=True)):
-        sampled = sample_pairs(enumerate_ball(spec), 200, seed=[7, 0])
-        cases += [(sampled, 0.5, 0.2), (sampled, 0.25, 0.1)]
+    n2 = sample_pairs(enumerate_ball(BallSpec(2, 60)), 200, seed=[7, 0])
+    n3 = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 200, seed=[7, 0])
+    as_matrices = [tuple(map(IntMatrix.from_rows, p)) for p in n2[:60].tolist()]
+    readme = [(H.power(8), K.power(8))] + as_matrices
+    block = [(block_h.power(8), block_k.power(8)), (block_h.power(6), block_k.power(6))]
+    n4 = [(_block_sum(H.power(8), g1), _block_sum(K.power(8), g2)) for g1, g2 in as_matrices]
+    cases = [(n4, 2, 0.25, 0.1), (n4, 2, 0.5, 0.2), (readme, 1, 0.25, 0.1), (block, 1, 0.25, 0.1)]
+    cases += [(stack, 1, r, eps) for stack in (n2, n3) for r, eps in ((0.5, 0.2), (0.25, 0.1))]
     reasons = set()
-    for pairs, r, eps in cases:
-        svds = svd_with_inverses([g for pair in pairs for g in pair])
-        for pi, (g1, g2) in enumerate(pairs):
-            k = choose_k(g1.n)
-            alone = ping_pong_pair(g1, g2, k, r, eps)
-            given = ping_pong_pair(g1, g2, k, r, eps, svds[4 * pi : 4 * pi + 4])
-            assert _verdict_bits(given) == _verdict_bits(alone), (str(g1), str(g2))
-            reasons.add(alone.reason)
+    for pairs, k, r, eps in cases:
+        if isinstance(pairs, np.ndarray):
+            gens = pairs.reshape(-1, *pairs.shape[2:])
+            pairs = [tuple(map(IntMatrix.from_rows, p)) for p in pairs.tolist()]
+        else:
+            gens = [g for pair in pairs for g in pair]
+        decided = decide_pairs(svd_with_inverses(gens)[1], k, r, eps)
+        for i, (g1, g2) in enumerate(pairs):
+            alone = decide_pairs(svd_with_inverses([g1, g2])[1], k, r, eps)
+            assert _decision_bits(decided, i) == _decision_bits(alone, 0), (str(g1), str(g2))
+            reasons.add(ping_pong_pair(g1, g2, k, r, eps).reason)
     # certified pairs, whose witnesses come in the order g1, g1^-1, g2, g2^-1,
     # and refusals at g1, at g2 and at the cross separations
     assert {None, CROSS_SEPARATION} <= reasons
     for label in ("g1 ", "g2 "):
         assert any(r and r.startswith(label) for r in reasons), label
+    # the Schottky decision of the same int64 stack, pair by pair
+    codes = decide_schottky(n2)
+    for code, (g1, g2) in zip(codes, as_matrices):
+        assert code == decide_schottky(np.array([[g1.entries, g2.entries]], dtype=object))[0]
+        assert (code == SCHOTTKY_CERTIFIED) == (schottky_sl2(g1, g2).reason is None)
+    assert 0 < (codes == SCHOTTKY_CERTIFIED).sum() < len(codes)

@@ -232,6 +232,8 @@ OVER_BUDGET = [
         ["certify", "--pair", "{pair}", "--r", "inf"],
         ["experiment", "--config", {**SMALL_CONFIG, "eta": math.nan}],
         ["experiment", "--config", {**SMALL_CONFIG, "r": math.inf}],
+        ["experiment", "--config", {**SMALL_CONFIG, "eta": 10**400}],
+        ["experiment", "--config", {**SMALL_CONFIG, "r": 10**400}],
         *OVER_BUDGET,
         ["hausdorff", "--certificate", {"circles": []}],
         ["hausdorff", "--certificate", {"circles": FOUR_CIRCLES[:2]}],
@@ -254,6 +256,11 @@ OVER_BUDGET = [
         ["schottky", "--pair", pair_to_obj(H.power(480), K.power(480))],
         # entries beyond float range
         ["schottky", "--pair", pair_to_obj(H.power(1000), K.power(1000))],
+        # disjoint circles, but g1's center -d/c = -10^400 lies beyond float range
+        ["schottky", "--pair", pair_to_obj(
+            IntMatrix.from_rows([[-5, -5 * 10**400 - 1], [1, 10**400]]),
+            IntMatrix.from_rows([[5, 2], [2, 1]]),
+        )],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):

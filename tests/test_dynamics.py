@@ -4,20 +4,23 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pingpong.dynamics import (
-    _distinct_mod_2_64,
+    _collisions_mod_2_64,
     _search,
     check_twoops,
     estimate_lyapunov,
     falsify_freeness,
+    find_relations,
     reduced_length_stats,
 )
 from pingpong.errors import BudgetError, ConfigError
 from pingpong.matrices import IntMatrix, evaluate_word, free_reduce, inverse
+from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
 from pingpong.spectral import svd
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -92,9 +95,10 @@ def test_oracle_pair_congruent_to_identity_mod_2_64():
     # free (Sanov): only the exact search may answer
     g1 = IntMatrix.from_rows([[1, 2**64], [0, 1]])
     g2 = IntMatrix.from_rows([[1, 0], [2**64, 1]])
-    letters = (g1, g2, inverse(g1), inverse(g2))
+    quad = (g1, g2, inverse(g1), inverse(g2))
+    letters = np.array([[[[x % 2**64 for x in row] for row in g.entries] for g in quad]], np.uint64)
     for depth in range(1, 7):
-        assert not _distinct_mod_2_64(letters, depth)
+        assert _collisions_mod_2_64(letters, depth)[0]
     for max_len in range(1, 13):
         assert _search(g1, g2, max_len) is None
         assert falsify_freeness(g1, g2, max_len) is None
@@ -134,6 +138,22 @@ def _relation_rich_pairs(draw):
 def test_oracle_prefilter_keeps_search_answer(pair, max_len):
     g1, g2 = pair
     assert falsify_freeness(g1, g2, max_len) == _search(g1, g2, max_len)
+
+
+@pytest.mark.parametrize("spec, max_len", [(BallSpec(2, 20), 8), (BallSpec(2, 5), 12),
+                                           (BallSpec(3, 2, symmetrized=True), 6)])
+def test_batched_oracle_matches_each_pair_alone(spec, max_len):
+    # ball pairs, with (g, g^2) pairs, which commute, so the exact search runs
+    # inside the batch; at max_len 12 the pairs span several screen chunks
+    pairs = [tuple(map(IntMatrix.from_rows, p)) for p in sample_pairs(
+        enumerate_ball(spec), 120, seed=[3, 0]).tolist()]
+    pairs[5:7] = [(g1, g1 @ g1) for g1, _ in pairs[5:7]]
+    letters = [[g.entries for g in (g1, g2, inverse(g1), inverse(g2))] for g1, g2 in pairs]
+    alone = [falsify_freeness(g1, g2, max_len) for g1, g2 in pairs]
+    assert find_relations(np.array(letters, dtype=np.int64), max_len) == alone
+    assert find_relations(np.array(letters, dtype=object), max_len) == alone
+    assert alone[5] is not None and alone[6] is not None
+    assert find_relations(np.zeros((0, 4, spec.n, spec.n), dtype=np.int64), max_len) == []
 
 
 def test_reduced_length_exact_16_cases():

@@ -17,6 +17,7 @@ from pingpong.harness import (
     emit_report,
     run_experiment,
 )
+from pingpong.matrices import IntMatrix
 from pingpong.sampler import (
     BallSpec,
     enumerate_ball,
@@ -48,6 +49,10 @@ def test_config_validation():
         )
     with pytest.raises(BudgetError):
         ExperimentConfig(n=2, x_grid=(5,), symmetrized=False, pairs_per_x=MAX_PAIRS + 1)
+    # JSON integers beyond the float range, for the keys whose checks need floats
+    for key in ("eta", "r"):
+        with pytest.raises(ConfigError, match="finite floats"):
+            ExperimentConfig(n=2, x_grid=(5,), symmetrized=False, pairs_per_x=10, **{key: 10**400})
 
 
 def test_radius_over_budget_fails_before_any_work(monkeypatch):
@@ -138,6 +143,8 @@ def test_degenerate_unit_ball_row():
                 "frac_pingpong", "frac_schottky"):
         assert row[col] == 0.0
     assert row["median_hausdorff_bound"] is None
+    # no pair is certified, so the oracle runs on two empty groups
+    assert row["oracle_falsifications"] == row["control_falsified"] == 0
     assert row["lyapunov_mean"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -178,25 +185,22 @@ def test_is_gapped_matches_singular_gap():
     # every member of the X = 60 ball; n = 3: the experiment's sigma rows
     # against the per-position singular_gap of each of 300 sampled matrices.
     # Both outcomes occur at every eta
-    members = enumerate_ball(BallSpec(2, 60)).members
+    ball = enumerate_ball(BallSpec(2, 60))
     for eta in (1.1, 2.0, 4.9, 5.0, 12.0):
         cap = sl2_frobenius_cap(Fraction(eta) ** 2)
-        outcomes = set()
-        for g in members:
-            expected = not norm_at_most(g, Fraction(eta))
-            assert _is_gapped(g, None, eta, cap) == expected, (str(g), eta)
-            outcomes.add(expected)
-        assert outcomes == {False, True}, eta
+        expected = [not norm_at_most(g, Fraction(eta)) for g in ball.members]
+        assert _is_gapped(ball.entries, None, eta, cap).tolist() == expected, eta
+        assert set(expected) == {False, True}, eta
     pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 150, seed=[7, 0])
-    gens = [g for pair in pairs for g in pair]
-    sigma = certify.svd_with_inverses(gens).sigma[::2]  # the rows of g, not g^-1
+    gens = pairs.reshape(-1, 3, 3)
+    sigma = certify.svd_with_inverses(gens)[1].sigma[::2]  # the rows of g, not g^-1
     for eta in (1.2, 1.5):
-        outcomes = set()
-        for g, row in zip(gens, sigma):
-            expected = all(singular_gap(g, i) >= eta * eta for i in (1, 2))
-            assert _is_gapped(g, row, eta, None) == expected, (str(g), eta)
-            outcomes.add(expected)
-        assert outcomes == {False, True}, eta
+        expected = [
+            all(singular_gap(IntMatrix.from_rows(g), i) >= eta * eta for i in (1, 2))
+            for g in gens
+        ]
+        assert _is_gapped(gens, sigma, eta, None).tolist() == expected, eta
+        assert set(expected) == {False, True}, eta
 
 
 def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):

@@ -203,30 +203,28 @@ def test_sample_pairs_deterministic():
     e = enumerate_ball(BallSpec(2, 10))
     p1 = sample_pairs(e, 20, 42)
     p2 = sample_pairs(e, 20, 42)
-    assert [(a.entries, b.entries) for a, b in p1] == [
-        (a.entries, b.entries) for a, b in p2
-    ]
+    assert p1.shape == (20, 2, 2, 2) and p1.dtype == np.int64
+    assert np.array_equal(p1, p2)
     # regression fixture: frozen first draw for seed 42 on the X=10 ball
-    g1, g2 = p1[0]
-    assert g1.entries == ((-5, -1), (6, 1))
-    assert g2.entries == ((3, -8), (-1, 3))
+    assert p1[0].tolist() == [[[-5, -1], [6, 1]], [[3, -8], [-1, 3]]]
 
 
 def test_sample_pairs_edge_cases():
     e = enumerate_ball(BallSpec(2, 1))
-    assert sample_pairs(e, 0, 1) == []
+    assert sample_pairs(e, 0, 1).shape == (0, 2, 2, 2)
     single = type(e)(e.spec, e.entries[:1])
     pairs = sample_pairs(single, 5, 3)
     assert len(pairs) == 5
-    assert all(a.entries == b.entries == e.members[0].entries for a, b in pairs)
+    assert (pairs == e.entries[0]).all()
 
 
 @pytest.mark.parametrize("spec", [BallSpec(2, 20), BallSpec(3, 2, symmetrized=True)])
 def test_members_and_samples_hold_python_ints(spec):
     # IntMatrix.power, inverse and the word oracle need exact integers; an
-    # np.int64 entry would wrap silently
+    # np.int64 entry would wrap silently.  Samples stay one int64 stack until
+    # a matrix of them is built
     e = enumerate_ball(spec)
-    drawn = [g for pair in sample_pairs(e, 50, 0) for g in pair]
+    drawn = [IntMatrix.from_rows(g) for g in sample_pairs(e, 50, 0).reshape(-1, spec.n, spec.n)]
     for g in list(e.members) + drawn:
         assert all(type(v) is int for row in g.entries for v in row)
 
@@ -275,6 +273,14 @@ def test_int64_intermediates_fit_at_the_budget():
     # must stay exact as a float
     x = MAX_X[2]
     assert x**4 + x * x * (x * x + 1) < 2**53
+    # the experiment's int64 stacks of sampled members: every entry is at most
+    # sigma_1 <= X in absolute value, so the cofactors (minors of order n - 1
+    # <= 2) are at most 2 X^2, ||g||_F^2 <= n X^2, and the Schottky cross
+    # products |p q' - p' q| <= 2 X^2 with |q| + |q'| <= 2 X
+    assert np.abs(enumerate_ball(BallSpec(2, 60)).entries).max() <= 60
+    assert np.abs(enumerate_ball(BallSpec(3, 3)).entries).max() <= 3
+    for n, x in MAX_X.items():
+        assert max(2 * x * x, n * x * x) + 2 * x < 2**63
 
 
 @settings(max_examples=200, deadline=None)
