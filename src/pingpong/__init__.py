@@ -4,7 +4,7 @@
 __version__ = "0.1.0"
 
 from .matrices import IntMatrix, det, evaluate_word, free_reduce, inverse, invert_word
-from .spectral import DELTA_NUM, SvdTriple, singular_gap, spectral_norm, svd
+from .spectral import DELTA_NUM, SvdTriple, singular_gap, svd
 from .wedge import attractor_repeller, point_hyperplane_distance, proj_distance, wedge_matrix
 from .sampler import BallEnumeration, BallSpec, enumerate_ball, sample_pairs
 from .certify import (
@@ -13,7 +13,6 @@ from .certify import (
     SchottkyCertificate,
     Verdict,
     choose_k,
-    epsilon_contracting,
     hausdorff_upper_bound,
     ping_pong_pair,
     schottky_sl2,

@@ -82,17 +82,6 @@ def _witnesses(gap, v, h, rows, k: int, eps: float) -> tuple[ContractionWitness,
     return tuple(ContractionWitness(eps, k, v[:, j], h[:, j], float(gap[j])) for j in rows)
 
 
-def epsilon_contracting(g: IntMatrix, k: int, eps: float) -> ContractionWitness | None:
-    """Witness that the determinant-one integer matrix g contracts P(wedge^k(R^n)), or None.
-
-    Issues a witness iff a_{k+1}(g)/a_k(g) <= eps^2 - DELTA_NUM; the
-    attractor/repeller pair then realizes the contraction.
-    """
-    # code 0 of the pair (g, g): its first row, g, is not eps-contracting; r is moot
-    code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, 1.0, eps)
-    return _witnesses(gap, v, h, [0], k, eps)[0] if code[0] else None
-
-
 def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
     """Integer rows g, g^-1 for each g of gens and one Jacobi pass over them: a pair
     gives g1, g1^-1, g2, g2^-1.  gens is an (M, n, n) int64 stack of ball members
@@ -115,11 +104,6 @@ def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
     return rows, svd_batch(stack)
 
 
-def _check_r(r: float, eps: float):
-    if not (math.isfinite(r) and r > 2 * eps):
-        raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
-
-
 def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
     """Ping-pong decisions for every pair of rows g1, g1^-1, g2, g2^-1 of svds, in one pass.
 
@@ -131,6 +115,8 @@ def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
     """
     if not 0 < eps < 0.25:
         raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
+    if not (math.isfinite(r) and r > 2 * eps):
+        raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
     p, n = len(svds.sigma) // 4, svds.sigma.shape[1]
     if not 1 <= k < n:
         raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
@@ -152,7 +138,6 @@ def very_proximal(
     g: IntMatrix, k: int, r: float, eps: float
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
-    _check_r(r, eps)
     code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, r, eps)
     return _witnesses(gap, v, h, [0, 1], k, eps) if code[0] >= VERY_PROXIMAL else None
 
@@ -168,7 +153,6 @@ def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -
     certificate implies the group generated is free.  This is
     ``decide_pairs`` on a batch of one pair.
     """
-    _check_r(r, eps)
     (code,), (min_sep,), gap, v, h = decide_pairs(svd_with_inverses([g1, g2])[1], k, r, eps)
     if code == CERTIFIED:
         witnesses = _witnesses(gap, v, h, range(4), k, eps)
@@ -215,13 +199,23 @@ def sl2_fixed_points(g: IntMatrix) -> tuple[float, float]:
     return r2, r1
 
 
-def isometric_circles(g: IntMatrix) -> tuple[Circle, Circle]:
-    """(circle of g, circle of g^-1): centers -d/c and a/c, radius 1/|c|."""
-    a, b, c, d = _entries_2x2(g)
-    if c == 0:
+def _circle_ends(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q), each (P, 4), per pair of a (P, 2, 2, 2) stack: isometric circle i has
+    center p/q and radius 1/|q|.  In the order C1, C2, C3, C4 they are the circles
+    of g1 and g2 (center -d/c) and of g1^-1 and g2^-1 (center a/c)."""
+    a, c, d = pairs[:, :, 0, 0], pairs[:, :, 1, 0], pairs[:, :, 1, 1]
+    return np.concatenate([-d, a], axis=1), np.concatenate([c, c], axis=1)
+
+
+def isometric_circles(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(center, radius), each a (P, 4) float array of the circles C1..C4, per pair of
+    a (P, 2, 2, 2) integer stack (int64, or object for Python ints)."""
+    p, q = _circle_ends(pairs)
+    if np.any(q == 0):
         raise ConfigError("isometric circles require c != 0")
     try:
-        return Circle(-d / c, 1 / abs(c)), Circle(a / c, 1 / abs(c))
+        # int64 entries below 2^53 convert exactly, so p / q rounds as int / int does
+        return (p / q).astype(float), (1 / np.abs(q)).astype(float)
     except OverflowError as exc:
         raise ConfigError("isometric circles exceed the float range (about 1.8e308)") from exc
 
@@ -230,13 +224,13 @@ def decide_schottky(pairs: np.ndarray) -> np.ndarray:
     """Per pair of a (P, 2, 2, 2) stack of det-1 integer matrices (int64, or object
     for Python ints), the index of schottky_sl2's first failed condition, or
     SCHOTTKY_CERTIFIED."""
-    a, c, d = pairs[:, :, 0, 0], pairs[:, :, 1, 0], pairs[:, :, 1, 1]
-    # circle (p, q) has center p/q and radius 1/|q|; two are disjoint iff
-    # |p/q - p'/q'| > 1/|q| + 1/|q'|, i.e. |p q' - p' q| > |q| + |q'|
-    p, q = np.concatenate([-d, a], axis=1), np.concatenate([c, c], axis=1)
+    # two circles are disjoint iff |p/q - p'/q'| > 1/|q| + 1/|q'|,
+    # i.e. |p q' - p' q| > |q| + |q'|
+    p, q = _circle_ends(pairs)
     i, j = np.triu_indices(4, 1)
     gaps = np.abs(p[:, i] * q[:, j] - p[:, j] * q[:, i]) - np.abs(q[:, i]) - np.abs(q[:, j])
-    failed = np.column_stack([np.abs(a + d) <= 2, ~np.all(gaps > 0, axis=1)])
+    trace = pairs[:, :, 0, 0] + pairs[:, :, 1, 1]
+    failed = np.column_stack([np.abs(trace) <= 2, ~np.all(gaps > 0, axis=1)])
     return np.where(failed.any(axis=1), failed.argmax(axis=1), SCHOTTKY_CERTIFIED)
 
 
@@ -257,13 +251,14 @@ def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
         d = det(g)
         if d != 1:
             raise ConfigError(f"schottky_sl2 requires det = 1, got det = {d}")
-    code = decide_schottky(np.array([[g1.entries, g2.entries]], dtype=object))[0]
+    pair = np.array([[g1.entries, g2.entries]], dtype=object)
+    code = decide_schottky(pair)[0]
     if code < 2:
         return Verdict(None, f"g{code + 1} is not hyperbolic (|trace| <= 2)")
     if code == 2:
         return Verdict(None, "isometric circles are not pairwise disjoint")
-    (c1, c3), (c2, c4) = isometric_circles(g1), isometric_circles(g2)
-    circles = (c1, c2, c3, c4)
+    center, radius = isometric_circles(pair)
+    circles = tuple(map(Circle, center[0].tolist(), radius[0].tolist()))
     min_gap = min(
         abs(u.center - v.center) - u.radius - v.radius for u, v in combinations(circles, 2)
     )
@@ -271,22 +266,29 @@ def schottky_sl2(g1: IntMatrix, g2: IntMatrix) -> Verdict:
     return Verdict(SchottkyCertificate((g1.trace(), g2.trace()), fixed, circles, min_gap))
 
 
-def hausdorff_upper_bound(circles: tuple[Circle, ...]) -> float | None:
-    """Upper bound -log 3 / (2 log lambda) on the limit-set dimension.
+def hausdorff_bounds(center: np.ndarray, radius: np.ndarray) -> list[float | None]:
+    """Upper bound -log 3 / (2 log lambda) on the limit-set dimension, per row of
+    (P, m) arrays of Schottky circle centers and radii.
 
     lambda is the worst ratio radius(i) / (|center(i) - center(j)| -
-    radius(j)) over ordered pairs of distinct Schottky circles.  Returns
-    None when lambda falls outside (0, 1) and the bound is vacuous.
+    radius(j)) over ordered pairs of distinct circles of the row.  A row
+    gets None when a denominator is <= 0 or lambda falls outside (0, 1),
+    where the bound is vacuous.
     """
-    lam = 0.0
-    for i, ci in enumerate(circles):
-        for j, cj in enumerate(circles):
-            if i == j:
-                continue
-            denom = abs(ci.center - cj.center) - cj.radius
-            if denom <= 0:
-                return None
-            lam = max(lam, ci.radius / denom)
-    if not 0.0 < lam < 1.0:
-        return None
-    return -math.log(3.0) / (2.0 * math.log(lam))
+    i, j = np.nonzero(~np.eye(center.shape[1], dtype=bool))
+    # a difference beyond the float range is inf, as in Python floats: a far circle
+    with np.errstate(over="ignore"):
+        denom = np.abs(center[:, i] - center[:, j]) - radius[:, j]
+        valid = (denom > 0).all(axis=1)
+        lam = (radius[:, i] / np.where(denom > 0, denom, np.inf)).max(axis=1, initial=0.0)
+    return [
+        -math.log(3.0) / (2.0 * math.log(x)) if ok and 0.0 < x < 1.0 else None
+        for x, ok in zip(lam.tolist(), valid.tolist())
+    ]
+
+
+def hausdorff_upper_bound(circles: tuple[Circle, ...]) -> float | None:
+    """``hausdorff_bounds`` of one row of Schottky circles."""
+    center = np.array([[c.center for c in circles]], dtype=float)
+    radius = np.array([[c.radius for c in circles]], dtype=float)
+    return hausdorff_bounds(center, radius)[0]

@@ -106,10 +106,16 @@ def cmd_schottky(args):
     )
 
 
+def _number(x) -> float:
+    if isinstance(x, bool):  # float(True) is 1.0
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
 def cmd_hausdorff(args):
     obj = serialize.load_json(args.certificate)
     try:
-        circles = tuple(Circle(float(c["center"]), float(c["radius"])) for c in obj["circles"])
+        circles = tuple(Circle(_number(c["center"]), _number(c["radius"])) for c in obj["circles"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"not a valid Schottky certificate: {exc}") from exc
     # the bound is for the four circles of a rank-2 Schottky certificate

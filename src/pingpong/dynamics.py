@@ -85,8 +85,8 @@ def find_relations(letters: np.ndarray, max_len: int) -> list:
         for lo in range(0, len(letters), step):
             collide[lo : lo + step] = _collisions_mod_2_64(residues[lo : lo + step], depth)
     return [
-        _search(*map(IntMatrix.from_rows, pair), max_len) if hit else None
-        for pair, hit in zip(letters[:, :2].tolist(), collide)
+        _search([IntMatrix.from_rows(g) for g in letters[i].tolist()], max_len) if hit else None
+        for i, hit in enumerate(collide)
     ]
 
 
@@ -136,10 +136,11 @@ def _collisions_mod_2_64(gens: np.ndarray, depth: int) -> np.ndarray:
     return np.any(keys[:, 1:] == keys[:, :-1], axis=1)
 
 
-def _search(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
-    """The exact search of falsify_freeness; it alone picks the returned word."""
-    table = {"a": g1, "A": inverse(g1), "b": g2, "B": inverse(g2)}
-    identity = IntMatrix.identity(g1.n)
+def _search(letters: list[IntMatrix], max_len: int) -> str | None:
+    """The exact search of falsify_freeness over the letters g1, g2, g1^-1, g2^-1;
+    it alone picks the returned word."""
+    table = dict(zip(_LETTERS, letters))
+    identity = IntMatrix.identity(letters[0].n)
 
     seen: dict[tuple, str] = {identity.entries: ""}
     level: list[tuple[str, IntMatrix]] = [("", identity)]

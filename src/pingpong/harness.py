@@ -26,7 +26,7 @@ from .certify import (
     choose_k,
     decide_pairs,
     decide_schottky,
-    hausdorff_upper_bound,
+    hausdorff_bounds,
     isometric_circles,
     svd_with_inverses,
 )
@@ -36,7 +36,8 @@ from .matrices import IntMatrix
 from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs, sl2_frobenius_cap
 
 # unused here; kept as module attributes because bench/spans.py wraps them
-from .certify import ping_pong_pair, schottky_sl2, very_proximal  # noqa: F401
+from .certify import hausdorff_upper_bound, ping_pong_pair, schottky_sl2  # noqa: F401
+from .certify import very_proximal  # noqa: F401
 from .dynamics import falsify_freeness  # noqa: F401
 from .matrices import inverse  # noqa: F401
 from .spectral import singular_gap  # noqa: F401
@@ -159,15 +160,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         very_prox = int((code >= VERY_PROXIMAL).sum())
         certified = code == CERTIFIED
         pingpong = int(certified.sum())
-        hausdorff_bounds = []
+        bounds = []
         if cfg.n == 2:
             schottky = decide_schottky(pairs) == SCHOTTKY_CERTIFIED
             schottky_count = int(schottky.sum())
-            for g1, g2 in pairs[schottky].tolist():
-                (c1, c3), (c2, c4) = (isometric_circles(IntMatrix.from_rows(g)) for g in (g1, g2))
-                bound = hausdorff_upper_bound((c1, c2, c3, c4))
-                if bound is not None:
-                    hausdorff_bounds.append(bound)
+            circles = isometric_circles(pairs[schottky])  # C1..C4 of each certified pair
+            bounds = [b for b in hausdorff_bounds(*circles) if b is not None]
             certified |= schottky
 
         # the oracle letters g1, g2, g1^-1, g2^-1; the control group is the
@@ -201,9 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 "frac_very_proximal": very_prox / n_pairs,
                 "frac_pingpong": pingpong / n_pairs,
                 "frac_schottky": (schottky_count / n_pairs) if cfg.n == 2 else None,
-                "median_hausdorff_bound": (
-                    statistics.median(hausdorff_bounds) if hausdorff_bounds else None
-                ),
+                "median_hausdorff_bound": statistics.median(bounds) if bounds else None,
                 "oracle_falsifications": 0,  # a falsification raises above
                 "control_falsified": control_falsified,
                 "lyapunov_mean": (

@@ -20,9 +20,17 @@ def matrix_to_obj(m: IntMatrix | list[list[int]]) -> list[list[str]]:
     return [[str(x) for x in row] for row in rows]
 
 
+def _entry(x) -> int:
+    # int() would also take floats, booleans, "1_0" and " 1"
+    digits = x[1:] if isinstance(x, str) and x[:1] in ("+", "-") else x
+    if type(x) is int or (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+        return int(x)
+    raise ValueError(f"entry {x!r} is not an integer or a decimal-integer string")
+
+
 def matrix_from_obj(obj) -> IntMatrix:
     try:
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in obj))
+        return IntMatrix(tuple(tuple(_entry(x) for x in row) for row in obj))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"not a valid matrix object: {exc}") from exc
 

@@ -118,22 +118,12 @@ def svd_batch(a: np.ndarray) -> SvdBatch:
     return SvdBatch(u, sigma, vt, residual)
 
 
-def _singular_values(m) -> np.ndarray:
-    a = m.to_float() if isinstance(m, IntMatrix) else np.asarray(m, dtype=float)
-    return svd_batch(a[None]).sigma[0]
-
-
 def svd(m: IntMatrix) -> SvdTriple:
     """Cartan decomposition of a determinant-one integer matrix."""
     d = exact_det(m)
     if d != 1:
         raise ConfigError(f"svd requires det = 1, got det = {d}")
     return svd_batch(m.to_float()[None])[0]
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value (works for any square real/integer matrix)."""
-    return float(_singular_values(m)[0])
 
 
 def log_spectral_norm(m: IntMatrix) -> float:
@@ -145,29 +135,16 @@ def log_spectral_norm(m: IntMatrix) -> float:
     scale = m.max_abs()
     if scale == 0:
         raise ConvergenceError("zero matrix")
-    bits = scale.bit_length() - 53
-    if bits > 0:
-        shifted = IntMatrix(tuple(tuple(x >> bits for x in row) for row in m.entries))
-        a = shifted.to_float()
-        return math.log(spectral_norm(a)) + bits * math.log(2.0)
-    return math.log(spectral_norm(m.to_float()))
+    bits = max(scale.bit_length() - 53, 0)
+    if bits:
+        m = IntMatrix(tuple(tuple(x >> bits for x in row) for row in m.entries))
+    return math.log(svd_batch(m.to_float()[None]).sigma[0, 0]) + bits * math.log(2.0)
 
 
-def singular_gap(m, k: int) -> float:
+def singular_gap(m: IntMatrix, k: int) -> float:
     """Ratio a_k / a_{k+1} >= 1 of consecutive singular values (1-based k)."""
-    sigma = _singular_values(m)
+    sigma = svd_batch(m.to_float()[None]).sigma[0]
     n = len(sigma)
     if not 1 <= k <= n - 1:
         raise ConfigError(f"gap position k must be in [1, {n - 1}], got {k}")
     return float(sigma[k - 1] / sigma[k])
-
-
-__all__ = [
-    "DELTA_NUM",
-    "SvdTriple",
-    "svd",
-    "svd_batch",
-    "spectral_norm",
-    "log_spectral_norm",
-    "singular_gap",
-]

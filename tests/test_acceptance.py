@@ -19,8 +19,10 @@ import pytest
 
 from pingpong.certify import (
     Circle,
-    epsilon_contracting,
+    ContractionWitness,
+    decide_pairs,
     hausdorff_upper_bound,
+    svd_with_inverses,
 )
 from pingpong.dynamics import (
     check_twoops,
@@ -88,9 +90,10 @@ def _certified_witnesses(count=100, eps=0.2):
         pool += [(a3 @ b3).power(p), (a3 @ c3 @ b3).power(p), ((b3 @ a3).power(p)) @ c3]
     out = []
     for g in pool:
-        w = epsilon_contracting(g, 1, eps)
-        if w is not None:
-            out.append((g, w))
+        # row g of the pair (g, g) fails with code 0 iff g is not eps-contracting
+        code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], 1, 1.0, eps)
+        if code[0]:
+            out.append((g, ContractionWitness(eps, 1, v[:, 0], h[:, 0], float(gap[0]))))
         if len(out) == count:
             break
     return out

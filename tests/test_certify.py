@@ -13,10 +13,11 @@ from pingpong.certify import (
     CROSS_SEPARATION,
     SCHOTTKY_CERTIFIED,
     Circle,
+    ContractionWitness,
     choose_k,
     decide_pairs,
     decide_schottky,
-    epsilon_contracting,
+    hausdorff_bounds,
     hausdorff_upper_bound,
     isometric_circles,
     ping_pong_pair,
@@ -28,8 +29,8 @@ from pingpong.certify import (
 from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
 from pingpong.matrices import IntMatrix, det, inverse
-from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
-from pingpong.spectral import svd
+from pingpong.sampler import MAX_X, BallSpec, enumerate_ball, sample_pairs
+from pingpong.spectral import svd, svd_batch
 from pingpong.wedge import point_hyperplane_distance, proj_distance, unit, wedge_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -49,6 +50,14 @@ def test_choose_k():
     assert choose_k(5) == 2
     with pytest.raises(ConfigError):
         choose_k(1)
+
+
+def epsilon_contracting(g, k, eps):
+    """The witness that g contracts P(wedge^k(R^n)) (gap <= eps^2 - DELTA_NUM), or None:
+    row g of decide_pairs on the pair (g, g), which fails with code 0 iff g does not
+    contract; r = 1.0 is moot for that code."""
+    code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, 1.0, eps)
+    return ContractionWitness(eps, k, v[:, 0], h[:, 0], float(gap[0])) if code[0] else None
 
 
 def test_epsilon_contracting_examples():
@@ -182,12 +191,22 @@ def test_sl2_fixed_points_rejects_non_hyperbolic():
         sl2_fixed_points(IntMatrix.from_rows([[2, 1], [0, 3]]))
 
 
+def _pair_stack(*pairs):
+    """The (P, 2, 2, 2) object stack of Python-int pairs."""
+    return np.array([[g1.entries, g2.entries] for g1, g2 in pairs], dtype=object)
+
+
 def test_isometric_circles():
     g = H.power(4)  # [[34, 21], [21, 13]]
-    ci, ci_inv = isometric_circles(g)
-    assert ci.center == pytest.approx(-13 / 21)
-    assert ci_inv.center == pytest.approx(34 / 21)
-    assert ci.radius == pytest.approx(1 / 21)
+    center, radius = isometric_circles(_pair_stack((g, K)))
+    # C1 is g's circle and C3 g^-1's; C2 and C4 are K's and K^-1's
+    assert center[0].tolist() == [-13 / 21, -2 / 1, 34 / 21, 1 / 1]
+    assert radius[0].tolist() == [1 / 21, 1.0, 1 / 21, 1.0]
+    # an int64 stack gives the same bits
+    stacked = isometric_circles(np.array([[g.entries, K.entries]]))
+    assert [a.tobytes() for a in stacked] == [center.tobytes(), radius.tobytes()]
+    with pytest.raises(ConfigError, match="c != 0"):
+        isometric_circles(_pair_stack((g, PARABOLIC)))
 
 
 def test_schottky_certificate_issued():
@@ -250,9 +269,9 @@ def test_isometric_circle_mapping_property(g, p, q, x, y):
     # Exact rational arithmetic on points z = x + iy.
     (a, b), (c, d) = g.entries
     assert det(g) == 1
-    circle, circle_inv = isometric_circles(g)
-    assert (circle.center, circle.radius) == (-d / c, 1 / abs(c))
-    assert (circle_inv.center, circle_inv.radius) == (a / c, 1 / abs(c))
+    center, radius = isometric_circles(_pair_stack((g, g)))
+    assert center[0].tolist() == [-d / c, -d / c, a / c, a / c]
+    assert radius[0].tolist() == [1 / abs(c)] * 4
 
     def image_dist2(x, y):
         # |g(z) - a/c|^2 and |cz + d|^2
@@ -351,6 +370,84 @@ def test_hausdorff_monotone_in_radius():
 
     values = [bound(r) for r in (0.2, 0.1, 0.05, 0.01, 0.001)]
     assert all(b > a for a, b in zip(values[1:], values[:-1]))
+
+
+def _hausdorff_loop(circles):
+    """The per-circle-pair loop hausdorff_bounds replaced, as an independent reference."""
+    lam = 0.0
+    for i, ci in enumerate(circles):
+        for j, cj in enumerate(circles):
+            if i == j:
+                continue
+            denom = abs(ci.center - cj.center) - cj.radius
+            if denom <= 0:
+                return None
+            lam = max(lam, ci.radius / denom)
+    if not 0.0 < lam < 1.0:
+        return None
+    return -math.log(3.0) / (2.0 * math.log(lam))
+
+
+def _assert_bounds_match_loop(center, radius):
+    """hausdorff_bounds equals the loop on every row, bit for bit; returns the rows' bounds."""
+    bounds = hausdorff_bounds(center, radius)
+    assert len(bounds) == len(center)
+    for row, bound in enumerate(bounds):
+        circles = [Circle(*cr) for cr in zip(center[row].tolist(), radius[row].tolist())]
+        expected = _hausdorff_loop(circles)
+        assert (bound is None) == (expected is None)
+        assert bound is None or bound.hex() == expected.hex()
+    return bounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(hyperbolic_sl2(), hyperbolic_sl2()), min_size=1, max_size=8))
+def test_hausdorff_bounds_match_loop_on_isometric_circles(pairs):
+    _assert_bounds_match_loop(*isometric_circles(_pair_stack(*pairs)))
+
+
+def test_hausdorff_bounds_match_loop_on_hand_fixtures():
+    rows = [
+        [Circle(2.0 * i, 0.01) for i in range(4)],
+        # overlapping: a denominator <= 0
+        [Circle(0.0, 0.5), Circle(0.6, 0.5), Circle(3.0, 0.1), Circle(5.0, 0.1)],
+        # every denominator positive, but C1 reaches past C2's center: lambda >= 1
+        [Circle(0.0, 1.0), Circle(1.5, 1.0), Circle(10.0, 0.1), Circle(20.0, 0.1)],
+        # C1's center on C2: a denominator of exactly 0, never divided by
+        [Circle(0.0, 1.0), Circle(1.0, 1.0), Circle(10.0, 0.1), Circle(20.0, 0.1)],
+        *([Circle(2.0 * i, r) for i in range(4)] for r in (0.2, 0.1, 0.05, 0.001)),
+    ]
+    center = np.array([[c.center for c in row] for row in rows])
+    radius = np.array([[c.radius for c in row] for row in rows])
+    bounds = _assert_bounds_match_loop(center, radius)
+    assert bounds[1:4] == [None] * 3 and None not in bounds[4:]
+    assert bounds[0] == hausdorff_upper_bound(tuple(rows[0]))
+    assert hausdorff_bounds(center[:0], radius[:0]) == []
+    # the certified pairs of a sampled radius, as the experiment bounds them
+    pairs = sample_pairs(enumerate_ball(BallSpec(2, 60)), 2000, seed=[7, 1])
+    certified = pairs[decide_schottky(pairs) == SCHOTTKY_CERTIFIED]
+    assert len(certified) > 100
+    # disjoint circles give lambda < 1, so each of these rows has a bound
+    assert None not in _assert_bounds_match_loop(*isometric_circles(certified))
+
+
+def test_sl3_budget_ball_never_contracts():
+    # for g in SL_3(Z), sigma_2^2 >= sigma_2 sigma_3 = 1/sigma_1, so
+    # sigma_2/sigma_1 >= sigma_1^(-3/2) >= X^(-3/2); at the budget edge this
+    # exceeds 1/16 > eps^2 for every admitted eps < 1/4, so no member of a
+    # budgeted n = 3 ball is eps-contracting and none certifies ping-pong
+    x = MAX_X[3]
+    bound = float(x) ** -1.5
+    assert bound > 1 / 16
+    enum = enumerate_ball(BallSpec(3, x, symmetrized=True))
+    assert enum.count == 175_704
+    sigma = svd_batch(enum.entries.astype(float)).sigma
+    ratio = sigma[:, 1] / sigma[:, 0]
+    assert ratio.min() >= bound
+    assert ratio.min() < 0.0710  # measured 0.0709: the bound is nearly attained
+    # so at the largest admitted eps every pair fails at g1's contraction
+    code = decide_pairs(svd_with_inverses(enum.entries[::100][:1000])[1], 1, 0.5, 0.2499)[0]
+    assert (code == 0).all()
 
 
 def test_contraction_converse_gap_bound():

@@ -261,6 +261,17 @@ OVER_BUDGET = [
             IntMatrix.from_rows([[-5, -5 * 10**400 - 1], [1, 10**400]]),
             IntMatrix.from_rows([[5, 2], [2, 1]]),
         )],
+        # entries that int() would truncate or accept: floats, a boolean,
+        # and strings other than an optional sign followed by digits
+        ["oracle", "--pair", {"g1": [[2.9, 1], [1, 1]], "g2": [[1, 2], [0, 1.99]]}],
+        ["oracle", "--pair", {"g1": [[True, 0], [0, 1]], "g2": [[1, 2], [0, 1]]}],
+        ["certify", "--pair", {"g1": [["1_0", "1"], ["9", "1"]], "g2": [["1", "2"], ["0", "1"]]}],
+        ["schottky", "--pair", {"g1": [[" 2", "1"], ["1", "1"]], "g2": [["1", "2"], ["0", "1"]]}],
+        # a boolean center or radius
+        ["hausdorff", "--certificate",
+         {"circles": [*FOUR_CIRCLES[:3], {"center": 3, "radius": True}]}],
+        ["hausdorff", "--certificate",
+         {"circles": [{"center": False, "radius": 0.5}, *FOUR_CIRCLES[1:]]}],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):

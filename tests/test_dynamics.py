@@ -100,7 +100,7 @@ def test_oracle_pair_congruent_to_identity_mod_2_64():
     for depth in range(1, 7):
         assert _collisions_mod_2_64(letters, depth)[0]
     for max_len in range(1, 13):
-        assert _search(g1, g2, max_len) is None
+        assert _search(quad, max_len) is None
         assert falsify_freeness(g1, g2, max_len) is None
 
 
@@ -137,7 +137,9 @@ def _relation_rich_pairs(draw):
 @example((H, ORDER6 @ ORDER6), 4)  # its -1 entries need the full mod 2^64 residue
 def test_oracle_prefilter_keeps_search_answer(pair, max_len):
     g1, g2 = pair
-    assert falsify_freeness(g1, g2, max_len) == _search(g1, g2, max_len)
+    assert falsify_freeness(g1, g2, max_len) == _search(
+        (g1, g2, inverse(g1), inverse(g2)), max_len
+    )
 
 
 @pytest.mark.parametrize("spec, max_len", [(BallSpec(2, 20), 8), (BallSpec(2, 5), 12),

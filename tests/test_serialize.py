@@ -28,6 +28,12 @@ def test_matrix_round_trip_preserves_huge_entries():
 def test_matrix_from_obj_rejects_garbage():
     with pytest.raises(ConfigError):
         matrix_from_obj([["1", "x"], ["0", "1"]])
+    # only JSON integers and decimal-integer strings: nothing is truncated or coerced
+    for bad in (2.9, 1.0, True, False, None, "1_0", " 1", "1 ", "+-1", "", "-", "0x1", "²", "٣"):
+        with pytest.raises(ConfigError, match="not an integer"):
+            matrix_from_obj([[bad, 0], [0, 1]])
+    assert matrix_from_obj([["+1", "-0"], [0, 1]]) == IntMatrix.identity(2)
+    assert matrix_from_obj([["1" + "0" * 40, -1], [1, 0]]).entries[0][0] == 10**40
 
 
 def test_pair_round_trip():

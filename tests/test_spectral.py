@@ -11,13 +11,19 @@ from pingpong import spectral
 from pingpong.errors import ConfigError, ConvergenceError
 from pingpong.matrices import IntMatrix, inverse
 from pingpong.sampler import BallSpec, enumerate_ball
-from pingpong.spectral import log_spectral_norm, singular_gap, spectral_norm, svd, svd_batch
+from pingpong.spectral import log_spectral_norm, singular_gap, svd, svd_batch
 
 PHI = (1 + math.sqrt(5)) / 2
 
 H = IntMatrix.from_rows([[2, 1], [1, 1]])
 SHEAR2 = IntMatrix.from_rows([[1, 2], [0, 1]])
 SHEAR4 = IntMatrix.from_rows([[1, 4], [0, 1]])
+
+
+def spectral_norm(m):
+    """Largest singular value of an integer or float matrix, from a Jacobi stack of one."""
+    a = m.to_float() if isinstance(m, IntMatrix) else np.asarray(m, dtype=float)
+    return float(svd_batch(a[None]).sigma[0, 0])
 
 
 def _random_sl(rng, n, steps=12):
