@@ -20,7 +20,7 @@ from .matrices import ALPHABET, IntMatrix, free_reduce, inverse, invert_word, is
 from .spectral import seq_sum, svd_batch
 
 MAX_ORACLE_LEN = 12
-MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take about 30 s at the cap
+MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take 5-35 s at the cap (README)
 
 _LETTERS = "abAB"  # letter i and letter i ^ 2 are inverses
 
@@ -202,6 +202,7 @@ def reduced_length_stats(m: int, trials: int, seed: int) -> WordStats:
 
 
 _RENORM_EVERY = 8
+_GATHER = 2**16  # step matrices, (steps, rows, n, n), gathered at a time
 
 
 def estimate_lyapunov(
@@ -213,42 +214,61 @@ def estimate_lyapunov(
 ) -> LyapunovEstimate:
     """Trial-averaged (1/m) log ||product of m uniformly random generators||.
 
-    Per-trial RNG streams derive from (seed, *extra_key, trial), so the
-    result is independent of evaluation order.  Products renormalize by
-    their max-abs entry every few steps, accumulating the log.
+    This is ``lyapunov_estimates`` on a batch of one row of generators.
     """
     if not gens:
         raise ConfigError("need at least one generator")
     _check_run(m, trials, seed)
-    mats = [g.to_float() for g in gens]
-    # an explicit p: choice draws a different stream with p=None
-    probs = [1.0 / len(mats)] * len(mats)
-    n = gens[0].n
-    prods = np.empty((trials, n, n))
-    estimates = np.empty(trials)  # the log scales, until the top singular values are in
+    mats = np.array([[g.to_float() for g in gens]])
+    estimates = lyapunov_estimates(mats, m, trials, seed, [extra_key])[0]
+    stderr = float(np.std(estimates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return LyapunovEstimate(float(np.mean(estimates)), stderr, m, trials, seed)
+
+
+def lyapunov_estimates(
+    mats: np.ndarray, m: int, trials: int, seed: int, keys: list[tuple[int, ...]]
+) -> np.ndarray:
+    """The (P, trials) per-trial estimates of estimate_lyapunov for a (P, k, n, n)
+    float stack of k generators per row, with keys[i] as row i's extra_key.
+
+    Trial t of row i draws its steps from default_rng([seed, *keys[i], t]), so
+    the result is independent of evaluation order.  All P * trials products
+    advance together, one stacked ``@`` per step.  Every _RENORM_EVERY steps
+    each divides by its own max-abs entry, and the logs of the divisors are
+    summed in step order; one svd_batch then takes the top singular values.
+    """
+    _check_run(m, trials, seed)
+    p, k, n, _ = mats.shape
+    probs = [1.0 / k] * k  # an explicit p: choice draws a different stream with p=None
+    flat = np.empty((p * trials, m), dtype=np.intp)  # indices into the (p * k) generators
+    for row in range(p * trials):
+        i, t = divmod(row, trials)
+        flat[row] = np.random.default_rng([seed, *keys[i], t]).choice(k, size=m, p=probs) + i * k
+    mats = mats.reshape(p * k, n, n)
+    prods = np.tile(np.eye(n), (len(flat), 1, 1))
+    # row j > 0 holds each product's divisor at renormalization j; the 1s of
+    # row 0 give the 0.0 each log sum starts from
+    scales = np.ones((m // _RENORM_EVERY + 1, len(flat), 1, 1))
+    chunk = max(1, _GATHER // len(flat))  # steps gathered at a time
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for t in range(trials):
-                rng = np.random.default_rng([seed, *extra_key, t])
-                idx = rng.choice(len(mats), size=m, p=probs)
-                prod = np.eye(n)
-                log_scale = 0.0
-                for step, i in enumerate(idx, start=1):
-                    prod = prod @ mats[i]
+            for s0 in range(0, m, chunk):
+                for step, g in enumerate(mats[flat[:, s0 : s0 + chunk].T], start=s0 + 1):
+                    prods = prods @ g
                     if step % _RENORM_EVERY == 0:
-                        mx = float(np.max(np.abs(prod)))
-                        prod /= mx
-                        log_scale += math.log(mx)
-                prods[t], estimates[t] = prod, log_scale
+                        mx = scales[step // _RENORM_EVERY]
+                        np.max(np.abs(prods), axis=(1, 2), keepdims=True, out=mx)
+                        prods /= mx
+            logs = np.fromiter(map(math.log, scales.flat), float, scales.size)
+            log_scale = seq_sum(logs.reshape(len(scales), len(flat)))
             tops = svd_batch(prods).sigma[:, 0].tolist()
-            estimates = np.array([(e + math.log(s)) / m for e, s in zip(estimates.tolist(), tops)])
+            estimates = np.array([(e + math.log(s)) / m for e, s in zip(log_scale.tolist(), tops)])
             finite = bool(np.all(np.isfinite(estimates)))
     except FloatingPointError:
         finite = False
     if not finite:
         raise ConfigError("Lyapunov products left the float range; the entries are too large")
-    stderr = float(np.std(estimates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return LyapunovEstimate(float(np.mean(estimates)), stderr, m, trials, seed)
+    return estimates.reshape(p, trials)
 
 
 def check_twoops(

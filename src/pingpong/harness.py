@@ -30,7 +30,7 @@ from .certify import (
     isometric_circles,
     svd_with_inverses,
 )
-from .dynamics import MAX_ORACLE_LEN, estimate_lyapunov, find_relations
+from .dynamics import MAX_ORACLE_LEN, find_relations, lyapunov_estimates
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix
 from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs, sl2_frobenius_cap
@@ -38,7 +38,7 @@ from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs, sl2_f
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .certify import hausdorff_upper_bound, ping_pong_pair, schottky_sl2  # noqa: F401
 from .certify import very_proximal  # noqa: F401
-from .dynamics import falsify_freeness  # noqa: F401
+from .dynamics import estimate_lyapunov, falsify_freeness  # noqa: F401
 from .matrices import inverse  # noqa: F401
 from .spectral import singular_gap  # noqa: F401
 
@@ -183,13 +183,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         relations = find_relations(letters[control[: len(chosen)]], cfg.oracle_depth)
         control_falsified = sum(word is not None for word in relations)
 
-        lyap_means = []
-        for pi, quad in enumerate(quads[:LYAPUNOV_PAIRS].tolist()):
-            gens = [IntMatrix.from_rows(m) for m in quad]  # g1, g1^-1, g2, g2^-1
-            est = estimate_lyapunov(
-                gens, LYAPUNOV_M, LYAPUNOV_TRIALS, cfg.seed, extra_key=(xi, pi)
-            )
-            lyap_means.append(est.mean)
+        gens = quads[:LYAPUNOV_PAIRS].astype(float)  # g1, g1^-1, g2, g2^-1
+        keys = [(xi, pi) for pi in range(len(gens))]
+        estimates = lyapunov_estimates(gens, LYAPUNOV_M, LYAPUNOV_TRIALS, cfg.seed, keys)
+        lyap_means = estimates.mean(axis=1).tolist()
 
         rows.append(
             {
@@ -202,9 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 "median_hausdorff_bound": statistics.median(bounds) if bounds else None,
                 "oracle_falsifications": 0,  # a falsification raises above
                 "control_falsified": control_falsified,
-                "lyapunov_mean": (
-                    sum(lyap_means) / len(lyap_means) if lyap_means else None
-                ),
+                "lyapunov_mean": sum(lyap_means) / len(lyap_means),
             }
         )
 

@@ -29,6 +29,9 @@ def _entry(x) -> int:
 
 
 def matrix_from_obj(obj) -> IntMatrix:
+    # iterating a string or an object would read its characters or keys as entries
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ConfigError("not a valid matrix object: a matrix is an array of row arrays")
     try:
         return IntMatrix(tuple(tuple(_entry(x) for x in row) for row in obj))
     except (TypeError, ValueError) as exc:

@@ -272,6 +272,12 @@ OVER_BUDGET = [
          {"circles": [*FOUR_CIRCLES[:3], {"center": 3, "radius": True}]}],
         ["hausdorff", "--certificate",
          {"circles": [{"center": False, "radius": 0.5}, *FOUR_CIRCLES[1:]]}],
+        # rows given as strings or as objects, whose characters or keys
+        # would otherwise be read as entries
+        ["oracle", "--pair", {"g1": ["21", "11"], "g2": ["12", "01"]}],
+        ["lyapunov", "--pair", {"g1": ["21", "11"], "g2": ["12", "01"]}],
+        ["schottky", "--pair",
+         {"g1": {"21": 0, "11": 0}, "g2": [["1", "2"], ["0", "1"]]}],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):

@@ -9,19 +9,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pingpong import dynamics
 from pingpong.dynamics import (
+    MAX_STEPS,
     _collisions_mod_2_64,
     _search,
     check_twoops,
     estimate_lyapunov,
     falsify_freeness,
     find_relations,
+    lyapunov_estimates,
     reduced_length_stats,
 )
 from pingpong.errors import BudgetError, ConfigError
+from pingpong.harness import (
+    LYAPUNOV_M,
+    LYAPUNOV_PAIRS,
+    LYAPUNOV_TRIALS,
+    ExperimentConfig,
+    run_experiment,
+)
 from pingpong.matrices import IntMatrix, evaluate_word, free_reduce, inverse
 from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
-from pingpong.spectral import svd
+from pingpong.spectral import svd, svd_batch
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -241,6 +251,108 @@ def test_lyapunov_subadditive_trend():
     e1 = estimate_lyapunov(gens, 100, 12, 5)
     e2 = estimate_lyapunov(gens, 200, 12, 5)
     assert e2.mean <= e1.mean + 10 * e1.stderr
+
+
+def _loop_estimates(gens, m, trials, seed, extra_key=()):
+    """Per-trial estimates as one product per trial, one 2-D ``@`` per step:
+    the reference the stacked pass of lyapunov_estimates must match bit for bit."""
+    mats = [g.to_float() for g in gens]
+    probs = [1.0 / len(mats)] * len(mats)
+    n = gens[0].n
+    prods = np.empty((trials, n, n))
+    scales = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, *extra_key, t])
+        prod = np.eye(n)
+        log_scale = 0.0
+        for step, i in enumerate(rng.choice(len(mats), size=m, p=probs), start=1):
+            prod = prod @ mats[i]
+            if step % 8 == 0:
+                mx = float(np.max(np.abs(prod)))
+                prod /= mx
+                log_scale += math.log(mx)
+        prods[t] = prod
+        scales.append(log_scale)
+    tops = svd_batch(prods).sigma[:, 0].tolist()
+    return [(e + math.log(s)) / m for e, s in zip(scales, tops)]
+
+
+@pytest.mark.parametrize(
+    "n, x, symmetrized, pairs_per_x, seed",
+    [
+        (2, 180, False, 1000, 3),
+        (2, 180, False, 1000, 7),
+        (3, 4, True, 1000, 7),
+        (3, 4, True, 1000, 11),
+        (2, 20, False, 3, 7),  # fewer sampled pairs than LYAPUNOV_PAIRS
+        (2, 20, False, 1, 42),
+        (3, 3, True, 1, 3),
+    ],
+)
+def test_lyapunov_batch_matches_loop_on_sampled_pairs(n, x, symmetrized, pairs_per_x, seed):
+    cfg = ExperimentConfig(
+        n=n, x_grid=(3, x), symmetrized=symmetrized, pairs_per_x=pairs_per_x, seed=seed
+    )
+    report = run_experiment(cfg)
+    for xi, radius in enumerate(cfg.x_grid):
+        ball = enumerate_ball(BallSpec(n, radius, symmetrized))
+        pairs = sample_pairs(ball, pairs_per_x, [seed, xi])[:LYAPUNOV_PAIRS].tolist()
+        quads = [[g1, inverse(g1), g2, inverse(g2)] for g1, g2 in
+                 (map(IntMatrix.from_rows, p) for p in pairs)]
+        keys = [(xi, pi) for pi in range(len(quads))]
+        run = functools.partial(_loop_estimates, m=LYAPUNOV_M, trials=LYAPUNOV_TRIALS, seed=seed)
+        loop = [run(q, extra_key=k) for q, k in zip(quads, keys)]
+        stack = np.array([[g.to_float() for g in q] for q in quads])
+        assert lyapunov_estimates(stack, LYAPUNOV_M, LYAPUNOV_TRIALS, seed, keys).tolist() == loop
+        means = [float(np.mean(e)) for e in loop]
+        for q, k, mean in zip(quads, keys, means):
+            assert estimate_lyapunov(q, LYAPUNOV_M, LYAPUNOV_TRIALS, seed, k).mean == mean
+        assert report.rows[xi]["lyapunov_mean"] == sum(means) / len(means)
+
+
+BLOCK_H = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+BLOCK_K = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
+SUM_HK = IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]])
+SUM_KH = IntMatrix.from_rows([[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
+
+
+@pytest.mark.parametrize(
+    "g1, g2", [(H.power(8), K.power(8)), (BLOCK_H.power(8), BLOCK_K.power(8)), (SUM_HK, SUM_KH)]
+)
+@pytest.mark.parametrize(
+    "m, trials, gather",
+    [(200, 1, None), (200, 8, None), (257, 8, None), (257, 1, 20), (257, 8, 20)],
+)
+def test_lyapunov_batch_of_one_matches_loop(monkeypatch, g1, g2, m, trials, gather):
+    # 257 steps is a multiple of neither the renormalization period nor, with
+    # _GATHER = 20, of the steps gathered at a time (20 at 1 trial, 2 at 8)
+    if gather is not None:
+        monkeypatch.setattr(dynamics, "_GATHER", gather)
+    gens = [g1, inverse(g1), g2, inverse(g2)]  # as the lyapunov command passes them
+    loop = _loop_estimates(gens, m, trials, 5)
+    stack = np.array([[g.to_float() for g in gens]])
+    assert lyapunov_estimates(stack, m, trials, 5, [()]).tolist() == [loop]
+    est = estimate_lyapunov(gens, m, trials, 5)
+    assert est.mean == float(np.mean(loop))
+    assert est.stderr == (float(np.std(loop, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
+
+
+def test_lyapunov_budget_checked_before_any_draw(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(dynamics.np.random, "default_rng", draw)
+    gens = [H, inverse(H)]
+    with pytest.raises(BudgetError):
+        estimate_lyapunov(gens, 1, MAX_STEPS + 1, 0)
+    with pytest.raises(BudgetError):
+        lyapunov_estimates(np.zeros((1, 2, 2, 2)), 10, MAX_STEPS // 10 + 1, 0, [()])
+    # the edge m * trials == MAX_STEPS is admitted and reaches the first draw
+    with pytest.raises(Drawn):
+        estimate_lyapunov(gens, 1, MAX_STEPS, 0)
 
 
 def test_twoops_empty_word():

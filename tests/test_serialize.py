@@ -32,6 +32,10 @@ def test_matrix_from_obj_rejects_garbage():
     for bad in (2.9, 1.0, True, False, None, "1_0", " 1", "1 ", "+-1", "", "-", "0x1", "²", "٣"):
         with pytest.raises(ConfigError, match="not an integer"):
             matrix_from_obj([[bad, 0], [0, 1]])
+    # a row or a matrix that is a string or an object, not an array
+    for bad in (["21", "11"], [{"2": 0, "1": 0}, ["1", "1"]], "2111", {"21": 0, "11": 0}):
+        with pytest.raises(ConfigError, match="array of row arrays"):
+            matrix_from_obj(bad)
     assert matrix_from_obj([["+1", "-0"], [0, 1]]) == IntMatrix.identity(2)
     assert matrix_from_obj([["1" + "0" * 40, -1], [1, 0]]).entries[0][0] == 10**40
 
