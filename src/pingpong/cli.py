@@ -116,7 +116,7 @@ def cmd_hausdorff(args):
     obj = serialize.load_json(args.certificate)
     try:
         circles = tuple(Circle(_number(c["center"]), _number(c["radius"])) for c in obj["circles"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"not a valid Schottky certificate: {exc}") from exc
     # the bound is for the four circles of a rank-2 Schottky certificate
     if len(circles) != 4 or not all(

@@ -319,7 +319,7 @@ def check_twoops(
     vec = u1["a"].copy()
     log_norm = 0.0
     for letter in reversed(w):
-        vec = table[letter] @ vec
+        vec = seq_sum((table[letter] * vec).T)
         nrm = math.sqrt(seq_sum(vec * vec))
         vec /= nrm
         log_norm += math.log(nrm)

@@ -131,9 +131,11 @@ def integrate_region_with_error(region: CartanRegion, resolution: int = 512):
         raise ConfigError("resolution must be >= 64 grid points per dimension")
     if resolution > MAX_RESOLUTION:
         raise BudgetError(f"quadrature budget is resolution <= {MAX_RESOLUTION}, got {resolution}")
-    coarse = integrate_region_raw(region, resolution // 2)
-    fine = integrate_region_raw(region, resolution)
-    value = fine + (fine - coarse) / 3.0
+    # a density beyond the float range is inf or nan, reported once as the error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = integrate_region_raw(region, resolution // 2)
+        fine = integrate_region_raw(region, resolution)
+        value = fine + (fine - coarse) / 3.0
     if not np.isfinite(value):
         raise ConfigError(f"region volume is not a finite float at log_x = {region.log_x}")
     return value, abs(fine - coarse) / 3.0

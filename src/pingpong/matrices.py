@@ -66,9 +66,6 @@ class IntMatrix:
             e >>= 1
         return result
 
-    def max_abs(self) -> int:
-        return max(abs(x) for row in self.entries for x in row)
-
     def to_float(self):
         import numpy as np
 

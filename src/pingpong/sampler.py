@@ -117,15 +117,7 @@ def _member(n: int, f, f_inv, bound, symmetrized: bool):
 
 def _frobenius_sq(g: IntMatrix) -> tuple[int, int]:
     """(||g||_F^2, ||g^-1||_F^2) for g in SL_n(Z), n in {2, 3}."""
-    f = sum(v * v for row in g.entries for v in row)
-    if g.n == 2:  # the adjugate permutes and negates the entries
-        return f, f
-    return f, sum(v * v for row in inverse(g).entries for v in row)
-
-
-def norm_at_most(g: IntMatrix, x: int | Fraction) -> bool:
-    """Exact test sigma_1(g) <= x for g in SL_n(Z), n in {2, 3}."""
-    return _sigma1_sq_le(g.n, *_frobenius_sq(g), _squared_radius(x))
+    return tuple(sum(v * v for row in m.entries for v in row) for m in (g, inverse(g)))
 
 
 def in_ball(g: IntMatrix, spec: BallSpec) -> bool:

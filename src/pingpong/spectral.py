@@ -14,7 +14,6 @@ not a BLAS kernel, so no result depends on the host's BLAS build.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,21 +123,6 @@ def svd(m: IntMatrix) -> SvdTriple:
     if d != 1:
         raise ConfigError(f"svd requires det = 1, got det = {d}")
     return svd_batch(m.to_float()[None])[0]
-
-
-def log_spectral_norm(m: IntMatrix) -> float:
-    """log of the spectral norm, safe for huge integer entries.
-
-    Scales by the max-abs entry exactly before converting to float, so
-    products far beyond float range still yield a finite log.
-    """
-    scale = m.max_abs()
-    if scale == 0:
-        raise ConvergenceError("zero matrix")
-    bits = max(scale.bit_length() - 53, 0)
-    if bits:
-        m = IntMatrix(tuple(tuple(x >> bits for x in row) for row in m.entries))
-    return math.log(svd_batch(m.to_float()[None]).sigma[0, 0]) + bits * math.log(2.0)
 
 
 def singular_gap(m: IntMatrix, k: int) -> float:

@@ -33,7 +33,7 @@ from pingpong.dynamics import (
 from pingpong.haar import CartanRegion, gap_fraction, integrate_region
 from pingpong.harness import ExperimentConfig, emit_report, run_experiment
 from pingpong.matrices import IntMatrix, free_reduce, inverse
-from pingpong.sampler import BallSpec, enumerate_ball, norm_at_most, sample_pairs
+from pingpong.sampler import BallSpec, enumerate_ball, in_ball, sample_pairs
 from pingpong.spectral import svd
 from pingpong.wedge import attractor_repeller, wedge_matrix
 
@@ -65,7 +65,7 @@ def test_criterion_01_exact_ball_counts():
             if a * d - b * c != 1:
                 continue
             m = IntMatrix(((a, b), (c, d)))
-            if norm_at_most(m, x):
+            if in_ball(m, BallSpec(2, x)):
                 out.append(m.entries)
         return sorted(out)
 

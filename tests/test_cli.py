@@ -278,6 +278,11 @@ OVER_BUDGET = [
         ["lyapunov", "--pair", {"g1": ["21", "11"], "g2": ["12", "01"]}],
         ["schottky", "--pair",
          {"g1": {"21": 0, "11": 0}, "g2": [["1", "2"], ["0", "1"]]}],
+        # a JSON integer center or radius beyond the float range
+        ["hausdorff", "--certificate",
+         {"circles": [{"center": 10**400, "radius": 0.5}, *FOUR_CIRCLES[1:]]}],
+        ["hausdorff", "--certificate",
+         {"circles": [*FOUR_CIRCLES[:3], {"center": 3, "radius": 10**400}]}],
     ],
 )
 def test_malformed_input_exit_code(tmp_path, argv):
@@ -314,6 +319,24 @@ def test_lyapunov_overflow_is_one_config_error(capsys, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(["lyapunov", "--pair", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "2", "--logX", "1000", "--resolution", "64"],
+        ["--n", "3", "--logX", "1e308", "--resolution", "64"],
+        ["--n", "4", "--logX", "400", "--resolution", "64"],
+    ],
+)
+def test_volume_overflow_is_one_config_error(capsys, argv):
+    # a density beyond the float range: no numpy RuntimeWarning before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["volume", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert err.count("\n") == 1

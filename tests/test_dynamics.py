@@ -230,8 +230,6 @@ def test_lyapunov_deterministic_and_seed_sensitive():
 
 def test_lyapunov_exact_cross_check_below_length_50():
     # renormalized float path vs exact big-integer product
-    from pingpong.spectral import log_spectral_norm
-
     gens = [H, inverse(H), K, inverse(K)]
     import numpy as np
 
@@ -241,7 +239,7 @@ def test_lyapunov_exact_cross_check_below_length_50():
     exact = IntMatrix.identity(2)
     for i in idx:
         exact = exact @ gens[int(i)]
-    expected = log_spectral_norm(exact) / m
+    expected = math.log(svd(exact).sigma[0]) / m
     est = estimate_lyapunov(gens, m, 1, 17)
     assert est.mean == pytest.approx(expected, rel=1e-9)
 
@@ -390,6 +388,27 @@ def test_twoops_orthogonal_pair_reports_unmet():
     B = IntMatrix.from_rows([[1, -1], [-1, 2]]).power(8)  # top axis rotated 90 deg
     res = check_twoops(A, B, "ab", 0.3, 1.5)
     assert res["status"] == "preconditions_unmet"
+
+
+def test_twoops_lhs_log_is_blas_free():
+    # every product is a sequential sum, so these bits hold on any BLAS build
+    # (a BLAS matrix-vector product ended in ...505 on OpenBLAS 0.3.31)
+    A, B = H.power(8), K.power(8)
+    lam = 0.9 * min(svd(A).sigma[0], svd(B).sigma[0])
+    res = check_twoops(A, B, "abab", 0.3, lam)
+    assert res["status"] == "pass"
+    assert repr(res["lhs_log"]) == "30.3512698551635"
+
+
+def test_twoops_top_singular_value_below_lam():
+    A, B = H.power(8), K.power(8)
+    top = min(svd(A).sigma[0], svd(B).sigma[0])
+    assert "lhs_log" in check_twoops(A, B, "ab", 0.3, top)
+    res = check_twoops(A, B, "ab", 0.3, math.nextafter(top, math.inf))
+    assert res["status"] == "preconditions_unmet"
+    assert res["reason"] == "top singular value below lam"
+    assert res["min_top_singular"] == top
+    assert "min_inner_product" not in res and "lhs_log" not in res
 
 
 def test_twoops_requires_reduced_word():

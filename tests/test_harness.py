@@ -3,10 +3,11 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pingpong import certify, harness, wedge
-from pingpong.errors import BudgetError, ConfigError
+from pingpong.errors import BudgetError, ConfigError, InvariantViolation
 from pingpong.harness import (
     CSV_COLUMNS,
     MAX_PAIRS,
@@ -21,7 +22,7 @@ from pingpong.matrices import IntMatrix
 from pingpong.sampler import (
     BallSpec,
     enumerate_ball,
-    norm_at_most,
+    in_ball,
     sample_pairs,
     sl2_frobenius_cap,
 )
@@ -188,7 +189,7 @@ def test_is_gapped_matches_singular_gap():
     ball = enumerate_ball(BallSpec(2, 60))
     for eta in (1.1, 2.0, 4.9, 5.0, 12.0):
         cap = sl2_frobenius_cap(Fraction(eta) ** 2)
-        expected = [not norm_at_most(g, Fraction(eta)) for g in ball.members]
+        expected = [not in_ball(g, BallSpec(2, eta)) for g in ball.members]
         assert _is_gapped(ball.entries, None, eta, cap).tolist() == expected, eta
         assert set(expected) == {False, True}, eta
     pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 150, seed=[7, 0])
@@ -218,3 +219,26 @@ def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):
             n=3, x_grid=(2,), symmetrized=True, pairs_per_x=20, eta=2**0.5, oracle_depth=4
         )
     )
+
+
+def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
+    # an oracle that relates every pair: the first certified pair of the
+    # radius is reported with its word, generators, radius and seed
+    monkeypatch.setattr(harness, "find_relations", lambda letters, max_len: ["aB"] * len(letters))
+    cfg = ExperimentConfig(n=2, x_grid=(20,), symmetrized=False, pairs_per_x=200, seed=7)
+    with pytest.raises(InvariantViolation) as exc:
+        run_experiment(cfg)
+    assert str(exc.value).endswith(
+        "word 'aB' is the identity for g1 = [12 -1; 13 -1], g2 = [1 13; -1 -12] "
+        "(x = 20, seed = 7)"
+    )
+
+
+def test_fraction_chain_violation_aborts_the_run(monkeypatch):
+    # with nothing gapped, the very proximal pairs break frac_very_proximal <= frac_gapped
+    monkeypatch.setattr(
+        harness, "_is_gapped", lambda gens, sigma, eta, cap: np.zeros(gens.shape[:-2], bool)
+    )
+    cfg = ExperimentConfig(n=2, x_grid=(20,), symmetrized=False, pairs_per_x=200, seed=7)
+    with pytest.raises(InvariantViolation, match=r"^fraction chain violated at x = 20\.0: "):
+        run_experiment(cfg)

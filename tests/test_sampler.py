@@ -20,7 +20,6 @@ from pingpong.sampler import (
     _member,
     enumerate_ball,
     in_ball,
-    norm_at_most,
     sample_pairs,
 )
 from pingpong.spectral import svd_batch
@@ -34,7 +33,7 @@ def brute_force_sl2(x):
         if a * d - b * c != 1:
             continue
         m = IntMatrix(((a, b), (c, d)))
-        if norm_at_most(m, x):
+        if in_ball(m, BallSpec(m.n, x)):
             out.append(m.entries)
     return sorted(out)
 
@@ -94,7 +93,7 @@ def test_sl3_agrees_with_brute_force():
         # det(r1; r2; r3) = (r1 x r2) . r3, exact in int64 for every row pair
         for i, j in zip(*np.nonzero(np.cross(r1, rows) @ rows.T == 1)):
             m = IntMatrix.from_rows([r1, rows[i], rows[j]])
-            if norm_at_most(m, x):
+            if in_ball(m, BallSpec(m.n, x)):
                 brute.append(m.entries)
     assert [m.entries for m in e.members] == sorted(brute)
 
@@ -154,7 +153,7 @@ def test_symmetrized_definition(x):
     spec = BallSpec(3, x, symmetrized=True)
     plain = enumerate_ball(BallSpec(3, x))
     expected = [
-        m.entries for m in plain.members if norm_at_most(inverse(m), spec.x)
+        m.entries for m in plain.members if in_ball(inverse(m), BallSpec(3, spec.x))
     ]
     assert [m.entries for m in enumerate_ball(spec).members] == expected
 
@@ -256,7 +255,7 @@ def test_member_on_arrays_matches_scalars(gram_invariants, n, symmetrized, bound
 def test_scalar_predicates_return_python_bools():
     for g in (IntMatrix.identity(2), IntMatrix.identity(3), _elementary(0, 2, 5)):
         for x in (3, Fraction(5, 2)):
-            assert type(norm_at_most(g, x)) is bool
+            assert type(in_ball(g, BallSpec(g.n, x))) is bool
             assert type(in_ball(g, BallSpec(g.n, x, symmetrized=True))) is bool
 
 

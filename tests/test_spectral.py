@@ -11,7 +11,7 @@ from pingpong import spectral
 from pingpong.errors import ConfigError, ConvergenceError
 from pingpong.matrices import IntMatrix, inverse
 from pingpong.sampler import BallSpec, enumerate_ball
-from pingpong.spectral import log_spectral_norm, singular_gap, svd, svd_batch
+from pingpong.spectral import singular_gap, svd, svd_batch
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -101,7 +101,8 @@ def test_entry_bound():
         m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
         if all(x == 0 for row in m.entries for x in row):
             continue
-        assert m.max_abs() <= spectral_norm(m) * (1 + 1e-12)
+        max_abs = max(abs(x) for row in m.entries for x in row)
+        assert max_abs <= spectral_norm(m) * (1 + 1e-12)
 
 
 def test_singular_gap_examples():
@@ -124,12 +125,6 @@ def test_gap_inverse_symmetry():
                 assert singular_gap(g, k) == pytest.approx(
                     singular_gap(inverse(g), n - k), rel=1e-8
                 )
-
-
-def test_log_spectral_norm_huge_entries():
-    g = H.power(300)  # entries far beyond float range
-    expected = 600 * math.log(PHI)
-    assert log_spectral_norm(g) == pytest.approx(expected, rel=1e-9)
 
 
 def _sweeps(a, monkeypatch):
