@@ -117,7 +117,8 @@ def _member(n: int, f, f_inv, bound, symmetrized: bool):
 
 def _frobenius_sq(g: IntMatrix) -> tuple[int, int]:
     """(||g||_F^2, ||g^-1||_F^2) for g in SL_n(Z), n in {2, 3}."""
-    return tuple(sum(v * v for row in m.entries for v in row) for m in (g, inverse(g)))
+    f = sum(v * v for row in g.entries for v in row)
+    return f, sum(v * v for row in inverse(g).entries for v in row)
 
 
 def in_ball(g: IntMatrix, spec: BallSpec) -> bool:

@@ -392,7 +392,6 @@ def test_twoops_orthogonal_pair_reports_unmet():
 
 def test_twoops_lhs_log_is_blas_free():
     # every product is a sequential sum, so these bits hold on any BLAS build
-    # (a BLAS matrix-vector product ended in ...505 on OpenBLAS 0.3.31)
     A, B = H.power(8), K.power(8)
     lam = 0.9 * min(svd(A).sigma[0], svd(B).sigma[0])
     res = check_twoops(A, B, "abab", 0.3, lam)
