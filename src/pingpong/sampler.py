@@ -1,39 +1,32 @@
 """Exact enumeration of spectral-norm balls in SL_2(Z) and SL_3(Z).
 
-Membership sigma_1(g) <= X is decided exactly, in plain integers whenever
-X is an integer.  For g in SL_n(Z) the Gram matrix g^t g has characteristic
-polynomial L^2 - f L + 1 (n = 2) or L^3 - f L^2 + f' L - 1 (n = 3, by
-Cauchy-Binet), with f = ||g||_F^2 and f' = ||g^-1||_F^2, and the test is a
-sign condition on it at X^2.  (g^t g)^-1 has the same polynomial with f and
-f' swapped, so the symmetrized ball's second test ||g^-1|| <= X is the same
-predicate with its arguments swapped.  For n = 2 the test collapses to
-||g||_F^2 <= X^2 + X^-2, so counts carry no floating-point ambiguity at
-the boundary.
+Membership sigma_1(g) <= X is decided in integers.  For g in SL_n(Z) the
+Gram matrix g^t g has characteristic polynomial L^2 - f L + 1 (n = 2) or
+L^3 - f L^2 + f' L - 1 (n = 3, by Cauchy-Binet), with f = ||g||_F^2 and
+f' = ||g^-1||_F^2, and the test is a sign condition on it at X^2 = p/q,
+scaled by powers of q.  Swapping f and f' gives the polynomial of
+(g^t g)^-1, so the symmetrized ball's test ||g^-1|| <= X is the same one.
 
-Enumeration picks the first rows or columns and solves the last from the
-one linear equation det = 1.  For n = 2 a primitive first row (a, b) fixes
-the second up to a line (c0 + t a, d0 + t b), with a d0 - b c0 = 1 from a
-vectorized extended Euclid, and the ball cuts out an interval of t.  Rows
-come in lexicographic order and each interval runs the way (c, d) ascends,
-so the ball is written sorted into one preallocated array.  For n = 3
-every column of a member is a row of ``ball``, the array of integer
-columns of squared norm <= floor(X^2).  One loop runs over c1; for each,
-numpy cuts all c2 at once by the Gram minor of (c1, c2), reads the third
-columns as the rows c3 with (c1 x c2) . c3 = 1, and applies the membership
-predicate to every (c2, c3) together.  The predicates take ints and int64
-arrays alike; a non-integer X turns the arrays into exact object arrays of
-Fractions.
-
-A ball is stored as one (N, n, n) int64 array sorted by row-major entries.
-``IntMatrix`` objects, with Python-int entries for exact arithmetic, are
-built only for the sampled members, or for ``members`` when asked.
+A ball is its ``count`` members sorted by row-major entries; ``take``
+returns those at given positions.  For n = 2 a primitive first row (a, b)
+fixes the second up to a line (c0 + t a, d0 + t b), a d0 - b c0 = 1, and
+the ball cuts out a run of t.  One extended Euclid over the quadrant
+a, b >= 0 gives each line and run, which the signs of a and b only flip.
+The runs come in lexicographic order and each walks t the way (c, d)
+ascends, so member i is read off the run that holds it; none is stored.
+For n = 3 one loop runs over the first column c1 among the integer
+columns of squared norm <= floor(X^2); numpy cuts every c2 by the Gram
+minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third columns, and
+tests every (c2, c3) at once.  The members are sorted into one array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +34,7 @@ from .errors import BudgetError, ConfigError
 from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
-_A_BLOCK = 8  # values of a per numpy block of n = 2 first rows (a, b)
+_A_BLOCK = 16  # values of a per numpy block of n = 2 first rows (a, b)
 
 
 @dataclass(frozen=True)
@@ -65,47 +58,39 @@ class BallSpec:
 
 @dataclass(frozen=True, eq=False)
 class BallEnumeration:
-    """The members of a ball as one (N, n, n) int64 array, sorted row-major."""
+    """The ``count`` members of a ball, sorted row-major: ``take(idx)`` returns
+    the members at the positions idx as an int64 array of shape idx.shape + (n, n)."""
 
     spec: BallSpec
-    entries: np.ndarray
+    count: int
+    take: Callable[[np.ndarray], np.ndarray]
 
     @property
-    def count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def members(self) -> tuple[IntMatrix, ...]:
-        # from_rows makes every entry a Python int: exact arithmetic
-        # downstream must never see a wrapping np.int64
-        return tuple(IntMatrix.from_rows(rows) for rows in self.entries.tolist())
-
-
-def _squared_radius(x: int | Fraction) -> int | Fraction:
-    # a plain int for integer X keeps every predicate below in ints
-    if x.denominator == 1:
-        return x.numerator * x.numerator
-    return x * x
+    def entries(self) -> np.ndarray:
+        """The whole ball as one (N, n, n) int64 array."""
+        return self.take(np.arange(self.count))
 
 
 def _lambda_max_le_2x2(gram_trace, gram_det, bound):
-    # p(L) = L^2 - tr L + det; largest root <= bound iff p(bound) >= 0
-    # and bound sits at or right of the parabola vertex.  The predicates
-    # join tests with &, not `and`, so they also take int64 arrays.
-    p = bound * bound - gram_trace * bound + gram_det
-    return (p >= 0) & (2 * bound >= gram_trace)
+    # c(L) = L^2 - tr L + det; largest root <= bound = p/q iff q^2 c(p/q) >= 0
+    # and p/q sits at or right of the parabola vertex.  Scaling by powers of q
+    # keeps each test in integers.  The predicates join tests with &, not
+    # `and`, so they also take int64 and object arrays.
+    p, q = bound.numerator, bound.denominator
+    return ((p - gram_trace * q) * p + gram_det * (q * q) >= 0) & (2 * p >= gram_trace * q)
 
 
 def _sigma1_sq_le(n: int, f, f_inv, bound):
     """sigma_1(g)^2 <= bound for g in SL_n(Z), from f = ||g||_F^2, f_inv = ||g^-1||_F^2."""
     if n == 2:
         return _lambda_max_le_2x2(f, 1, bound)
-    # p(L) = L^3 - f L^2 + f_inv L - 1 has only real roots, so its largest
-    # root is <= bound iff p, p' and p'' are all >= 0 at bound
+    # c(L) = L^3 - f L^2 + f_inv L - 1 has only real roots, so its largest
+    # root is <= bound = p/q iff q^3 c, q^2 c' and q c'' are all >= 0 at p/q
+    p, q = bound.numerator, bound.denominator
     return (
-        (((bound - f) * bound + f_inv) * bound >= 1)
-        & ((3 * bound - 2 * f) * bound + f_inv >= 0)
-        & (3 * bound >= f)
+        (((p - f * q) * p + f_inv * (q * q)) * p >= q**3)
+        & ((3 * p - 2 * f * q) * p + f_inv * (q * q) >= 0)
+        & (3 * p >= f * q)
     )
 
 
@@ -122,7 +107,7 @@ def _frobenius_sq(g: IntMatrix) -> tuple[int, int]:
 
 
 def in_ball(g: IntMatrix, spec: BallSpec) -> bool:
-    return _member(g.n, *_frobenius_sq(g), _squared_radius(spec.x), spec.symmetrized)
+    return _member(g.n, *_frobenius_sq(g), spec.x**2, spec.symmetrized)
 
 
 def sl2_frobenius_cap(bound) -> int:
@@ -143,22 +128,20 @@ def _bezout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(v[0] != 0, v, u)  # a lane one swap past (g, 0) holds (0, g)
 
 
-def _enumerate_sl2(spec: BallSpec) -> np.ndarray:
-    bound = _squared_radius(spec.x)
-    bfloor = math.floor(bound)
+def _sl2_runs(spec: BallSpec) -> np.ndarray:
+    """The ball's runs as int32 columns (a, b, c0, d0, step, base, end), one per
+    primitive first row (a, b) whose line meets the ball, in lexicographic order:
+    the members at sorted positions end - k <= i < end are (a, b, c0 + t a,
+    d0 + t b) with t = step i + base."""
     # ||g^-1||_F = ||g||_F, so the symmetrized test adds nothing
-    s_cap = sl2_frobenius_cap(bound)
-    amax = math.isqrt(bfloor)
-    # at X <= MAX_X[2] every intermediate (disc <~ 1.3e11) is far below 2^53, so
-    # int64 arithmetic and the corrected float square root are exact
-    blocks = []
-    for a_lo in range(-amax, amax + 1, _A_BLOCK):
-        # every row (a, b) of squared norm <= bfloor, for _A_BLOCK values of a
-        a_run = range(a_lo, min(a_lo + _A_BLOCK, amax + 1))
-        caps = np.array([math.isqrt(bfloor - a * a) for a in a_run])
-        width = 2 * caps + 1
-        a = np.repeat(a_run, width)
-        b = np.arange(len(a)) - np.repeat(np.cumsum(width) - width + caps, width)
+    s_cap, w = sl2_frobenius_cap(spec.x**2), math.isqrt(math.floor(spec.x**2)) + 1
+    # (c0, d0, lo, hi) at [:, a, b] for the rows of the quadrant a, b >= 0, or
+    # zeros where the row is not primitive or its line misses the ball, as for
+    # every row of squared norm > X^2.  At X <= MAX_X[2], |disc| < 1e12 keeps
+    # int64 and the corrected float square root exact, and int32 holds the rest
+    quad, lanes = np.zeros((4, w, w), dtype=np.int32), _A_BLOCK * w
+    for i in range(0, w * w, lanes):
+        a, b = np.divmod(np.arange(i, min(i + lanes, w * w)), w)
         g, x, y = _bezout(a, b)
         # for primitive rows g = +-1, so a d0 - b c0 = g (x a + y b) = 1
         c0, d0 = -g * y, g * x
@@ -167,44 +150,57 @@ def _enumerate_sl2(spec: BallSpec) -> np.ndarray:
         m = a * c0 + b * d0
         disc = m * m - s1 * (s1 + c0 * c0 + d0 * d0 - s_cap)
         keep = (np.abs(g) == 1) & (disc >= 0)
-        a, b, c0, d0, s1, m, disc = (v[keep] for v in (a, b, c0, d0, s1, m, disc))
+        c0, d0, s1, m, disc = (v[keep] for v in (c0, d0, s1, m, disc))
         r = np.sqrt(disc).astype(np.int64)
         r -= r * r > disc
         r += (r + 1) * (r + 1) <= disc
-        lo, hi = -((m + r) // s1), (r - m) // s1
+        quad.reshape(4, -1)[:, i : i + lanes][:, keep] = c0, d0, -((m + r) // s1), (r - m) // s1
+    quad, signed = np.concatenate([quad[..., :0:-1], quad], axis=2), np.arange(1 - w, w)
+    blocks = []
+    for i in range(0, len(signed), _A_BLOCK):
+        rows = quad[:, np.abs(signed[i : i + _A_BLOCK])]  # at [:, a, b + w - 1]
+        ia, ib = np.nonzero(rows[0] | rows[1])
+        a, b, (c0, d0, lo, hi) = signed[i + ia], signed[ib], rows[:, ia, ib]
+        # with sa, sb the signs of a and b (+1 at 0), (sb c0, sa d0) completes
+        # (a, b), and m turns into sa sb m, so t runs over sa sb [lo, hi].
         # c = c0 + t a ascends with t iff a > 0; a = 0 forces b = +-1, c = -b,
         # and d = d0 + t b ascends iff b > 0.  t runs that way: rows come sorted
-        step = np.where(a == 0, b, np.sign(a))
-        k = hi + 1 - lo
-        base = np.where(step > 0, lo, hi) - step * (np.cumsum(k) - k)
-        blocks.append((a, b, c0, d0, step, base, k))
-    out = np.empty((sum(int(k.sum()) for *_, k in blocks), 4), dtype=np.int64)
-    end = 0
-    for a, b, c0, d0, step, base, k in blocks:
-        rows = out[end : (end := end + k.sum())]
-        # the j-th member of the block has t = step j + base, per first row
-        t = np.arange(len(rows)) * np.repeat(step, k) + np.repeat(base, k)
-        rows[:, 0], rows[:, 1] = np.repeat(a, k), np.repeat(b, k)
-        rows[:, 2] = rows[:, 0] * t + np.repeat(c0, k)
-        rows[:, 3] = rows[:, 1] * t + np.repeat(d0, k)
-    return out.reshape(-1, 2, 2)
+        sa, sb = np.where(a < 0, -1, 1), np.where(b < 0, -1, 1)
+        step, u = np.where(a == 0, b, sa), sa * sb
+        first = u * np.where(step * u > 0, lo, hi)
+        blocks.append(np.stack([a, b, sb * c0, sa * d0, step, first, hi + 1 - lo], dtype=np.int32))
+    runs = np.concatenate(blocks, axis=1)
+    # a run of k members starts at position end - k, with t = first
+    end = np.cumsum(runs[6])
+    runs[5] -= runs[4] * (end - runs[6])
+    runs[6] = end
+    return runs
+
+
+def _take_sl2(runs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    a, b, c0, d0, step, base = runs[:6, np.searchsorted(runs[6], idx, side="right")]
+    t = step * idx + base
+    return np.stack([a, b, a * t + c0, b * t + d0], axis=-1).reshape(*np.shape(idx), 2, 2)
 
 
 def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
-    b = _squared_radius(spec.x)
+    b = spec.x**2
     norm_sq_cap = math.floor(b)
     cap = math.isqrt(norm_sq_cap)
     r = np.arange(-cap, cap + 1)
     grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     ball = grid[(grid * grid).sum(axis=1) <= norm_sq_cap]
     norms = (ball * ball).sum(axis=1)
-    # at integer X <= MAX_X[3] every intermediate is below about 3e5 (5 X^6
-    # in general), so int64 arithmetic is exact
+    # the predicates scale b = p/q by powers of q, and their arguments are at
+    # most 3 floor(b)^2, so every intermediate is below 12 floor(b)^2 p^3.  Past
+    # 2^63 (never at an integer X <= MAX_X[3]) the arrays hold Python ints
+    if 12 * norm_sq_cap**2 * b.numerator**3 >= 2**63:
+        norms = norms.astype(object)
     chunks = []
     for c1, n1 in zip(ball, norms):
         d12 = ball @ c1
         wn = n1 * norms - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
-        # the int64 cut first: ||c1 x c2|| is a row norm of g^-1.  Then
+        # the cheap cut first: ||c1 x c2|| is a row norm of g^-1.  Then
         # interlacing: the top eigenvalue of the 2-column Gram minor is a
         # lower bound for lambda_max(g^t g)
         keep = np.flatnonzero(wn <= norm_sq_cap) if spec.symmetrized else np.arange(len(ball))
@@ -237,7 +233,11 @@ def check_budget(spec: BallSpec) -> None:
 def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     """Complete, deterministic enumeration of the requested norm ball."""
     check_budget(spec)
-    return BallEnumeration(spec, _enumerate_sl2(spec) if spec.n == 2 else _enumerate_sl3(spec))
+    if spec.n == 2:
+        runs = _sl2_runs(spec)
+        return BallEnumeration(spec, int(runs[6, -1]), partial(_take_sl2, runs))
+    entries = _enumerate_sl3(spec)
+    return BallEnumeration(spec, len(entries), entries.__getitem__)
 
 
 def sample_pairs(e: BallEnumeration, count: int, seed) -> np.ndarray:
@@ -246,4 +246,4 @@ def sample_pairs(e: BallEnumeration, count: int, seed) -> np.ndarray:
     if e.count == 0:
         raise ConfigError("cannot sample from an empty enumeration")
     rng = np.random.default_rng(seed)
-    return e.entries[rng.integers(0, e.count, size=(count, 2))]
+    return e.take(rng.integers(0, e.count, size=(count, 2)))

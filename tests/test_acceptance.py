@@ -70,7 +70,8 @@ def test_criterion_01_exact_ball_counts():
         return sorted(out)
 
     for x in (1, Fraction(5, 2), 4, 5):
-        assert [m.entries for m in enumerate_ball(BallSpec(2, x)).members] == brute(x)
+        rows = enumerate_ball(BallSpec(2, x)).entries.tolist()
+        assert [IntMatrix.from_rows(g).entries for g in rows] == brute(x)
 
     c50 = enumerate_ball(BallSpec(2, 50)).count
     c100 = enumerate_ball(BallSpec(2, 100)).count

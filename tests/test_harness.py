@@ -186,11 +186,12 @@ def test_is_gapped_matches_singular_gap():
     # every member of the X = 60 ball; n = 3: the experiment's sigma rows
     # against the per-position singular_gap of each of 300 sampled matrices.
     # Both outcomes occur at every eta
-    ball = enumerate_ball(BallSpec(2, 60))
+    entries = enumerate_ball(BallSpec(2, 60)).entries
+    members = [IntMatrix.from_rows(g) for g in entries.tolist()]
     for eta in (1.1, 2.0, 4.9, 5.0, 12.0):
         cap = sl2_frobenius_cap(Fraction(eta) ** 2)
-        expected = [not in_ball(g, BallSpec(2, eta)) for g in ball.members]
-        assert _is_gapped(ball.entries, None, eta, cap).tolist() == expected, eta
+        expected = [not in_ball(g, BallSpec(2, eta)) for g in members]
+        assert _is_gapped(entries, None, eta, cap).tolist() == expected, eta
         assert set(expected) == {False, True}, eta
     pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 150, seed=[7, 0])
     gens = pairs.reshape(-1, 3, 3)

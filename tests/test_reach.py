@@ -1,10 +1,14 @@
-"""Every module-level function and class in ``src/pingpong`` is reached.
+"""Every function, class, method and property in ``src/pingpong`` is reached.
 
-A definition is reached when another part of ``src/`` uses it as code: an
-``ast.Name`` or ``ast.Attribute`` that resolves to it, outside its own
-body.  An import alone does not count, so neither do ``__init__.py``'s
-exports nor the bench-only imports that ``bench/spans.py`` wraps; nor does
-a string or a comment.  What is left unreached must be named either in
+A module-level definition is reached when another part of ``src/`` uses it
+as code: an ``ast.Name`` or ``ast.Attribute`` that resolves to it, outside
+its own body.  An import alone does not count, so neither do
+``__init__.py``'s exports nor the bench-only imports that ``bench/spans.py``
+wraps; nor does a string or a comment.  A method or property (dunders
+aside) is reached by an ``ast.Attribute`` of its name outside its own body,
+whatever the receiver, unless that attribute is called with arguments its
+signature cannot take: numpy's ``v.transpose(0, 2, 1)`` does not reach
+``IntMatrix.transpose``.  What is left unreached must be named either in
 ``bench/spans.BINDINGS`` or in ``TEST_ONLY`` below, with the reason it
 stays.  A new unreached definition fails here, and so does a pinned one
 that gained a caller or was deleted.
@@ -30,6 +34,8 @@ TEST_ONLY = {
     "wedge.proj_distance": "the projective sine metric of the contraction tests",
     "haar.haar_density": "the Cartan density against closed forms",
     "serialize.pair_to_obj": "writes pair files for the CLI tests",
+    "matrices.IntMatrix.power": "builds the block-power and Schottky fixtures of the tests",
+    "matrices.IntMatrix.transpose": "the Gram matrix g^t g of the Cauchy-Binet property test",
 }
 
 # unreached in src/, and kept only because the benchmark's tracer wraps them
@@ -80,6 +86,69 @@ def _references(mod, tree, defined):
     return found & defined
 
 
+def _methods(modules):
+    """mod.Class.name -> the ast.arguments of every method and property, dunders aside."""
+    return {
+        f"{mod}.{node.name}.{item.name}": item
+        for mod, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("__")
+    }
+
+
+def _fits(method, call):
+    """Whether a call's arguments fit the method's signature; a starred one always may."""
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    if starred or any(k.arg is None for k in call.keywords):
+        return True
+    args = method.args
+    params = [a.arg for a in args.posonlyargs + args.args]
+    if not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in method.decorator_list):
+        params = params[1:]  # self or cls
+    given = len(call.args)
+    if given > len(params) and args.vararg is None:
+        return False
+    names = {k.arg for k in call.keywords}
+    kwonly = [a.arg for a in args.kwonlyargs]
+    if args.kwarg is None and not names <= set(params[given:] + kwonly):
+        return False
+    required = params[given : len(params) - len(args.defaults)]
+    required += [a for a, d in zip(kwonly, args.kw_defaults) if d is None]
+    return set(required) <= names
+
+
+def _attribute_uses(tree):
+    """(attribute, call or None, enclosing Class.method or None) for each ast.Attribute."""
+    uses = []
+    for node in tree.body:
+        bodies = [(node, None)]
+        if isinstance(node, ast.ClassDef):
+            bodies = [(item, f"{node.name}.{getattr(item, 'name', '')}") for item in node.body]
+        for body, owner in bodies:
+            calls = {id(c.func): c for c in ast.walk(body) if isinstance(c, ast.Call)}
+            for sub in ast.walk(body):
+                if isinstance(sub, ast.Attribute):
+                    uses.append((sub.attr, calls.get(id(sub)), owner))
+    return uses
+
+
+def _unreached_methods(modules):
+    methods = _methods(modules)
+    reached = set()
+    for mod, tree in modules.items():
+        if mod == "__init__":
+            continue
+        for attr, call, owner in _attribute_uses(tree):
+            for name, method in methods.items():
+                own = owner is not None and name == f"{mod}.{owner}"
+                if name.endswith(f".{attr}") and not own and (call is None or _fits(method, call)):
+                    reached.add(name)
+    return set(methods) - reached
+
+
 def _bench_bound():
     """The definitions bench/spans.py wraps, read as tests/test_bench_hooks.py reads it."""
     sys.path.insert(0, str(BENCH))
@@ -103,7 +172,7 @@ def _unreached():
     for mod, tree in modules.items():
         if mod != "__init__":
             reached |= _references(mod, tree, defined)
-    return defined - reached
+    return defined - reached | _unreached_methods(modules)
 
 
 def test_every_definition_is_reached_or_pinned():
@@ -131,3 +200,28 @@ def test_reach_counts_code_not_imports_strings_or_self_calls():
     }
     found = _references("harness", tree, defined)
     assert found == {"dynamics.find_relations", "serialize.canonical_json"}
+
+
+def test_reach_of_methods_counts_fitting_calls_outside_their_own_body():
+    modules = {
+        "matrices": ast.parse(
+            "class M:\n"
+            "    @property\n"
+            "    def n(self):\n"
+            "        return 2\n"
+            "    def power(self, e):\n"
+            "        return self.power(e - 1)\n"
+            "    def transpose(self):\n"
+            "        return self\n"
+            "    @staticmethod\n"
+            "    def make(rows, *, exact=True):\n"
+            "        return M()\n"
+            "    def __matmul__(self, other):\n"
+            "        return self\n"
+        ),
+        "harness": ast.parse(
+            "def run(v, g):\n"
+            "    return v.transpose(0, 2, 1), g.n, M.make([1], exact=False), 'power'\n"
+        ),
+    }
+    assert _unreached_methods(modules) == {"matrices.M.power", "matrices.M.transpose"}

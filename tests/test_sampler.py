@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pingpong import sampler
 from pingpong.errors import BudgetError, ConfigError
 from pingpong.matrices import IntMatrix, det, inverse
 from pingpong.sampler import (
@@ -18,11 +19,18 @@ from pingpong.sampler import (
     _bezout,
     _frobenius_sq,
     _member,
+    _sl2_runs,
     enumerate_ball,
     in_ball,
     sample_pairs,
 )
 from pingpong.spectral import svd_batch
+
+
+def members(e):
+    # from_rows makes every entry a Python int: exact arithmetic must never
+    # see a wrapping np.int64
+    return [IntMatrix.from_rows(rows) for rows in e.entries.tolist()]
 
 
 def brute_force_sl2(x):
@@ -41,7 +49,7 @@ def brute_force_sl2(x):
 def test_sl2_unit_ball_is_the_four_rotations():
     e = enumerate_ball(BallSpec(2, 1))
     assert e.count == 4
-    entries = {m.entries for m in e.members}
+    entries = {m.entries for m in members(e)}
     assert entries == {
         ((1, 0), (0, 1)),
         ((-1, 0), (0, -1)),
@@ -57,7 +65,7 @@ def test_sl2_unit_ball_symmetrized_same():
 @pytest.mark.parametrize("x", [1, 2, Fraction(7, 3), Fraction(5, 2), 3, 4, Fraction(9, 2), 5])
 def test_sl2_agrees_with_brute_force(x):
     e = enumerate_ball(BallSpec(2, x))
-    assert [m.entries for m in e.members] == brute_force_sl2(x)
+    assert [m.entries for m in members(e)] == brute_force_sl2(x)
 
 
 # count and sha256 of the comma-joined row-major entries, in enumeration
@@ -78,6 +86,33 @@ def test_sl2_pinned_balls(x, count, digest):
     assert hashlib.sha256(",".join(map(str, flat)).encode()).hexdigest() == digest
 
 
+def test_take_reads_the_sorted_ball():
+    e = enumerate_ball(BallSpec(2, 500))
+    entries = e.entries
+    assert entries.shape == (e.count, 2, 2) and entries.dtype == np.int64
+    idx = np.random.default_rng(0).integers(0, e.count, size=10**4)
+    idx = np.concatenate([[0, e.count - 1], idx])
+    assert np.array_equal(e.take(idx), entries[idx])
+    assert np.array_equal(e.take(idx.reshape(-1, 2)), entries[idx].reshape(-1, 2, 2, 2))
+
+
+def test_sl2_runs_cover_every_primitive_row_with_a_bezout_completion():
+    x = 500
+    a, b, c0, d0 = _sl2_runs(BallSpec(2, x))[:4]
+    # every primitive row of squared norm <= X^2, in all four sign quadrants and
+    # in lexicographic order; at X = 500 none sits on the circle, where the
+    # line of second rows would miss the ball
+    r = np.arange(-x, x + 1)
+    ra, rb = (v.ravel() for v in np.meshgrid(r, r, indexing="ij"))
+    primitive = (ra * ra + rb * rb <= x * x) & (np.gcd(ra, rb) == 1)
+    assert np.array_equal(a, ra[primitive]) and np.array_equal(b, rb[primitive])
+    assert {(0, 1), (0, -1), (1, 0), (-1, 0)} <= set(zip(a.tolist(), b.tolist()))
+    # (c0, d0) = (-g y, g x) from the quadrant's Bezout (g, x, y) with the signs
+    # of x and y flipped with those of a and b: a d0 - b c0 = g (x a + y b) = 1
+    # iff x a + y b = g = +-1
+    assert (a.astype(np.int64) * d0 - b.astype(np.int64) * c0 == 1).all()
+
+
 def test_sl3_unit_ball_is_so3z():
     # 24 signed permutation matrices of determinant one
     assert enumerate_ball(BallSpec(3, 1)).count == 24
@@ -95,14 +130,21 @@ def test_sl3_agrees_with_brute_force():
             m = IntMatrix.from_rows([r1, rows[i], rows[j]])
             if in_ball(m, BallSpec(m.n, x)):
                 brute.append(m.entries)
-    assert [m.entries for m in e.members] == sorted(brute)
+    assert [m.entries for m in members(e)] == sorted(brute)
 
+
+# radii just below and above 1 + sqrt(2), the sigma_1 of the elementary
+# matrices with an entry +-2; their X^2 has a denominator too large for int64
+BELOW, ABOVE = Fraction(241421, 100000), Fraction(120711, 50000)
 
 # count and sha256 of the comma-joined member entries, in enumeration order;
-# 5/2 is a non-integer radius (exact Fraction predicates) and 6 the budget edge
+# 5/2 is a non-integer radius and 6 the budget edge
 PINNED_SL3 = [
     (Fraction(5, 2), False, 6072, "3717683a7a15bf215550a74db3a26863fbccbebcbc55ffd096c34b7448ed339f"),
     (Fraction(5, 2), True, 2616, "08dcf8b4b6a3f1369a774d9f78eea1e538143e5d1fc373d2d98187607e9d8f3b"),
+    (BELOW, False, 3768, "676905444259e761900690812ddf599eb0d6adc8b32a892cae1b8199d62b6890"),
+    (BELOW, True, 2040, "2b3b9a68bb29750bba9b7d9dbbf892ee225e5a4cc17f1b3bca181fb67fa43ea3"),
+    (ABOVE, False, 4344, "7be6238f956979abf041bf4eda51a44120ceb9ff720622d3bf540d42e3c15f0b"),
     (3, False, 23064, "437160e2ee8409312935dce8f3f33d97b74bc376c054a9d11652a95cf951e253"),
     (3, True, 6360, "cf08c238a5365b20e94edd63ac24d52300d00f068cc5d82d37c6a7d655a502de"),
     (4, False, 135672, "14d8b0411f799f419de2ab160ed82d7138b86024860f1ea9ba20652ed457edf6"),
@@ -114,15 +156,33 @@ PINNED_SL3 = [
 @pytest.mark.parametrize(
     "x, symmetrized, count, digest",
     PINNED_SL3,
-    ids=["2.5-plain", "2.5-sym", "3-plain", "3-sym", "4-plain", "4-sym", "6-sym"],
+    ids=[
+        "2.5-plain", "2.5-sym", "2.41421-plain", "2.41421-sym", "2.41422-plain",
+        "3-plain", "3-sym", "4-plain", "4-sym", "6-sym",
+    ],
 )
 def test_sl3_pinned_balls(x, symmetrized, count, digest):
     e = enumerate_ball(BallSpec(3, x, symmetrized))
-    flat = [v for m in e.members for row in m.entries for v in row]
+    flat = [v for m in members(e) for row in m.entries for v in row]
     # exact arithmetic downstream needs Python ints, not numpy scalars
     assert all(type(v) is int for v in flat)
     assert e.count == count
     assert hashlib.sha256(",".join(map(str, flat)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("x, dtype", [(Fraction(5, 2), np.int64), (BELOW, object)])
+def test_sl3_predicates_take_int64_only_where_it_is_exact(monkeypatch, x, dtype):
+    # the predicates at X^2 = p/q compare integers scaled by powers of q; with
+    # q = 10^10 they would overflow int64, so they must see Python ints
+    seen = set()
+
+    def member(n, f, f_inv, bound, symmetrized):
+        seen.update({f.dtype, f_inv.dtype})
+        return _member(n, f, f_inv, bound, symmetrized)
+
+    monkeypatch.setattr(sampler, "_member", member)
+    enumerate_ball(BallSpec(3, x, symmetrized=True))
+    assert seen == {np.dtype(dtype)}
 
 
 def test_membership_matches_float_norm():
@@ -143,8 +203,8 @@ def test_monotonicity_in_x():
 
 def test_symmetrized_closed_under_inverse():
     e = enumerate_ball(BallSpec(3, 2, symmetrized=True))
-    entries = {m.entries for m in e.members}
-    for m in e.members:
+    entries = {m.entries for m in members(e)}
+    for m in members(e):
         assert inverse(m).entries in entries
 
 
@@ -153,9 +213,9 @@ def test_symmetrized_definition(x):
     spec = BallSpec(3, x, symmetrized=True)
     plain = enumerate_ball(BallSpec(3, x))
     expected = [
-        m.entries for m in plain.members if in_ball(inverse(m), BallSpec(3, spec.x))
+        m.entries for m in members(plain) if in_ball(inverse(m), BallSpec(3, spec.x))
     ]
-    assert [m.entries for m in enumerate_ball(spec).members] == expected
+    assert [m.entries for m in members(enumerate_ball(spec))] == expected
 
 
 def _elementary(i, j, s):
@@ -211,7 +271,7 @@ def test_sample_pairs_deterministic():
 def test_sample_pairs_edge_cases():
     e = enumerate_ball(BallSpec(2, 1))
     assert sample_pairs(e, 0, 1).shape == (0, 2, 2, 2)
-    single = type(e)(e.spec, e.entries[:1])
+    single = type(e)(e.spec, 1, e.entries[:1].__getitem__)
     pairs = sample_pairs(single, 5, 3)
     assert len(pairs) == 5
     assert (pairs == e.entries[0]).all()
@@ -224,7 +284,7 @@ def test_members_and_samples_hold_python_ints(spec):
     # a matrix of them is built
     e = enumerate_ball(spec)
     drawn = [IntMatrix.from_rows(g) for g in sample_pairs(e, 50, 0).reshape(-1, spec.n, spec.n)]
-    for g in list(e.members) + drawn:
+    for g in members(e) + drawn:
         assert all(type(v) is int for row in g.entries for v in row)
 
 
@@ -232,7 +292,7 @@ def test_members_and_samples_hold_python_ints(spec):
 def gram_invariants():
     # the distinct (f, f_inv) of the X = 3 ball and every pair in a small
     # grid, which holds the cases where a predicate sits on its boundary
-    pairs = {_frobenius_sq(g) for g in enumerate_ball(BallSpec(3, 3)).members}
+    pairs = {_frobenius_sq(g) for g in members(enumerate_ball(BallSpec(3, 3)))}
     pairs.update(product(range(40), repeat=2))
     return np.array(sorted(pairs), dtype=np.int64).T
 
@@ -262,16 +322,27 @@ def test_scalar_predicates_return_python_bools():
 def test_int64_intermediates_fit_at_the_budget():
     # Raising MAX_X past these bounds must fail here instead of wrapping.
     # n = 3: columns of squared norm <= b = X^2 give f <= 3 X^2 and
-    # f_inv <= 3 X^4, so ((b - f) b + f_inv) b, the largest term, is <= 5 X^6
+    # f_inv <= 3 X^4, so ((b - f) b + f_inv) b, the largest term, is <= 5 X^6.
+    # Scaled by powers of q for b = p/q, every term is below 12 floor(b)^2 p^3,
+    # and _enumerate_sl3 keeps int64 while that is below 2^63: at every
+    # integer X in the budget it is
     x = MAX_X[3]
     assert 5 * x**6 < 2**63
+    assert 12 * (x * x) ** 2 * (x * x) ** 3 < 2**63
     # n = 2: for a first row (a, b), s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1.
     # _bezout gives |c0| = |g y| <= |a| and |d0| = |g x| <= |b| (and
     # (c0, d0) = (-b, 0) or (0, a) when a = 0 or b = 0), so c0^2 + d0^2 <= s1
     # and |m| = |a c0 + b d0| <= s1 on every lane.  disc <= m^2 + s1 s_cap
-    # must stay exact as a float
+    # must stay exact as a float.  The quadrant's other lanes, with s1 <= 2 X^2,
+    # have |disc| <= s1^2 + s1 (2 s1 + s_cap) in int64.  The runs are int32:
+    # |t| <= X + 1, so end and |base| are at most the count plus X + 1, and the
+    # count is below (2 X + 1)^3 + 2 (2 X + 1), as a, b, c fix d unless a = 0,
+    # where b = -c = +-1
     x = MAX_X[2]
     assert x**4 + x * x * (x * x + 1) < 2**53
+    s1 = 2 * x * x
+    assert s1 * s1 + s1 * (2 * s1 + x * x + 1) < 2**63
+    assert (2 * x + 1) ** 3 + 2 * (2 * x + 1) + x + 1 < 2**31
     # the experiment's int64 stacks of sampled members: every entry is at most
     # sigma_1 <= X in absolute value, so the cofactors (minors of order n - 1
     # <= 2) are at most 2 X^2, ||g||_F^2 <= n X^2, and the Schottky cross

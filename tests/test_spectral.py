@@ -162,7 +162,8 @@ def test_batch_matches_single(monkeypatch):
         ],
     }
     for n, x, step in ((2, 60, 401), (3, Fraction(5, 2), 97)):
-        stacks[n] += enumerate_ball(BallSpec(n, x)).members[::step]
+        rows = enumerate_ball(BallSpec(n, x)).entries[::step].tolist()
+        stacks[n] += [IntMatrix.from_rows(g) for g in rows]
     for n, mats in stacks.items():
         a = np.array([m.to_float() if isinstance(m, IntMatrix) else m for m in mats])
         batch = svd_batch(a)
