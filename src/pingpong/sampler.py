@@ -73,11 +73,11 @@ class BallEnumeration:
 
 def _lambda_max_le_2x2(gram_trace, gram_det, bound):
     # c(L) = L^2 - tr L + det; largest root <= bound = p/q iff q^2 c(p/q) >= 0
-    # and p/q sits at or right of the parabola vertex.  Scaling by powers of q
-    # keeps each test in integers.  The predicates join tests with &, not
-    # `and`, so they also take int64 and object arrays.
+    # and p/q sits at or right of the parabola vertex.  Multiplying through by
+    # powers of q keeps each test in integers.  The predicates join tests with
+    # &, not `and`, so they also take int64 and object arrays.
     p, q = bound.numerator, bound.denominator
-    return ((p - gram_trace * q) * p + gram_det * (q * q) >= 0) & (2 * p >= gram_trace * q)
+    return (p * p + gram_det * (q * q) >= gram_trace * (p * q)) & (2 * p >= gram_trace * q)
 
 
 def _sigma1_sq_le(n: int, f, f_inv, bound):
@@ -88,8 +88,8 @@ def _sigma1_sq_le(n: int, f, f_inv, bound):
     # root is <= bound = p/q iff q^3 c, q^2 c' and q c'' are all >= 0 at p/q
     p, q = bound.numerator, bound.denominator
     return (
-        (((p - f * q) * p + f_inv * (q * q)) * p >= q**3)
-        & ((3 * p - 2 * f * q) * p + f_inv * (q * q) >= 0)
+        (p**3 + f_inv * (p * q * q) >= f * (p * p * q) + q**3)
+        & (3 * p * p + f_inv * (q * q) >= f * (2 * p * q))
         & (3 * p >= f * q)
     )
 
@@ -192,8 +192,8 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     ball = grid[(grid * grid).sum(axis=1) <= norm_sq_cap]
     norms = (ball * ball).sum(axis=1)
     # the predicates scale b = p/q by powers of q, and their arguments are at
-    # most 3 floor(b)^2, so every intermediate is below 12 floor(b)^2 p^3.  Past
-    # 2^63 (never at an integer X <= MAX_X[3]) the arrays hold Python ints
+    # most 3 floor(b)^2, so every term is below 12 floor(b)^2 p^3.  Past 2^63
+    # (never at an integer X <= MAX_X[3]) the arrays hold Python ints
     if 12 * norm_sq_cap**2 * b.numerator**3 >= 2**63:
         norms = norms.astype(object)
     chunks = []
