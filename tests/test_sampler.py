@@ -110,7 +110,7 @@ def test_sl2_runs_cover_every_primitive_row_with_a_bezout_completion():
     # (c0, d0) = (-g y, g x) from the quadrant's Bezout (g, x, y) with the signs
     # of x and y flipped with those of a and b: a d0 - b c0 = g (x a + y b) = 1
     # iff x a + y b = g = +-1
-    assert (a.astype(np.int64) * d0 - b.astype(np.int64) * c0 == 1).all()
+    assert (a * d0 - b * c0 == 1).all()
 
 
 def test_sl3_unit_ball_is_so3z():
