@@ -12,6 +12,7 @@ test could not vouch for the pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -104,6 +105,16 @@ def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
     return rows, svd_batch(stack)
 
 
+def check_r_eps(r: float, eps: float) -> None:
+    """Refuse ping-pong parameters outside 0 < eps < 1/4 and 2 eps < r <= the
+    largest float.  Comparisons, not float(), so an int past the float range
+    is refused rather than overflowed."""
+    if not 0 < eps < 0.25:
+        raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
+    if not 2 * eps < r <= sys.float_info.max:
+        raise ConfigError(f"need r > 2*eps, both finite floats, got r = {r}, eps = {eps}")
+
+
 def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
     """Ping-pong decisions for every pair of rows g1, g1^-1, g2, g2^-1 of svds, in one pass.
 
@@ -113,10 +124,7 @@ def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
     VERY_PROXIMAL: a cross separation is below r) or CERTIFIED, and min_sep
     the least separation.  Per row, gap, v and h give its ContractionWitness.
     """
-    if not 0 < eps < 0.25:
-        raise ConfigError(f"need 0 < eps < 1/4, got {eps}")
-    if not (math.isfinite(r) and r > 2 * eps):
-        raise ConfigError(f"need a finite r > 2*eps, got r = {r}, eps = {eps}")
+    check_r_eps(r, eps)
     p, n = len(svds.sigma) // 4, svds.sigma.shape[1]
     if not 1 <= k < n:
         raise ConfigError(f"k must be in [1, {n - 1}], got {k}")

@@ -9,7 +9,6 @@ is JSON on stdout (reports may also be CSV); exit codes are 0 ok,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -43,9 +42,7 @@ def cmd_enumerate(args):
     enum = enumerate_ball(spec)
     if args.members_out:
         with open(args.members_out, "w") as fh:
-            # one row at a time, so no IntMatrix and no list of the whole ball
-            for m in enum.entries:
-                fh.write(json.dumps(serialize.matrix_to_obj(m.tolist())) + "\n")
+            fh.writelines(serialize.member_lines(enum.entries))
     _emit(
         {
             "n": spec.n,

@@ -48,11 +48,14 @@ class WordStats:
 
 
 def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
-    """Shortest-ish nonempty reduced word equal to the identity, or None.
+    """A nonempty reduced word of length <= max_len equal to the identity, or None.
 
-    Meet-in-the-middle search: reduced words are enumerated breadth-first
-    to length ceil(max_len/2) with exact products; two words mapping to
-    the same matrix yield a relation.  Exactness means a returned word
+    Reduced words are taken breadth-first to length ceil(max_len/2), with
+    exact products: each length ordered by the word without its last letter,
+    then by that letter in _LETTERS order (the order of _level).  The
+    first word whose matrix an earlier word already has gives the relation
+    (earlier word)(word)^-1, freely reduced; the first such relation of
+    length <= max_len is returned.  Exactness means a returned word
     re-evaluates to the identity with no tolerance involved.  This is
     ``find_relations`` on a batch of one pair.
     """
@@ -73,8 +76,8 @@ def find_relations(letters: np.ndarray, max_len: int) -> list:
     The products are first taken mod 2^64, all at once.  Reduction mod
     2^64 is a ring homomorphism, so words with equal integer matrices have
     equal residues; when no two residues agree, no two matrices agree and
-    the search, which visits a subset of these words, would return None.
-    Only a pair with a collision mod 2^64 runs the exact search.
+    the relation is None.  Only a pair with a collision mod 2^64 walks the
+    words again in exact Python-int products.
     """
     collide = np.ones(len(letters), dtype=bool)
     if letters.shape[-1] ** 2 <= _HASH.size:
@@ -84,16 +87,13 @@ def find_relations(letters: np.ndarray, max_len: int) -> list:
         step = max(1, 2**16 // (2 * 3**depth - 1))  # pairs per chunk of 2^16 words
         for lo in range(0, len(letters), step):
             collide[lo : lo + step] = _collisions_mod_2_64(residues[lo : lo + step], depth)
-    return [
-        _search([IntMatrix.from_rows(g) for g in letters[i].tolist()], max_len) if hit else None
-        for i, hit in enumerate(collide)
-    ]
+    return [_first_relation(row, max_len) if hit else None for row, hit in zip(letters, collide)]
 
 
 # odd 64-bit multipliers, one per entry of a matrix with n <= 4 (larger n
-# goes straight to the exact search): a key is the entries' dot product with
-# them mod 2^64, so equal residues give equal keys, and a chance collision
-# of unequal ones only costs an exact search
+# skips the screen for the exact pass): a key is the entries' dot product
+# with them mod 2^64, so equal residues give equal keys, and a chance
+# collision of unequal ones only costs an exact pass
 _HASH = np.array(
     [
         0xE9DD2A205F03A26F, 0x19BED63F41D5B71D, 0xBA63C3EFF1A5F753, 0xF6B87CAF10596D79,
@@ -136,33 +136,23 @@ def _collisions_mod_2_64(gens: np.ndarray, depth: int) -> np.ndarray:
     return np.any(keys[:, 1:] == keys[:, :-1], axis=1)
 
 
-def _search(letters: list[IntMatrix], max_len: int) -> str | None:
-    """The exact search of falsify_freeness over the letters g1, g2, g1^-1, g2^-1;
-    it alone picks the returned word."""
-    table = dict(zip(_LETTERS, letters))
-    identity = IntMatrix.identity(letters[0].n)
-
-    seen: dict[tuple, str] = {identity.entries: ""}
-    level: list[tuple[str, IntMatrix]] = [("", identity)]
-    depth = (max_len + 1) // 2
-    for _ in range(depth):
-        nxt: list[tuple[str, IntMatrix]] = []
-        for word, mat in level:
-            last = word[-1] if word else ""
-            for letter in _LETTERS:
-                if last and letter == last.swapcase():
-                    continue
-                w2 = word + letter
-                m2 = mat @ table[letter]
-                prev = seen.get(m2.entries)
-                if prev is None:
-                    seen[m2.entries] = w2
-                    nxt.append((w2, m2))
-                else:
-                    relation = free_reduce(prev + invert_word(w2))
-                    if 0 < len(relation) <= max_len:
-                        return relation
-        level = nxt
+def _first_relation(letters: np.ndarray, max_len: int) -> str | None:
+    """The relation of falsify_freeness for one (4, n, n) stack of letters, taken
+    over _level's words in exact Python-int products, one level at a time."""
+    letters = letters.astype(object)
+    level = np.eye(letters.shape[-1], dtype=object)[None]
+    words = [""]
+    first = {tuple(level.ravel().tolist()): ""}  # matrix -> its first word
+    for k in range(1, (max_len + 1) // 2 + 1):
+        parent, letter = _level(k)
+        level = level[parent] @ letters[letter]
+        words = [words[p] + _LETTERS[c] for p, c in zip(parent.tolist(), letter.tolist())]
+        for word, key in zip(words, map(tuple, level.reshape(len(words), -1).tolist())):
+            prev = first.setdefault(key, word)
+            if prev != word:  # an earlier word has this matrix
+                relation = free_reduce(prev + invert_word(word))
+                if len(relation) <= max_len:
+                    return relation
     return None
 
 

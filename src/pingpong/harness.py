@@ -13,8 +13,8 @@ byte-identical.
 from __future__ import annotations
 
 import io
-import math
 import statistics
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 
@@ -23,6 +23,7 @@ from .certify import (
     CERTIFIED,
     SCHOTTKY_CERTIFIED,
     VERY_PROXIMAL,
+    check_r_eps,
     choose_k,
     decide_pairs,
     decide_schottky,
@@ -92,18 +93,9 @@ class ExperimentConfig:
             raise ConfigError("x_grid must be non-empty")
         # reject a bad radius before any work
         specs = [BallSpec(self.n, x, self.symmetrized) for x in self.x_grid]
-        if not 0 < self.eps < 0.25:
-            raise ConfigError(f"need 0 < eps < 1/4, got {self.eps}")
-        try:  # an int beyond the float range raises OverflowError
-            finite = math.isfinite(self.r) and math.isfinite(self.eta)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"r and eta must be finite floats, got {self.r} and {self.eta}")
-        if not self.r > 2 * self.eps:
-            raise ConfigError(f"need r > 2*eps, got r = {self.r}, eps = {self.eps}")
-        if self.eta <= 1:
-            raise ConfigError("eta must be > 1")
+        check_r_eps(self.r, self.eps)
+        if not 1 < self.eta <= sys.float_info.max:
+            raise ConfigError(f"need eta > 1 among the finite floats, got {self.eta}")
         if self.oracle_depth < 1:
             raise ConfigError("oracle_depth must be >= 1")
         if self.pairs_per_x < 1:

@@ -15,9 +15,19 @@ from .errors import ConfigError
 from .matrices import IntMatrix
 
 
-def matrix_to_obj(m: IntMatrix | list[list[int]]) -> list[list[str]]:
-    rows = m.entries if isinstance(m, IntMatrix) else m
-    return [[str(x) for x in row] for row in rows]
+def matrix_to_obj(m: IntMatrix) -> list[list[str]]:
+    return [[str(x) for x in row] for row in m.entries]
+
+
+def member_lines(members):
+    """One line per matrix of an (N, n, n) integer stack: the bytes of
+    json.dumps(matrix_to_obj(m)) and a newline, formatted 2^16 rows at a time."""
+    n = members.shape[-1]
+    row = "[" + ", ".join(['"%d"'] * n) + "]"
+    line = "[" + ", ".join([row] * n) + "]\n"
+    flat = members.reshape(len(members), n * n)
+    for lo in range(0, len(flat), 2**16):
+        yield from (line % tuple(m) for m in flat[lo : lo + 2**16].tolist())
 
 
 def _entry(x) -> int:

@@ -135,6 +135,13 @@ def test_very_proximal_validates_r():
         very_proximal(H, 1, 0.15, 0.1)
 
 
+def test_ping_pong_pair_refuses_r_past_the_float_range():
+    # an int r past the float range is a config error, not an OverflowError
+    for r in (10**400, -(10**400), math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite floats"):
+            ping_pong_pair(H.power(8), K.power(8), 1, r, 0.2)
+
+
 def test_ping_pong_pair_identity_rejected():
     verdict = ping_pong_pair(IntMatrix.identity(2), IntMatrix.identity(2), 1, 0.25, 0.1)
     assert verdict.certificate is None

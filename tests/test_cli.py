@@ -18,7 +18,8 @@ from pingpong.errors import ConvergenceError, InvariantViolation
 from pingpong.haar import MAX_RESOLUTION
 from pingpong.harness import MAX_PAIRS
 from pingpong.matrices import IntMatrix
-from pingpong.serialize import pair_to_obj
+from pingpong.sampler import BallSpec, enumerate_ball
+from pingpong.serialize import matrix_to_obj, pair_to_obj
 
 H = IntMatrix.from_rows([[2, 1], [1, 1]])
 K = IntMatrix.from_rows([[1, 1], [1, 2]])
@@ -64,6 +65,19 @@ def test_enumerate(capsys, tmp_path):
     lines = members.read_text().strip().split("\n")
     assert len(lines) == 52
     assert all(isinstance(json.loads(line)[0][0], str) for line in lines)
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["--n", "2", "--X", "3"], BallSpec(2, 3)),
+    (["--n", "3", "--X", "2", "--symmetrized"], BallSpec(3, 2, symmetrized=True)),
+])
+def test_enumerate_members_out_is_one_json_matrix_per_line(capsys, tmp_path, argv, spec):
+    members = tmp_path / "members.jsonl"
+    assert run_cli(["enumerate", *argv, "--members-out", str(members)]) == 0
+    entries = enumerate_ball(spec).entries
+    assert (entries < 0).any()
+    want = [json.dumps(matrix_to_obj(IntMatrix.from_rows(m))) + "\n" for m in entries.tolist()]
+    assert members.read_text().splitlines(keepends=True) == want
 
 
 def test_enumerate_budget_exit_code(capsys):

@@ -13,7 +13,6 @@ from pingpong import dynamics
 from pingpong.dynamics import (
     MAX_STEPS,
     _collisions_mod_2_64,
-    _search,
     check_twoops,
     estimate_lyapunov,
     falsify_freeness,
@@ -29,7 +28,14 @@ from pingpong.harness import (
     ExperimentConfig,
     run_experiment,
 )
-from pingpong.matrices import IntMatrix, evaluate_word, free_reduce, inverse
+from pingpong.matrices import (
+    IntMatrix,
+    evaluate_word,
+    free_reduce,
+    inverse,
+    invert_word,
+    is_reduced,
+)
 from pingpong.sampler import BallSpec, enumerate_ball, sample_pairs
 from pingpong.spectral import svd, svd_batch
 
@@ -48,7 +54,7 @@ def test_oracle_identical_generators():
     word = falsify_freeness(H, H, 4)
     assert word == "aB"
     assert evaluate_word(word, H, H) == IntMatrix.identity(2)
-    # n = 5 has no hash multipliers and goes straight to the exact search
+    # n = 5 has no hash multipliers and skips the screen for the exact words
     e5 = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(5)] for i in range(5)])
     assert falsify_freeness(e5, e5, 4) == "aB"
     assert falsify_freeness(e5, e5.transpose(), 4) is None
@@ -102,16 +108,23 @@ def test_oracle_rejects_mixed_sizes():
 
 def test_oracle_pair_congruent_to_identity_mod_2_64():
     # every word is I mod 2^64, so every depth collides, yet the pair is
-    # free (Sanov): only the exact search may answer
+    # free (Sanov): only the exact pass may answer
     g1 = IntMatrix.from_rows([[1, 2**64], [0, 1]])
     g2 = IntMatrix.from_rows([[1, 0], [2**64, 1]])
     quad = (g1, g2, inverse(g1), inverse(g2))
     letters = np.array([[[[x % 2**64 for x in row] for row in g.entries] for g in quad]], np.uint64)
     for depth in range(1, 7):
         assert _collisions_mod_2_64(letters, depth)[0]
+    stack = np.array([[g.entries for g in quad]], dtype=object)
     for max_len in range(1, 13):
-        assert _search(quad, max_len) is None
+        assert find_relations(stack, max_len) == [None]
         assert falsify_freeness(g1, g2, max_len) is None
+
+
+def test_oracle_skips_a_relation_longer_than_max_len():
+    # at max_len 1 the words have length 1 and b repeats a, but "aB" is too long
+    assert falsify_freeness(ROT, ROT, 1) is None
+    assert falsify_freeness(ROT, ROT, 2) == "aB"
 
 
 def test_oracle_equal_huge_generators():
@@ -126,6 +139,23 @@ _SL3_FACTORS = [
     IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),  # order 3
     IntMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),  # order 2
 ]
+
+
+def _first_repeat(g1, g2, max_len):
+    """Reference oracle by brute force: the reduced words of length <= ceil(max_len/2)
+    in breadth-first order, each length lexicographic over "abAB"; the first word whose
+    matrix an earlier word has gives (earlier word)(word)^-1, returned if it fits."""
+    first = {}
+    for k in range((max_len + 1) // 2 + 1):
+        for word in map("".join, itertools.product("abAB", repeat=k)):
+            if not is_reduced(word):
+                continue
+            prev = first.setdefault(evaluate_word(word, g1, g2), word)
+            if prev != word:
+                relation = free_reduce(prev + invert_word(word))
+                if len(relation) <= max_len:
+                    return relation
+    return None
 
 
 def _product(factors):
@@ -147,15 +177,13 @@ def _relation_rich_pairs(draw):
 @example((H, ORDER6 @ ORDER6), 4)  # its -1 entries need the full mod 2^64 residue
 def test_oracle_prefilter_keeps_search_answer(pair, max_len):
     g1, g2 = pair
-    assert falsify_freeness(g1, g2, max_len) == _search(
-        (g1, g2, inverse(g1), inverse(g2)), max_len
-    )
+    assert falsify_freeness(g1, g2, max_len) == _first_repeat(g1, g2, max_len)
 
 
 @pytest.mark.parametrize("spec, max_len", [(BallSpec(2, 20), 8), (BallSpec(2, 5), 12),
                                            (BallSpec(3, 2, symmetrized=True), 6)])
 def test_batched_oracle_matches_each_pair_alone(spec, max_len):
-    # ball pairs, with (g, g^2) pairs, which commute, so the exact search runs
+    # ball pairs, with (g, g^2) pairs, which commute, so the exact pass runs
     # inside the batch; at max_len 12 the pairs span several screen chunks
     pairs = [tuple(map(IntMatrix.from_rows, p)) for p in sample_pairs(
         enumerate_ball(spec), 120, seed=[3, 0]).tolist()]
