@@ -54,7 +54,7 @@ def test_oracle_identical_generators():
     word = falsify_freeness(H, H, 4)
     assert word == "aB"
     assert evaluate_word(word, H, H) == IntMatrix.identity(2)
-    # n = 5 has no hash multipliers and skips the screen for the exact words
+    # n = 5 has no hash multipliers and skips the screen for the exact pass
     e5 = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(5)] for i in range(5)])
     assert falsify_freeness(e5, e5, 4) == "aB"
     assert falsify_freeness(e5, e5.transpose(), 4) is None
