@@ -14,6 +14,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import serialize
 from .certify import Circle, choose_k, hausdorff_upper_bound, ping_pong_pair, schottky_sl2
 from .dynamics import estimate_lyapunov, falsify_freeness, reduced_length_stats
@@ -42,7 +44,9 @@ def cmd_enumerate(args):
     enum = enumerate_ball(spec)
     if args.members_out:
         with open(args.members_out, "w") as fh:
-            fh.writelines(serialize.member_lines(enum.entries))
+            for lo in range(0, enum.count, 2**16):  # never the whole ball at once
+                idx = np.arange(lo, min(lo + 2**16, enum.count))
+                fh.writelines(serialize.member_lines(enum.take(idx)))
     _emit(
         {
             "n": spec.n,

@@ -71,38 +71,17 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
 
 def find_relations(letters: np.ndarray, max_len: int) -> list:
     """falsify_freeness for every pair of a (P, 4, n, n) integer stack of the
-    letters g1, g2, g1^-1, g2^-1 (int64, or object for Python ints).
-
-    The products are first taken mod 2^64, all at once.  Reduction mod
-    2^64 is a ring homomorphism, so words with equal integer matrices have
-    equal residues; when no two residues agree, no two matrices agree and
-    the relation is None.  Only a pair with a collision mod 2^64 walks the
-    words again in exact Python-int products.
-    """
-    collide = np.ones(len(letters), dtype=bool)
-    if letters.shape[-1] ** 2 <= _HASH.size:
-        # int64 -> uint64 keeps the residue mod 2^64
-        residues = (letters % 2**64 if letters.dtype == object else letters).astype(np.uint64)
-        depth = (max_len + 1) // 2
-        step = max(1, 2**16 // (2 * 3**depth - 1))  # pairs per chunk of 2^16 words
-        for lo in range(0, len(letters), step):
-            collide[lo : lo + step] = _collisions_mod_2_64(residues[lo : lo + step], depth)
+    letters g1, g2, g1^-1, g2^-1 (int64, or object for Python ints).  All pairs
+    are screened at once by _collisions_mod_2_64, and only those it cannot clear
+    walk the words again in exact Python-int products."""
+    # int64 -> uint64 keeps the residue mod 2^64
+    residues = (letters % 2**64 if letters.dtype == object else letters).astype(np.uint64)
+    depth = (max_len + 1) // 2
+    step = max(1, 2**16 // (2 * 3**depth - 1))  # pairs per chunk of 2^16 words
+    collide = np.empty(len(letters), dtype=bool)
+    for lo in range(0, len(letters), step):
+        collide[lo : lo + step] = _collisions_mod_2_64(residues[lo : lo + step], depth)
     return [_first_relation(row, max_len) if hit else None for row, hit in zip(letters, collide)]
-
-
-# odd 64-bit multipliers, one per entry of a matrix with n <= 4 (larger n
-# skips the screen for the exact pass): a key is the entries' dot product
-# with them mod 2^64, so equal residues give equal keys, and a chance
-# collision of unequal ones only costs an exact pass
-_HASH = np.array(
-    [
-        0xE9DD2A205F03A26F, 0x19BED63F41D5B71D, 0xBA63C3EFF1A5F753, 0xF6B87CAF10596D79,
-        0x0EF273157D48FE53, 0xCE5D0E8B3A921D61, 0x7134B950B6729FED, 0xA0DF11CA329CC939,
-        0x521F6339E26FABE9, 0xA1C2E8B74909424D, 0x38783C870FB94DB3, 0x9C84CA2D11EC33E5,
-        0xC322DDDAC44047BF, 0x91AB4CBD9EC50739, 0x2F89A1C161E78649, 0xBFEE67C48017A883,
-    ],
-    dtype=np.uint64,
-)
 
 
 @functools.cache
@@ -121,18 +100,28 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, letter
 
 
+@functools.cache
+def _key_vectors(n: int) -> np.ndarray:
+    # random and odd: small integer relations among the multipliers u_i v_j collide words
+    uv = np.random.default_rng(0x5C4EE9).integers(0, 2**64, (2, n), dtype=np.uint64) | 1
+    uv.flags.writeable = False  # shared by every call
+    return uv
+
+
 def _collisions_mod_2_64(gens: np.ndarray, depth: int) -> np.ndarray:
     """Per pair of a (P, 4, n, n) uint64 stack of letters: whether two reduced words
-    of length <= depth, the empty word included, have equal keys.  If not, their
-    integer matrices are distinct."""
-    p, _, n, _ = gens.shape
-    level = np.broadcast_to(np.eye(n, dtype=np.uint64), (p, 1, n, n))
-    levels = [level]
+    w of length <= depth, the empty word included, have equal keys u (w v) mod 2^64;
+    if not, their integer matrices are distinct, as reduction mod 2^64 is a ring
+    homomorphism.  A level prepends _level's letter, (c w) v = c (w v), building
+    _level's words reversed, one mat-vec each: reversal permutes each length's words."""
+    u, v = _key_vectors(gens.shape[-1])
+    vec = np.broadcast_to(v, (len(gens), 1, len(v)))
+    keys = [vec @ u]
     for k in range(1, depth + 1):
         parent, letter = _level(k)
-        level = level[:, parent] @ gens[:, letter]  # uint64 products wrap mod 2^64
-        levels.append(level)
-    keys = np.sort(np.concatenate(levels, axis=1).reshape(p, -1, n * n) @ _HASH[: n * n], axis=1)
+        vec = (gens[:, letter] @ vec[:, parent, :, None])[..., 0]  # uint64 wraps mod 2^64
+        keys.append(vec @ u)
+    keys = np.sort(np.concatenate(keys, axis=1), axis=1)
     return np.any(keys[:, 1:] == keys[:, :-1], axis=1)
 
 

@@ -67,7 +67,7 @@ class BallEnumeration:
 
     @property
     def entries(self) -> np.ndarray:
-        """The whole ball as one (N, n, n) int64 array."""
+        """The whole ball as one (N, n, n) array: the tests' digests and brute-force checks."""
         return self.take(np.arange(self.count))
 
 
@@ -156,7 +156,8 @@ def _sl2_runs(spec: BallSpec) -> np.ndarray:
         r += (r + 1) * (r + 1) <= disc
         quad.reshape(4, -1)[:, i : i + lanes][:, keep] = c0, d0, -((m + r) // s1), (r - m) // s1
     quad, signed = np.concatenate([quad[..., :0:-1], quad], axis=2), np.arange(1 - w, w)
-    blocks = []
+    kept = np.count_nonzero(quad[0] | quad[1], axis=1)[np.abs(signed)]  # runs per signed a
+    runs, at = np.empty((7, kept.sum()), dtype=np.int32), 0
     for i in range(0, len(signed), _A_BLOCK):
         rows = quad[:, np.abs(signed[i : i + _A_BLOCK])]  # at [:, a, b + w - 1]
         ia, ib = np.nonzero(rows[0] | rows[1])
@@ -168,12 +169,11 @@ def _sl2_runs(spec: BallSpec) -> np.ndarray:
         sa, sb = np.where(a < 0, -1, 1), np.where(b < 0, -1, 1)
         step, u = np.where(a == 0, b, sa), sa * sb
         first = u * np.where(step * u > 0, lo, hi)
-        blocks.append(np.stack([a, b, sb * c0, sa * d0, step, first, hi + 1 - lo], dtype=np.int32))
-    runs = np.concatenate(blocks, axis=1)
+        runs[:, at : at + ia.size] = a, b, sb * c0, sa * d0, step, first, hi + 1 - lo
+        at += ia.size
     # a run of k members starts at position end - k, with t = first
-    end = np.cumsum(runs[6])
-    runs[5] -= runs[4] * (end - runs[6])
-    runs[6] = end
+    runs[5] -= runs[4] * (np.cumsum(runs[6]) - runs[6])
+    np.cumsum(runs[6], out=runs[6])
     return runs
 
 

@@ -21,13 +21,10 @@ def matrix_to_obj(m: IntMatrix) -> list[list[str]]:
 
 def member_lines(members):
     """One line per matrix of an (N, n, n) integer stack: the bytes of
-    json.dumps(matrix_to_obj(m)) and a newline, formatted 2^16 rows at a time."""
+    json.dumps(matrix_to_obj(m)) and a newline."""
     n = members.shape[-1]
-    row = "[" + ", ".join(['"%d"'] * n) + "]"
-    line = "[" + ", ".join([row] * n) + "]\n"
-    flat = members.reshape(len(members), n * n)
-    for lo in range(0, len(flat), 2**16):
-        yield from (line % tuple(m) for m in flat[lo : lo + 2**16].tolist())
+    line = json.dumps([["%d"] * n] * n) + "\n"  # matrix_to_obj's strings as templates
+    return [line % tuple(m) for m in members.reshape(len(members), n * n).tolist()]
 
 
 def _entry(x) -> int:

@@ -48,16 +48,23 @@ PARABOLIC = IntMatrix.from_rows([[1, 1], [0, 1]])
 SANOV1 = IntMatrix.from_rows([[1, 2], [0, 1]])
 SANOV2 = IntMatrix.from_rows([[1, 0], [2, 1]])
 ORDER6 = IntMatrix.from_rows([[0, -1], [1, 1]])
+E5 = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(5)] for i in range(5)])
+
+
+def _block(g, n):
+    """g in the top-left corner of the n x n identity."""
+    return IntMatrix.from_rows(
+        [[g.entries[i][j] if max(i, j) < g.n else int(i == j) for j in range(n)] for i in range(n)]
+    )
 
 
 def test_oracle_identical_generators():
     word = falsify_freeness(H, H, 4)
     assert word == "aB"
     assert evaluate_word(word, H, H) == IntMatrix.identity(2)
-    # n = 5 has no hash multipliers and skips the screen for the exact pass
-    e5 = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(5)] for i in range(5)])
-    assert falsify_freeness(e5, e5, 4) == "aB"
-    assert falsify_freeness(e5, e5.transpose(), 4) is None
+    # n = 5 takes the same mat-vec screen as n = 2
+    assert falsify_freeness(E5, E5, 4) == "aB"
+    assert falsify_freeness(E5, E5.transpose(), 4) is None
 
 
 def test_oracle_finite_order_element():
@@ -178,6 +185,25 @@ def _relation_rich_pairs(draw):
 def test_oracle_prefilter_keeps_search_answer(pair, max_len):
     g1, g2 = pair
     assert falsify_freeness(g1, g2, max_len) == _first_repeat(g1, g2, max_len)
+
+
+def test_screen_keys_tell_n_5_words_apart():
+    # the 161 reduced words of length <= 4 in (e5, e5^T) are distinct matrices,
+    # and their keys u (w v) mod 2^64 are distinct too, so the pair is cleared
+    # by the screen alone; a key that ignored w would send it to the exact pass
+    quad = (E5, E5.transpose(), inverse(E5), inverse(E5.transpose()))
+    letters = np.array([[g.entries for g in quad]]).astype(np.uint64)  # residues mod 2^64
+    assert not _collisions_mod_2_64(letters, 4)[0]
+    assert _first_repeat(E5, E5.transpose(), 8) is None
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("g1, g2", [(ROT, H), (ORDER6, H)])
+def test_oracle_block_embeddings_match_reference(g1, g2, n):
+    # relation-rich pairs past n = 4 go through the same screen and exact pass
+    g1, g2 = _block(g1, n), _block(g2, n)
+    for max_len in range(1, 9):
+        assert falsify_freeness(g1, g2, max_len) == _first_repeat(g1, g2, max_len)
 
 
 @pytest.mark.parametrize("spec, max_len", [(BallSpec(2, 20), 8), (BallSpec(2, 5), 12),

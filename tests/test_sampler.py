@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -111,6 +112,19 @@ def test_sl2_runs_cover_every_primitive_row_with_a_bezout_completion():
     # of x and y flipped with those of a and b: a d0 - b c0 = g (x a + y b) = 1
     # iff x a + y b = g = +-1
     assert (a * d0 - b * c0 == 1).all()
+
+
+def test_sl2_runs_are_built_in_place():
+    # each block writes its slice of one preallocated array, so the peak holds
+    # the runs once, beside the quadrant table and the cumsum of the ends; a
+    # stack per block and their concatenation would hold them twice (3.2x)
+    tracemalloc.start()
+    try:
+        runs = _sl2_runs(BallSpec(2, 500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * runs.nbytes
 
 
 def test_sl3_unit_ball_is_so3z():
