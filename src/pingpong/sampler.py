@@ -10,8 +10,9 @@ scaled by powers of q.  Swapping f and f' gives the polynomial of
 A ball is its ``count`` members sorted by row-major entries; ``take``
 returns those at given positions.  For n = 2 a primitive first row (a, b)
 fixes the second up to a line (c0 + t a, d0 + t b), a d0 - b c0 = 1, and
-the ball cuts out a run of t.  One extended Euclid over the quadrant
-a, b >= 0 gives each line and run, which the signs of a and b only flip.
+the ball cuts out a run of t.  One descent of the Stern-Brocot tree gives
+each line and run of the quadrant a, b >= 0, which the signs of a and b
+only flip.
 The runs come in lexicographic order and each walks t the way (c, d)
 ascends, so member i is read off the run that holds it; none is stored.
 For n = 3 one loop runs over the first column c1 among the integer
@@ -34,7 +35,7 @@ from .errors import BudgetError, ConfigError
 from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
-_A_BLOCK = 16  # values of a per numpy block of n = 2 first rows (a, b)
+_A_BLOCK = 16  # signed values of a per numpy block of the n = 2 runs
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,6 @@ class BallEnumeration:
     spec: BallSpec
     count: int
     take: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The whole ball as one (N, n, n) array: the tests' digests and brute-force checks."""
-        return self.take(np.arange(self.count))
 
 
 def _lambda_max_le_2x2(gram_trace, gram_det, bound):
@@ -116,45 +112,44 @@ def sl2_frobenius_cap(bound) -> int:
     return (bound * bound + 1) // bound
 
 
-def _bezout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows (g, x, y) with x a + y b = g = +-gcd(a, b), lane by lane (extended
-    Euclid); |g x| <= |b| and |g y| <= |a| when a and b are both nonzero."""
-    # (r, x, y) at two consecutive steps; a finished lane swaps with quotient 0
-    one, zero = np.ones_like(a), np.zeros_like(a)
-    u, v = np.stack([a, one, zero]), np.stack([b, zero, one])
-    while (u[0] * v[0]).any():
-        q = np.floor_divide(u[0], v[0], out=np.zeros_like(a), where=v[0] != 0)
-        u, v = v, u - q * v
-    return np.where(v[0] != 0, v, u)  # a lane one swap past (g, 0) holds (0, g)
-
-
 def _sl2_runs(spec: BallSpec) -> np.ndarray:
     """The ball's runs as int32 columns (a, b, c0, d0, step, base, end), one per
     primitive first row (a, b) whose line meets the ball, in lexicographic order:
     the members at sorted positions end - k <= i < end are (a, b, c0 + t a,
     d0 + t b) with t = step i + base."""
     # ||g^-1||_F = ||g||_F, so the symmetrized test adds nothing
-    s_cap, w = sl2_frobenius_cap(spec.x**2), math.isqrt(math.floor(spec.x**2)) + 1
+    cap, s_cap = math.floor(spec.x**2), sl2_frobenius_cap(spec.x**2)
+    w = math.isqrt(cap) + 1
     # (c0, d0, lo, hi) at [:, a, b] for the rows of the quadrant a, b >= 0, or
-    # zeros where the row is not primitive or its line misses the ball, as for
-    # every row of squared norm > X^2.  At X <= MAX_X[2], |disc| < 1e12 keeps
-    # int64 and the corrected float square root exact, and int32 holds the rest
-    quad, lanes = np.zeros((4, w, w), dtype=np.int32), _A_BLOCK * w
-    for i in range(0, w * w, lanes):
-        a, b = np.divmod(np.arange(i, min(i + lanes, w * w)), w)
-        g, x, y = _bezout(a, b)
-        # for primitive rows g = +-1, so a d0 - b c0 = g (x a + y b) = 1
-        c0, d0 = -g * y, g * x
-        s1 = a * a + b * b
-        # s1 + (c0 + t a)^2 + (d0 + t b)^2 <= s_cap  iff  (s1 t + m)^2 <= disc
-        m = a * c0 + b * d0
-        disc = m * m - s1 * (s1 + c0 * c0 + d0 * d0 - s_cap)
-        keep = (np.abs(g) == 1) & (disc >= 0)
-        c0, d0, s1, m, disc = (v[keep] for v in (c0, d0, s1, m, disc))
-        r = np.sqrt(disc).astype(np.int64)
-        r -= r * r > disc
-        r += (r + 1) * (r + 1) <= disc
-        quad.reshape(4, -1)[:, i : i + lanes][:, keep] = c0, d0, -((m + r) // s1), (r - m) // s1
+    # zeros where the row is not primitive or its line misses the ball
+    quad = np.zeros((4, w, w), dtype=np.int32)
+    quad[:2, 0, 1], quad[:2, 1, 0] = (-1, 0), (0, 1)
+    # the Stern-Brocot tree has one node per matrix [p q] of SL_2(Z) with
+    # entries >= 0, p = (pa, pb) and q = (qa, qb) its columns, and children
+    # [p q] L = [p + q, q] and [p q] R = [p, p + q].  So each coprime row
+    # (a, b) = p + q with a, b >= 1 is one node, completed by (c0, d0) = q:
+    # a d0 - b c0 = det [p q] = 1 and 0 <= q <= (a, b).  A child's row
+    # dominates its parent's, so the descent stops at the disk
+    pa, pb, qa, qb = (np.array([v]) for v in (1, 0, 0, 1))
+    while pa.size:
+        a, b = pa + qa, pb + qb
+        keep = a * a + b * b <= cap
+        pa, pb, qa, qb, a, b = (v[keep] for v in (pa, pb, qa, qb, a, b))
+        quad[0, a, b], quad[1, a, b] = qa, qb
+        pa, pb, qa, qb = (np.concatenate(v) for v in ((a, pa), (b, pb), (qa, a), (qb, b)))
+    a, b = np.nonzero(quad[0] | quad[1])
+    c0, d0 = quad[:2, a, b]
+    s1 = a * a + b * b
+    # s1 + (c0 + t a)^2 + (d0 + t b)^2 <= s_cap  iff  (s1 t + m)^2 <= disc.
+    # At X <= MAX_X[2], |disc| < 1e12 keeps int64 and the corrected float
+    # square root exact, and int32 holds the rest
+    m = a * c0 + b * d0
+    disc = m * m - s1 * (s1 + c0 * c0 + d0 * d0 - s_cap)
+    r = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
+    r -= r * r > disc
+    r += (r + 1) * (r + 1) <= disc
+    quad[:, a, b] = np.where(disc >= 0, [c0, d0, -((m + r) // s1), (r - m) // s1], 0)
+    del s1, m, disc, r  # so the runs' peak below holds none of them
     quad, signed = np.concatenate([quad[..., :0:-1], quad], axis=2), np.arange(1 - w, w)
     kept = np.count_nonzero(quad[0] | quad[1], axis=1)[np.abs(signed)]  # runs per signed a
     runs, at = np.empty((7, kept.sum()), dtype=np.int32), 0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -74,7 +75,8 @@ def test_enumerate(capsys, tmp_path):
 def test_enumerate_members_out_is_one_json_matrix_per_line(capsys, tmp_path, argv, spec):
     members = tmp_path / "members.jsonl"
     assert run_cli(["enumerate", *argv, "--members-out", str(members)]) == 0
-    entries = enumerate_ball(spec).entries
+    e = enumerate_ball(spec)
+    entries = e.take(np.arange(e.count))
     assert (entries < 0).any()
     want = [json.dumps(matrix_to_obj(IntMatrix.from_rows(m))) + "\n" for m in entries.tolist()]
     assert members.read_text().splitlines(keepends=True) == want

@@ -186,7 +186,8 @@ def test_is_gapped_matches_singular_gap():
     # every member of the X = 60 ball; n = 3: the experiment's sigma rows
     # against the per-position singular_gap of each of 300 sampled matrices.
     # Both outcomes occur at every eta
-    entries = enumerate_ball(BallSpec(2, 60)).entries
+    e = enumerate_ball(BallSpec(2, 60))
+    entries = e.take(np.arange(e.count))
     members = [IntMatrix.from_rows(g) for g in entries.tolist()]
     for eta in (1.1, 2.0, 4.9, 5.0, 12.0):
         cap = sl2_frobenius_cap(Fraction(eta) ** 2)

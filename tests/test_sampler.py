@@ -17,7 +17,6 @@ from pingpong.matrices import IntMatrix, det, inverse
 from pingpong.sampler import (
     MAX_X,
     BallSpec,
-    _bezout,
     _frobenius_sq,
     _member,
     _sl2_runs,
@@ -31,7 +30,7 @@ from pingpong.spectral import svd_batch
 def members(e):
     # from_rows makes every entry a Python int: exact arithmetic must never
     # see a wrapping np.int64
-    return [IntMatrix.from_rows(rows) for rows in e.entries.tolist()]
+    return [IntMatrix.from_rows(rows) for rows in e.take(np.arange(e.count)).tolist()]
 
 
 def brute_force_sl2(x):
@@ -63,7 +62,11 @@ def test_sl2_unit_ball_symmetrized_same():
     assert enumerate_ball(BallSpec(2, 1, symmetrized=True)).count == 4
 
 
-@pytest.mark.parametrize("x", [1, 2, Fraction(7, 3), Fraction(5, 2), 3, 4, Fraction(9, 2), 5])
+# at 17/7, s_cap = floor(X^2 + X^-2) = 6 exceeds floor(X^2) = 5, so the rows
+# of squared norm floor(X^2) have members: [[1, 2], [0, 1]] is one
+@pytest.mark.parametrize(
+    "x", [1, 2, Fraction(7, 3), Fraction(5, 2), 3, 4, Fraction(9, 2), 5, Fraction(17, 7)]
+)
 def test_sl2_agrees_with_brute_force(x):
     e = enumerate_ball(BallSpec(2, x))
     assert [m.entries for m in members(e)] == brute_force_sl2(x)
@@ -83,13 +86,13 @@ PINNED_SL2 = [
 def test_sl2_pinned_balls(x, count, digest):
     e = enumerate_ball(BallSpec(2, x))
     assert e.count == count
-    flat = e.entries.ravel().tolist()
+    flat = e.take(np.arange(e.count)).ravel().tolist()
     assert hashlib.sha256(",".join(map(str, flat)).encode()).hexdigest() == digest
 
 
 def test_take_reads_the_sorted_ball():
     e = enumerate_ball(BallSpec(2, 500))
-    entries = e.entries
+    entries = e.take(np.arange(e.count))
     assert entries.shape == (e.count, 2, 2) and entries.dtype == np.int64
     idx = np.random.default_rng(0).integers(0, e.count, size=10**4)
     idx = np.concatenate([[0, e.count - 1], idx])
@@ -108,10 +111,13 @@ def test_sl2_runs_cover_every_primitive_row_with_a_bezout_completion():
     primitive = (ra * ra + rb * rb <= x * x) & (np.gcd(ra, rb) == 1)
     assert np.array_equal(a, ra[primitive]) and np.array_equal(b, rb[primitive])
     assert {(0, 1), (0, -1), (1, 0), (-1, 0)} <= set(zip(a.tolist(), b.tolist()))
-    # (c0, d0) = (-g y, g x) from the quadrant's Bezout (g, x, y) with the signs
-    # of x and y flipped with those of a and b: a d0 - b c0 = g (x a + y b) = 1
-    # iff x a + y b = g = +-1
+    # (c0, d0) is the Stern-Brocot node's second column q for the quadrant's
+    # row (a, b) = p + q, or (-1, 0) and (0, 1) for (0, 1) and (1, 0), with
+    # the signs flipped with those of a and b: a d0 - b c0 = det [p q] = 1.
+    # 0 <= q <= (a, b) keeps the columns, and every t and disc, in range
     assert (a * d0 - b * c0 == 1).all()
+    assert (np.abs(c0) <= np.maximum(np.abs(a), 1)).all()
+    assert (np.abs(d0) <= np.maximum(np.abs(b), 1)).all()
 
 
 def test_sl2_runs_are_built_in_place():
@@ -202,7 +208,8 @@ def test_sl3_predicates_take_int64_only_where_it_is_exact(monkeypatch, x, dtype)
 def test_membership_matches_float_norm():
     # exact boundary test must agree with the numeric norm away from ties
     for spec in (BallSpec(2, 7), BallSpec(3, 2)):
-        sigma = svd_batch(enumerate_ball(spec).entries.astype(float)).sigma
+        e = enumerate_ball(spec)
+        sigma = svd_batch(e.take(np.arange(e.count)).astype(float)).sigma
         assert (sigma[:, 0] <= float(spec.x) + 1e-9).all()
 
 
@@ -285,10 +292,10 @@ def test_sample_pairs_deterministic():
 def test_sample_pairs_edge_cases():
     e = enumerate_ball(BallSpec(2, 1))
     assert sample_pairs(e, 0, 1).shape == (0, 2, 2, 2)
-    single = type(e)(e.spec, 1, e.entries[:1].__getitem__)
+    single = type(e)(e.spec, 1, e.take(np.arange(e.count))[:1].__getitem__)
     pairs = sample_pairs(single, 5, 3)
     assert len(pairs) == 5
-    assert (pairs == e.entries[0]).all()
+    assert (pairs == e.take(np.arange(e.count))[0]).all()
 
 
 @pytest.mark.parametrize("spec", [BallSpec(2, 20), BallSpec(3, 2, symmetrized=True)])
@@ -344,11 +351,13 @@ def test_int64_intermediates_fit_at_the_budget():
     assert 5 * x**6 < 2**63
     assert 12 * (x * x) ** 2 * (x * x) ** 3 < 2**63
     # n = 2: for a first row (a, b), s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1.
-    # _bezout gives |c0| = |g y| <= |a| and |d0| = |g x| <= |b| (and
-    # (c0, d0) = (-b, 0) or (0, a) when a = 0 or b = 0), so c0^2 + d0^2 <= s1
-    # and |m| = |a c0 + b d0| <= s1 on every lane.  disc <= m^2 + s1 s_cap
-    # must stay exact as a float.  The quadrant's other lanes, with s1 <= 2 X^2,
-    # have |disc| <= s1^2 + s1 (2 s1 + s_cap) in int64.  The runs are int32:
+    # The Stern-Brocot completions are 0 <= c0 <= a and 0 <= d0 <= b in the
+    # quadrant (and (c0, d0) = (-1, 0) or (0, 1) at the rows (0, 1) and
+    # (1, 0)), so c0^2 + d0^2 <= s1 and |m| = |a c0 + b d0| <= s1 on every
+    # row.  disc <= m^2 + s1 s_cap must stay exact as a float.  The pruning
+    # test sees child rows of at most (2 a, 2 b), of squared norm <= 4 X^2,
+    # and |disc| <= s1^2 + s1 (2 s1 + s_cap) would stay in int64 at any row
+    # of the quadrant table, where s1 <= 2 X^2.  The runs are int32:
     # |t| <= X + 1, so end and |base| are at most the count plus X + 1, and the
     # count is below (2 X + 1)^3 + 2 (2 X + 1), as a, b, c fix d unless a = 0,
     # where b = -c = +-1
@@ -361,25 +370,11 @@ def test_int64_intermediates_fit_at_the_budget():
     # sigma_1 <= X in absolute value, so the cofactors (minors of order n - 1
     # <= 2) are at most 2 X^2, ||g||_F^2 <= n X^2, and the Schottky cross
     # products |p q' - p' q| <= 2 X^2 with |q| + |q'| <= 2 X
-    assert np.abs(enumerate_ball(BallSpec(2, 60)).entries).max() <= 60
-    assert np.abs(enumerate_ball(BallSpec(3, 3)).entries).max() <= 3
+    e2, e3 = enumerate_ball(BallSpec(2, 60)), enumerate_ball(BallSpec(3, 3))
+    assert np.abs(e2.take(np.arange(e2.count))).max() <= 60
+    assert np.abs(e3.take(np.arange(e3.count))).max() <= 3
     for n, x in MAX_X.items():
         assert max(2 * x * x, n * x * x) + 2 * x < 2**63
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-MAX_X[2], MAX_X[2])] * 2), min_size=1, max_size=50))
-def test_bezout_identity_and_coefficient_bound(pairs):
-    a, b = np.array(pairs + [(0, 0), (0, 7), (-7, 0), (0, -1), (1, 0)]).T
-    g, x, y = _bezout(a, b)
-    assert (x * a + y * b == g).all()
-    assert (np.abs(g) == [math.gcd(*p) for p in zip(a.tolist(), b.tolist())]).all()
-    # the bounds the n = 2 enumerator relies on, with (c0, d0) = (-g y, g x);
-    # they imply |x| <= |b| and |y| <= |a|
-    both = (a != 0) & (b != 0)
-    assert (np.abs(g * x)[both] <= np.abs(b[both])).all()
-    assert (np.abs(g * y)[both] <= np.abs(a[both])).all()
-    assert ((g * y) ** 2 + (g * x) ** 2 <= a * a + b * b).all()
 
 
 def test_in_ball_spot_checks():
