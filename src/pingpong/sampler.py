@@ -15,10 +15,12 @@ each line and run of the quadrant a, b >= 0, which the signs of a and b
 only flip.
 The runs come in lexicographic order and each walks t the way (c, d)
 ascends, so member i is read off the run that holds it; none is stored.
-For n = 3 one loop runs over the first column c1 among the integer
-columns of squared norm <= floor(X^2); numpy cuts every c2 by the Gram
-minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third columns, and
-tests every (c2, c3) at once.  The members are sorted into one array.
+For n = 3 one loop runs over the first columns c1 = (x, y, z) with
+0 <= x <= y <= z and squared norm <= floor(X^2); numpy cuts every c2 by
+the Gram minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third
+columns, and tests every (c2, c3) at once.  Each member g also gives
+P g diag(1, 1, det P) for every signed permutation P and distinct P c1.
+One sort of int64 keys packing the entries orders the whole ball.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import permutations, product
 
 import numpy as np
 
@@ -36,6 +39,10 @@ from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
 _A_BLOCK = 16  # signed values of a per numpy block of the n = 2 runs
+# the 48 signed permutation matrices P, row i = +-e_pi(i), and det P = P_0 . (P_1 x P_2)
+_B3 = np.eye(3, dtype=np.int64)[list(permutations(range(3)))][:, None]
+_B3 = (_B3 * np.array(list(product((1, -1), repeat=3)))[..., None]).reshape(48, 3, 3)
+_B3_DET = (_B3[:, 0] * np.cross(_B3[:, 1], _B3[:, 2])).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,7 @@ def _sl2_runs(spec: BallSpec) -> np.ndarray:
         first = u * np.where(step * u > 0, lo, hi)
         runs[:, at : at + ia.size] = a, b, sb * c0, sa * d0, step, first, hi + 1 - lo
         at += ia.size
+    del quad, rows  # the peak is at the cumsum's int64 temporaries below
     # a run of k members starts at position end - k, with t = first
     runs[5] -= runs[4] * (np.cumsum(runs[6]) - runs[6])
     np.cumsum(runs[6], out=runs[6])
@@ -191,8 +199,16 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     # (never at an integer X <= MAX_X[3]) the arrays hold Python ints
     if 12 * norm_sq_cap**2 * b.numerator**3 >= 2**63:
         norms = norms.astype(object)
-    chunks = []
-    for c1, n1 in zip(ball, norms):
+    # every entry lies in [-cap, cap], so the base-(2 cap + 1) number with the
+    # digits e + cap of the row-major entries orders members lexicographically
+    base = 2 * cap + 1
+    weights = base ** np.arange(8, -1, -1)
+    # P g Q keeps det = 1, sigma_1 and ||g^-1|| for P in _B3, Q = diag(1, 1, det P),
+    # so the members with first column P c1 are P M(c1) Q, M(c1) those with first
+    # column c1: the search runs for one c1 = (x, y, z), 0 <= x <= y <= z, per orbit
+    reps = (ball >= 0).all(axis=1) & (np.diff(ball, axis=1) >= 0).all(axis=1)
+    keys = []
+    for c1, n1 in zip(ball[reps], norms[reps]):
         d12 = ball @ c1
         wn = n1 * norms - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
         # the cheap cut first: ||c1 x c2|| is a row norm of g^-1.  Then
@@ -211,9 +227,12 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
         f_inv = wn[k] + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
         inside = _member(3, n1 + n2 + n3, f_inv, b, spec.symmetrized)
         g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside]
-        chunks.append(g.reshape(-1, 9))
-    flat = np.concatenate(chunks)
-    return flat[np.lexsort(flat.T[::-1])].reshape(-1, 3, 3)
+        _, first = np.unique(_B3 @ c1, axis=0, return_index=True)  # a P per column P c1
+        images = _B3[first, None] @ g
+        images[..., 2] *= _B3_DET[first, None, None]
+        keys.append((images.reshape(-1, 9) + cap) @ weights)
+    keys = np.sort(np.concatenate(keys))
+    return (keys[:, None] // weights % base - cap).reshape(-1, 3, 3)
 
 
 def check_budget(spec: BallSpec) -> None:
