@@ -231,8 +231,10 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
         images = _B3[first, None] @ g
         images[..., 2] *= _B3_DET[first, None, None]
         keys.append((images.reshape(-1, 9) + cap) @ weights)
-    keys = np.sort(np.concatenate(keys))
-    return (keys[:, None] // weights % base - cap).reshape(-1, 3, 3)
+    flat = np.sort(np.concatenate(keys))[:, None] // weights
+    flat %= base  # in place: new (N, 9) temporaries raised the X = 4 run's peak RSS
+    flat -= cap
+    return flat.reshape(-1, 3, 3)
 
 
 def check_budget(spec: BallSpec) -> None:
