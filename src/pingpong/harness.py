@@ -139,7 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         pairs = sample_pairs(enum, cfg.pairs_per_x, seed=[cfg.seed, xi])  # (P, 2, n, n) int64
         n_pairs = len(pairs)
         row = {"x": float(enum.spec.x), "count_ball": enum.count}
-        del enum  # else its n = 3 array or n = 2 runs live on through the radius's peak
+        del enum  # else its n = 3 array or n = 2 tables live on through the radius's peak
         quads, svds = svd_with_inverses(pairs.reshape(-1, cfg.n, cfg.n))
         quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)  # g1, g1^-1, g2, g2^-1
 

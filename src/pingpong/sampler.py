@@ -10,11 +10,9 @@ scaled by powers of q.  Swapping f and f' gives the polynomial of
 A ball is its ``count`` members sorted by row-major entries; ``take``
 returns those at given positions.  For n = 2 a primitive first row (a, b)
 fixes the second up to a line (c0 + t a, d0 + t b), a d0 - b c0 = 1, and
-the ball cuts out a run of t.  One descent of the Stern-Brocot tree gives
-each line and run of the quadrant a, b >= 0, which the signs of a and b
-only flip.
-The runs come in lexicographic order and each walks t the way (c, d)
-ascends, so member i is read off the run that holds it; none is stored.
+the ball cuts out an interval of t.  A chain-wise Stern-Brocot descent
+completes the rows of the octant a >= b >= 0, whose counts give every
+signed row's, and ``take`` builds only the members it is asked for.
 For n = 3 one loop runs over the first columns c1 = (x, y, z) with
 0 <= x <= y <= z and squared norm <= floor(X^2); numpy cuts every c2 by
 the Gram minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third
@@ -38,7 +36,6 @@ from .errors import BudgetError, ConfigError
 from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
-_A_BLOCK = 16  # signed values of a per numpy block of the n = 2 runs
 # the 48 signed permutation matrices P, row i = +-e_pi(i), and det P = P_0 . (P_1 x P_2)
 _B3 = np.eye(3, dtype=np.int64)[list(permutations(range(3)))][:, None]
 _B3 = (_B3 * np.array(list(product((1, -1), repeat=3)))[..., None]).reshape(48, 3, 3)
@@ -119,71 +116,75 @@ def sl2_frobenius_cap(bound) -> int:
     return (bound * bound + 1) // bound
 
 
-def _sl2_runs(spec: BallSpec) -> np.ndarray:
-    """The ball's runs as int32 columns (a, b, c0, d0, step, base, end), one per
-    primitive first row (a, b) whose line meets the ball, in lexicographic order:
-    the members at sorted positions end - k <= i < end are (a, b, c0 + t a,
-    d0 + t b) with t = step i + base."""
+def _sl2_interval(a, b, c0, d0, s_cap):
+    """(lo, hi), lo = hi + 1 if empty: the t with s1 + |(c0, d0) + t (a, b)|^2 <= s_cap,
+    s1 = a^2 + b^2 >= 1, given a d0 - b c0 = +-1 and s1 (s_cap - s1) < 2^53."""
+    # the test is (s1 t + m)^2 <= disc, m = a c0 + b d0, and Lagrange's identity
+    # s1 (c0^2 + d0^2) = m^2 + 1 makes disc a function of s1.  At disc < 0,
+    # r = 0 leaves no t: m^2 = -1 mod s1, and s1 = 1 has disc >= 0 at s_cap >= 2
+    s1, m = a * a + b * b, a * c0 + b * d0
+    disc = np.maximum(s1 * (s_cap - s1) - 1, 0)
+    r = np.sqrt(disc).astype(np.int64)  # exact, or rounded up by one
+    r -= r * r > disc
+    return -((m + r) // s1), (r - m) // s1
+
+
+def _sl2_octant(cap: int) -> np.ndarray:
+    """Int64 columns (a, b, c0, d0), one per primitive row a >= b >= 0 of squared
+    norm <= cap, with a d0 - b c0 = 1 and 0 <= (c0, d0) <= (a, b)."""
+    # Stern-Brocot: each coprime row (a, b) >= 1 is p + q for one [p q] of SL_2(Z)
+    # with entries >= 0, completed by q; [p q] has children [p + q, q] (L) and
+    # [p, p + q] (R), whose rows dominate its row, and the rows a > b are the R
+    # subtree of [1 0; 0 1].  A frontier node with step column s (p for R, q for
+    # L) and other column v emits its chain [s, v + j s], 1 <= j <= j_max, rows on
+    # a line with det [s v] = +-1 and |s|^2 cap < 2^53; each goes on with step v + j s
+    root = int(cap >= 2)  # the row (1, 1)
+    octant = [np.array([[1, 1], [0, 1], [0, 0], [1, 1]])[:, : 1 + root]]
+    sa, sb, va, vb = (np.full(root, v) for v in (1, 0, 0, 1))
+    right = True
+    while sa.size:
+        j_max = _sl2_interval(sa, sb, va, vb, cap + sa * sa + sb * sb)[1] - 1
+        node = np.repeat(np.arange(sa.size), j_max)
+        j = np.arange(node.size) - np.repeat(np.cumsum(j_max) - j_max, j_max) + 1
+        sa, sb, va, vb = va[node] + j * sa[node], vb[node] + j * sb[node], sa[node], sb[node]
+        octant.append(np.stack([sa + va, sb + vb, *((sa, sb) if right else (va, vb))]))
+        right = not right
+    return np.concatenate(octant, axis=1)
+
+
+def _sl2_ball(spec: BallSpec) -> BallEnumeration:
     # ||g^-1||_F = ||g||_F, so the symmetrized test adds nothing
     cap, s_cap = math.floor(spec.x**2), sl2_frobenius_cap(spec.x**2)
+    a, b, c0, d0 = _sl2_octant(cap)
+    lo, hi = _sl2_interval(a, b, c0, d0, s_cap)
     w = math.isqrt(cap) + 1
-    # (c0, d0, lo, hi) at [:, a, b] for the rows of the quadrant a, b >= 0, or
-    # zeros where the row is not primitive or its line misses the ball
-    quad = np.zeros((4, w, w), dtype=np.int32)
-    quad[:2, 0, 1], quad[:2, 1, 0] = (-1, 0), (0, 1)
-    # the Stern-Brocot tree has one node per matrix [p q] of SL_2(Z) with
-    # entries >= 0, p = (pa, pb) and q = (qa, qb) its columns, and children
-    # [p q] L = [p + q, q] and [p q] R = [p, p + q].  So each coprime row
-    # (a, b) = p + q with a, b >= 1 is one node, completed by (c0, d0) = q:
-    # a d0 - b c0 = det [p q] = 1 and 0 <= q <= (a, b).  A child's row
-    # dominates its parent's, so the descent stops at the disk
-    pa, pb, qa, qb = (np.array([v]) for v in (1, 0, 0, 1))
-    while pa.size:
-        a, b = pa + qa, pb + qb
-        keep = a * a + b * b <= cap
-        pa, pb, qa, qb, a, b = (v[keep] for v in (pa, pb, qa, qb, a, b))
-        quad[0, a, b], quad[1, a, b] = qa, qb
-        pa, pb, qa, qb = (np.concatenate(v) for v in ((a, pa), (b, pb), (qa, a), (qb, b)))
-    a, b = np.nonzero(quad[0] | quad[1])
-    c0, d0 = quad[:2, a, b]
-    s1 = a * a + b * b
-    # s1 + (c0 + t a)^2 + (d0 + t b)^2 <= s_cap  iff  (s1 t + m)^2 <= disc.
-    # At X <= MAX_X[2], |disc| < 1e12 keeps int64 and the corrected float
-    # square root exact, and int32 holds the rest
-    m = a * c0 + b * d0
-    disc = m * m - s1 * (s1 + c0 * c0 + d0 * d0 - s_cap)
-    r = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
-    r -= r * r > disc
-    r += (r + 1) * (r + 1) <= disc
-    quad[:, a, b] = np.where(disc >= 0, [c0, d0, -((m + r) // s1), (r - m) // s1], 0)
-    del s1, m, disc, r  # so the runs' peak below holds none of them
-    quad, signed = np.concatenate([quad[..., :0:-1], quad], axis=2), np.arange(1 - w, w)
-    kept = np.count_nonzero(quad[0] | quad[1], axis=1)[np.abs(signed)]  # runs per signed a
-    runs, at = np.empty((7, kept.sum()), dtype=np.int32), 0
-    for i in range(0, len(signed), _A_BLOCK):
-        rows = quad[:, np.abs(signed[i : i + _A_BLOCK])]  # at [:, a, b + w - 1]
-        ia, ib = np.nonzero(rows[0] | rows[1])
-        a, b, (c0, d0, lo, hi) = signed[i + ia], signed[ib], rows[:, ia, ib]
-        # with sa, sb the signs of a and b (+1 at 0), (sb c0, sa d0) completes
-        # (a, b), and m turns into sa sb m, so t runs over sa sb [lo, hi].
-        # c = c0 + t a ascends with t iff a > 0; a = 0 forces b = +-1, c = -b,
-        # and d = d0 + t b ascends iff b > 0.  t runs that way: rows come sorted
-        sa, sb = np.where(a < 0, -1, 1), np.where(b < 0, -1, 1)
-        step, u = np.where(a == 0, b, sa), sa * sb
-        first = u * np.where(step * u > 0, lo, hi)
-        runs[:, at : at + ia.size] = a, b, sb * c0, sa * d0, step, first, hi + 1 - lo
-        at += ia.size
-    del quad, rows  # the peak is at the cumsum's int64 temporaries below
-    # a run of k members starts at position end - k, with t = first
-    runs[5] -= runs[4] * (np.cumsum(runs[6]) - runs[6])
-    np.cumsum(runs[6], out=runs[6])
-    return runs
+    # g -> diag(1, -1) g [[0, 1], [1, 0]] keeps det g = 1 and sigma_1 and maps the
+    # row (a, b) and completion (c0, d0) to (b, a) and (-d0, -c0); the signed rows'
+    # counts (see _sl2_take), summed in row-major order, are in lexicographic order
+    comp = np.zeros((2, w, w), dtype=np.int32)
+    comp[0, b, a], comp[1, b, a], comp[0, a, b], comp[1, a, b] = -d0, -c0, c0, d0
+    ends = np.zeros((2 * w - 1, 2 * w - 1), dtype=np.int64)
+    ends[a + w - 1, b + w - 1] = ends[b + w - 1, a + w - 1] = hi + 1 - lo
+    ends[w - 1 :, : w - 1] = ends[w - 1 :, : w - 1 : -1]
+    ends[: w - 1] = ends[: w - 1 : -1]
+    ends = np.cumsum(ends, out=ends.ravel())
+    return BallEnumeration(spec, int(ends[-1]), partial(_sl2_take, comp, ends, s_cap))
 
 
-def _take_sl2(runs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    a, b, c0, d0, step, base = runs[:6, np.searchsorted(runs[6], idx, side="right")]
-    t = step * idx + base
-    return np.stack([a, b, a * t + c0, b * t + d0], axis=-1).reshape(*np.shape(idx), 2, 2)
+def _sl2_take(comp: np.ndarray, ends: np.ndarray, s_cap: int, idx: np.ndarray) -> np.ndarray:
+    w = comp.shape[1]
+    cell = np.searchsorted(ends, idx, side="right")
+    a, b = (v - (w - 1) for v in np.divmod(cell, 2 * w - 1))
+    ua, ub = np.abs(a), np.abs(b)
+    c0, d0 = comp[:, ua, ub]
+    lo, hi = _sl2_interval(ua, ub, c0, d0, s_cap)
+    # g -> diag(1, sa sb) g diag(sa, sb), sa and sb the signs of a and b (+1 at 0),
+    # keeps det and sigma_1: (a, b)'s members are (a, b, sb (c0 + t |a|), sa (d0 + t |b|)),
+    # lo <= t <= hi, and c ascends with t unless a != 0 > b (at a = 0, c = -b, d ascends)
+    back = ends[cell] - 1 - idx  # members after it in its row
+    t = np.where((a != 0) & (b < 0), lo + back, hi - back)
+    c, d = np.where(b < 0, -c0 - t * ua, c0 + t * ua), np.where(a < 0, -d0 - t * ub, d0 + t * ub)
+    return np.stack([a, b, c, d], axis=-1).reshape(*np.shape(idx), 2, 2)
 
 
 def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
@@ -250,8 +251,7 @@ def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     """Complete, deterministic enumeration of the requested norm ball."""
     check_budget(spec)
     if spec.n == 2:
-        runs = _sl2_runs(spec)
-        return BallEnumeration(spec, int(runs[6, -1]), partial(_take_sl2, runs))
+        return _sl2_ball(spec)
     entries = _enumerate_sl3(spec)
     return BallEnumeration(spec, len(entries), entries.__getitem__)
 

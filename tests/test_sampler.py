@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pingpong import sampler
@@ -19,7 +19,8 @@ from pingpong.sampler import (
     BallSpec,
     _frobenius_sq,
     _member,
-    _sl2_runs,
+    _sl2_interval,
+    _sl2_octant,
     enumerate_ball,
     in_ball,
     sample_pairs,
@@ -100,39 +101,122 @@ def test_take_reads_the_sorted_ball():
     assert np.array_equal(e.take(idx.reshape(-1, 2)), entries[idx].reshape(-1, 2, 2, 2))
 
 
-def test_sl2_runs_cover_every_primitive_row_with_a_bezout_completion():
+def sl2_tables(x):
+    # the n = 2 ball's completion table and the ends of its signed rows
+    return enumerate_ball(BallSpec(2, x)).take.args[:2]
+
+
+def signed_counts(ends):
+    # the members per first row (a, b), at [a + w - 1, b + w - 1]
+    side = math.isqrt(len(ends))
+    return np.diff(ends, prepend=0).reshape(side, side)
+
+
+def test_sl2_tables_cover_every_primitive_row_with_a_bezout_completion():
     x = 500
-    a, b, c0, d0 = _sl2_runs(BallSpec(2, x))[:4]
-    # every primitive row of squared norm <= X^2, in all four sign quadrants and
-    # in lexicographic order; at X = 500 none sits on the circle, where the
-    # line of second rows would miss the ball
+    e = enumerate_ball(BallSpec(2, x))
+    comp, ends = e.take.args[:2]
+    counts = signed_counts(ends)
+    # each cell counts the sorted members with its first row, in all four
+    # sign quadrants
+    first = e.take(np.arange(e.count))[:, 0] + x
+    cells = first[:, 0] * (2 * x + 1) + first[:, 1]
+    assert np.array_equal(np.bincount(cells, minlength=counts.size), counts.ravel())
+    # only primitive rows of squared norm s1 <= X^2 have members.  The second
+    # rows of (a, b) lie on a line at distance s1^-1/2 from 0 with lattice
+    # points s1^1/2 apart, so one has squared norm <= 1/s1 + s1/4, and the rows
+    # with s1 + 1/s1 + s1/4 <= s_cap all have members: the primitive rows
+    # closer to the circle may have none (34,480 at X = 500)
     r = np.arange(-x, x + 1)
-    ra, rb = (v.ravel() for v in np.meshgrid(r, r, indexing="ij"))
-    primitive = (ra * ra + rb * rb <= x * x) & (np.gcd(ra, rb) == 1)
-    assert np.array_equal(a, ra[primitive]) and np.array_equal(b, rb[primitive])
-    assert {(0, 1), (0, -1), (1, 0), (-1, 0)} <= set(zip(a.tolist(), b.tolist()))
-    # (c0, d0) is the Stern-Brocot node's second column q for the quadrant's
-    # row (a, b) = p + q, or (-1, 0) and (0, 1) for (0, 1) and (1, 0), with
-    # the signs flipped with those of a and b: a d0 - b c0 = det [p q] = 1.
-    # 0 <= q <= (a, b) keeps the columns, and every t and disc, in range
-    assert (a * d0 - b * c0 == 1).all()
-    assert (np.abs(c0) <= np.maximum(np.abs(a), 1)).all()
-    assert (np.abs(d0) <= np.maximum(np.abs(b), 1)).all()
+    ra, rb = np.meshgrid(r, r, indexing="ij")
+    s1, s_cap = ra * ra + rb * rb, x * x + 1
+    primitive = (s1 <= x * x) & (np.gcd(ra, rb) == 1)
+    assert not (counts[~primitive]).any()
+    assert (counts[primitive & (5 * s1 * s1 + 4 <= 4 * s_cap * s1)] > 0).all()
+    assert np.count_nonzero(primitive & (counts == 0)) == 34480
+    # the octant a >= b >= 0 has each such row once, completed by the
+    # Stern-Brocot node's second column q for (a, b) = p + q, or by (0, 1) at
+    # (1, 0): a d0 - b c0 = det [p q] = 1, and 0 <= q <= (a, b) keeps every t
+    # and disc in range.  The table holds them at [:, a, b], their swaps
+    # (-d0, -c0) at [:, b, a] off the diagonal, and nothing else
+    a, b, c0, d0 = _sl2_octant(x * x)
+    octant = np.zeros((x + 1, x + 1), dtype=bool)
+    octant[a, b] = True
+    assert np.count_nonzero(octant) == a.size
+    assert np.array_equal(octant, (primitive & (ra >= rb))[x:, x:])
+    assert np.array_equal(comp[:, a, b], [c0, d0])
+    off = a != b
+    assert np.array_equal(comp[:, b[off], a[off]], [-d0[off], -c0[off]])
+    assert np.count_nonzero(comp[0] | comp[1]) == 2 * a.size - 1
+    # take completes a signed row (a, b) by (sb c0, sa d0), with (c0, d0) the
+    # completion of (|a|, |b|) and sa, sb the signs of a and b (+1 at 0)
+    ga, gb = ra[primitive], rb[primitive]
+    gc, gd = comp[:, np.abs(ga), np.abs(gb)]
+    gc, gd = np.where(gb < 0, -gc, gc), np.where(ga < 0, -gd, gd)
+    assert (ga * gd - gb * gc == 1).all()
+    assert (np.abs(gc) <= np.maximum(np.abs(ga), 1)).all()
+    assert (np.abs(gd) <= np.maximum(np.abs(gb), 1)).all()
 
 
-def test_sl2_runs_are_built_in_place():
-    # each block writes its slice of one preallocated array, and the quadrant
-    # table is freed before the cumsum of the ends, so the peak holds the runs
-    # once beside that cumsum's two int64 temporaries (1.85x); the table left
-    # alive reads 2.19x, and a stack per block and their concatenation would
-    # hold the runs twice (3.2x)
+def test_sl2_tables_are_built_in_place():
+    # the signed counts are mirrored inside the ends array and summed in place,
+    # so the peak holds the tables beside the octant's columns and temporaries
+    # of their size: 1.49x the tables at X = 500.  A cumsum into a new array
+    # reads 2.09x, and mirroring the quadrant by two concatenations 1.69x
     tracemalloc.start()
     try:
-        runs = _sl2_runs(BallSpec(2, 500))
+        comp, ends = enumerate_ball(BallSpec(2, 500)).take.args[:2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * runs.nbytes
+    assert peak < 1.6 * (comp.nbytes + ends.nbytes)
+
+
+def extended_gcd(a, b):
+    """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, u, v = extended_gcd(b, a % b)
+    return g, v, u - (a // b) * v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-500, 500), st.integers(-500, 500), st.integers(-600, 600))
+def test_lagrange_identity_and_the_interval_of_t(a, b, shift):
+    # every completion (c0, d0) of a primitive row (a, b), a d0 - b c0 = 1,
+    # has s1 (c0^2 + d0^2) = m^2 + 1 with s1 = a^2 + b^2 and m = a c0 + b d0
+    g, u, v = extended_gcd(a, b)
+    assume(g == 1)
+    c0, d0 = -v + shift * a, u + shift * b
+    assert a * d0 - b * c0 == 1
+    s1, m = a * a + b * b, a * c0 + b * d0
+    assert s1 * (c0 * c0 + d0 * d0) == m * m + 1
+    # (sb c0, sa d0) completes (|a|, |b|), and the interval of t holds exactly
+    # the members of the X = 500 ball on that row, whichever completion it has
+    sa, sb = (-1 if a < 0 else 1), (-1 if b < 0 else 1)
+    row = (abs(a), abs(b), sb * c0, sa * d0)
+    lo, hi = (int(v[0]) for v in _sl2_interval(*(np.array([v]) for v in row), 500**2 + 1))
+    assert lo <= hi + 1
+
+    def inside(t):
+        return s1 + (row[2] + t * row[0]) ** 2 + (row[3] + t * row[1]) ** 2 <= 500**2 + 1
+
+    assert not inside(lo - 1) and not inside(hi + 1)
+    assert lo > hi or (inside(lo) and inside(hi))
+
+
+@pytest.mark.parametrize("x", [Fraction(17, 7), Fraction(9, 2)])
+def test_sl2_count_grid_is_symmetric_and_counts_each_row(x):
+    counts = signed_counts(sl2_tables(x)[1])
+    # (a, b) -> (b, a) and the sign flips keep each row's count
+    assert np.array_equal(counts, counts.T)
+    assert np.array_equal(counts, counts[::-1])
+    assert np.array_equal(counts, counts[:, ::-1])
+    w = (len(counts) + 1) // 2
+    brute = np.zeros_like(counts)
+    for (a, b), _ in brute_force_sl2(x):
+        brute[a + w - 1, b + w - 1] += 1
+    assert np.array_equal(counts, brute)
 
 
 def test_sl3_unit_ball_is_so3z():
@@ -365,22 +449,21 @@ def test_int64_intermediates_fit_at_the_budget():
     assert 12 * (x * x) ** 2 * (x * x) ** 3 < 2**63
     # the sort key packs the nine entries e + X in [0, 2 X] as base-(2 X + 1) digits
     assert (2 * x + 1) ** 9 < 2**63
-    # n = 2: for a first row (a, b), s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1.
-    # The Stern-Brocot completions are 0 <= c0 <= a and 0 <= d0 <= b in the
-    # quadrant (and (c0, d0) = (-1, 0) or (0, 1) at the rows (0, 1) and
-    # (1, 0)), so c0^2 + d0^2 <= s1 and |m| = |a c0 + b d0| <= s1 on every
-    # row.  disc <= m^2 + s1 s_cap must stay exact as a float.  The pruning
-    # test sees child rows of at most (2 a, 2 b), of squared norm <= 4 X^2,
-    # and |disc| <= s1^2 + s1 (2 s1 + s_cap) would stay in int64 at any row
-    # of the quadrant table, where s1 <= 2 X^2.  The runs are int32:
-    # |t| <= X + 1, so end and |base| are at most the count plus X + 1, and the
-    # count is below (2 X + 1)^3 + 2 (2 X + 1), as a, b, c fix d unless a = 0,
-    # where b = -c = +-1
+    # n = 2: each chain of the octant is the interval of t on the line v + t s,
+    # s and v the columns of a node inside the disk of squared radius
+    # cap = floor(X^2), so its s1 = |s|^2 <= cap and s_cap = cap + s1 give the
+    # chain discriminant s1 cap - 1 < cap^2, which must stay exact as a float
+    # (the corrected square root) and in int64, as |m| = |s . v| <= cap does
     x = MAX_X[2]
-    assert x**4 + x * x * (x * x + 1) < 2**53
-    s1 = 2 * x * x
-    assert s1 * s1 + s1 * (2 * s1 + x * x + 1) < 2**63
-    assert (2 * x + 1) ** 3 + 2 * (2 * x + 1) + x + 1 < 2**31
+    assert (x * x) ** 2 < 2**53
+    # a row's interval: s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1, so
+    # disc = s1 (s_cap - s1) - 1 < 2^53.  The completions are at most (|a|, |b|)
+    # in absolute value, which the int32 table holds, so |m| <= s1
+    assert x * x * (x * x + 1) < 2**53
+    assert x < 2**31
+    # the ends are int64: the count is below (2 X + 1)^3 + 2 (2 X + 1), as a,
+    # b, c fix d unless a = 0, where b = -c = +-1
+    assert np.iinfo(sl2_tables(1)[1].dtype).max > (2 * x + 1) ** 3 + 2 * (2 * x + 1)
     # the experiment's int64 stacks of sampled members: every entry is at most
     # sigma_1 <= X in absolute value, so the cofactors (minors of order n - 1
     # <= 2) are at most 2 X^2, ||g||_F^2 <= n X^2, and the Schottky cross
