@@ -135,9 +135,9 @@ def _sl2_octant(cap: int) -> np.ndarray:
     # Stern-Brocot: each coprime row (a, b) >= 1 is p + q for one [p q] of SL_2(Z)
     # with entries >= 0, completed by q; [p q] has children [p + q, q] (L) and
     # [p, p + q] (R), whose rows dominate its row, and the rows a > b are the R
-    # subtree of [1 0; 0 1].  A frontier node with step column s (p for R, q for
-    # L) and other column v emits its chain [s, v + j s], 1 <= j <= j_max, rows on
-    # a line with det [s v] = +-1 and |s|^2 cap < 2^53; each goes on with step v + j s
+    # subtree of [1 0; 0 1].  A node with step column s (p for R, q for L) and other
+    # column v emits its chain [s, v + j s], 1 <= j <= j_max, of rows v + (j + 1) s
+    # (det [s v] = +-1), completed by v + j s (R) or s (L); each goes on with step v + j s
     root = int(cap >= 2)  # the row (1, 1)
     octant = [np.array([[1, 1], [0, 1], [0, 0], [1, 1]])[:, : 1 + root]]
     sa, sb, va, vb = (np.full(root, v) for v in (1, 0, 0, 1))

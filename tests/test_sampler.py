@@ -195,7 +195,7 @@ def test_lagrange_identity_and_the_interval_of_t(a, b, shift):
     # the members of the X = 500 ball on that row, whichever completion it has
     sa, sb = (-1 if a < 0 else 1), (-1 if b < 0 else 1)
     row = (abs(a), abs(b), sb * c0, sa * d0)
-    lo, hi = (int(v[0]) for v in _sl2_interval(*(np.array([v]) for v in row), 500**2 + 1))
+    lo, hi = (int(e[0]) for e in _sl2_interval(*(np.array([e]) for e in row), 500**2 + 1))
     assert lo <= hi + 1
 
     def inside(t):
