@@ -83,13 +83,11 @@ def _witnesses(gap, v, h, rows, k: int, eps: float) -> tuple[ContractionWitness,
     return tuple(ContractionWitness(eps, k, v[:, j], h[:, j], float(gap[j])) for j in rows)
 
 
-def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
-    """Integer rows g, g^-1 for each g of gens and one Jacobi pass over them: a pair
-    gives g1, g1^-1, g2, g2^-1.  gens is an (M, n, n) int64 stack of ball members
-    (n <= 3, det 1), inverted at once by ``adjugate``, or a list of IntMatrix, each
-    inverted by ``inverse`` (which checks det = 1) into Python ints."""
-    # each g^-1 is the exact inverse with its own SVD: reading its small
-    # singular values off g's decomposition loses relative accuracy
+def with_inverses(gens) -> np.ndarray:
+    """Integer rows g, g^-1 for each g of gens: a pair gives g1, g1^-1, g2, g2^-1.
+    gens is an (M, n, n) int64 stack of ball members (n <= 3, det 1), inverted at
+    once by ``adjugate``, or a list of IntMatrix, each inverted by ``inverse``
+    (which checks det = 1) into Python ints."""
     if isinstance(gens, np.ndarray):
         inv = np.moveaxis(np.array(adjugate(np.moveaxis(gens, 0, -1))), -1, 0)
         rows = np.stack([gens, inv], axis=1)
@@ -97,7 +95,14 @@ def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
         if any(g.n != gens[0].n for g in gens):
             raise ConfigError("dimension mismatch")
         rows = np.array([(g.entries, inverse(g).entries) for g in gens], dtype=object)
-    rows = rows.reshape(-1, *rows.shape[2:])
+    return rows.reshape(-1, *rows.shape[2:])
+
+
+def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
+    """The rows of ``with_inverses(gens)`` and one Jacobi pass over them."""
+    # each g^-1 is the exact inverse with its own SVD: reading its small
+    # singular values off g's decomposition loses relative accuracy
+    rows = with_inverses(gens)
     try:
         stack = rows.astype(float)
     except OverflowError as exc:

@@ -7,7 +7,8 @@ there aborts the run -- it would disprove the implementation, so it is an
 invariant violation, not a data point) and on an equal-sized control
 group of uncertified pairs, and attaches Lyapunov estimates for a few
 sampled pairs.  Everything derives from the config seed, so a re-run is
-byte-identical.
+byte-identical.  Every gap decision is exact in integers; for n = 3 a theorem
+fails every pair at contraction, so only the Lyapunov products take an SVD.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import statistics
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__, serialize
 from .certify import (
@@ -30,11 +33,13 @@ from .certify import (
     hausdorff_bounds,
     isometric_circles,
     svd_with_inverses,
+    with_inverses,
 )
 from .dynamics import MAX_ORACLE_LEN, find_relations, lyapunov_estimates
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix
-from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs, sl2_frobenius_cap
+from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs
+from .sampler import sl2_frobenius_cap, sl3_gapped
 
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .certify import hausdorff_upper_bound, ping_pong_pair, schottky_sl2  # noqa: F401
@@ -121,13 +126,15 @@ class ExperimentReport:
     provenance: dict
 
 
-def _is_gapped(gens, sigma, eta: float, cap: int):
-    """sigma_i / sigma_{i+1} >= eta^2 at every i, per g of an (..., n, n) stack, n in {2, 3}."""
+def _is_gapped(gens, inv, eta: float, cap: int):
+    """sigma_i / sigma_{i+1} >= eta^2 at every i, per g of an (..., n, n) int64 stack with
+    inverses inv, n in {2, 3}: exact, from the Frobenius norms."""
     if gens.shape[-1] == 2:
         # sigma_1/sigma_2 = sigma_1^2 > eta^2 iff ||g||_F^2 > cap = sl2_frobenius_cap(eta^2);
         # equality is moot: (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2 is no integer for eta = p/q > 1
         return (gens * gens).sum(axis=(-2, -1)) > cap
-    return (sigma[..., :-1] / sigma[..., 1:] >= eta * eta).all(axis=-1)
+    f, f_inv = ((m * m).sum(axis=(-2, -1)) for m in (gens, inv))
+    return sl3_gapped(f, f_inv, Fraction(eta) ** 4)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -140,13 +147,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_pairs = len(pairs)
         row = {"x": float(enum.spec.x), "count_ball": enum.count}
         del enum  # else its n = 3 array or n = 2 tables live on through the radius's peak
-        quads, svds = svd_with_inverses(pairs.reshape(-1, cfg.n, cfg.n))
+        if cfg.n == 2:
+            quads, svds = svd_with_inverses(pairs.reshape(-1, 2, 2))
+            code = decide_pairs(svds, k, cfg.r, cfg.eps)[0]
+        else:
+            quads = with_inverses(pairs.reshape(-1, 3, 3))
+            # sigma_2^2 >= sigma_2 sigma_3 = 1/sigma_1 in SL_3(Z), so sigma_2/sigma_1 >=
+            # sigma_1^(-3/2) >= X^(-3/2), and X <= MAX_X[3] = 6 with eps < 1/4 gives
+            # X^3 eps^4 < 1: sigma_2/sigma_1 > eps^2 > eps^2 - DELTA_NUM for every member.
+            # So decide_pairs would fail every pair at g1's contraction, code 0
+            code = np.zeros(n_pairs, dtype=int)
         quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)  # g1, g1^-1, g2, g2^-1
 
         trace_large = int((abs(pairs.trace(axis1=2, axis2=3)) > 2).all(axis=1).sum())
-        sigma = svds.sigma.reshape(n_pairs, 4, cfg.n)[:, ::2]
-        gapped = int(_is_gapped(pairs, sigma, cfg.eta, cap).all(axis=1).sum())
-        code = decide_pairs(svds, k, cfg.r, cfg.eps)[0]
+        gapped = int(_is_gapped(pairs, quads[:, 1::2], cfg.eta, cap).all(axis=1).sum())
         # both generators are checked before the cross separations, so they
         # are very proximal iff the verdict gets that far
         very_prox = int((code >= VERY_PROXIMAL).sum())

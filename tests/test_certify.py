@@ -458,6 +458,13 @@ def test_sl3_budget_ball_never_contracts():
     assert (code == 0).all()
 
 
+def test_sl3_contraction_theorem_covers_the_budget():
+    # the n = 3 experiment gives every pair code 0 with no decomposition, by the
+    # bound above: sigma_2/sigma_1 >= X^(-3/2) > eps^2 iff X^3 eps^4 < 1, so it
+    # must hold at X = MAX_X[3] and eps = 1/4.  At MAX_X[3] = 7 it would not
+    assert Fraction(MAX_X[3]) ** 3 * Fraction(1, 4) ** 4 < 1
+
+
 def test_contraction_converse_gap_bound():
     # any fixture passing an empirical eps-contraction grid satisfies
     # a2/a1 <= 4 eps^2 + 1e-8

@@ -183,9 +183,9 @@ def test_golden_csv_small_config():
 
 def test_is_gapped_matches_singular_gap():
     # n = 2: the integer cap against the exact ball predicate sigma_1 > eta on
-    # every member of the X = 60 ball; n = 3: the experiment's sigma rows
-    # against the per-position singular_gap of each of 300 sampled matrices.
-    # Both outcomes occur at every eta
+    # every member of the X = 60 ball; n = 3: the exact test on the experiment's
+    # integer rows against the per-position singular_gap of each of 300 sampled
+    # matrices.  Both outcomes occur at every eta
     e = enumerate_ball(BallSpec(2, 60))
     entries = e.take(np.arange(e.count))
     members = [IntMatrix.from_rows(g) for g in entries.tolist()]
@@ -196,13 +196,13 @@ def test_is_gapped_matches_singular_gap():
         assert set(expected) == {False, True}, eta
     pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 150, seed=[7, 0])
     gens = pairs.reshape(-1, 3, 3)
-    sigma = certify.svd_with_inverses(gens)[1].sigma[::2]  # the rows of g, not g^-1
+    inv = certify.with_inverses(gens)[1::2]  # the rows of g^-1, not g
     for eta in (1.2, 1.5):
         expected = [
             all(singular_gap(IntMatrix.from_rows(g), i) >= eta * eta for i in (1, 2))
             for g in gens
         ]
-        assert _is_gapped(gens, sigma, eta, None).tolist() == expected, eta
+        assert _is_gapped(gens, inv, eta, None).tolist() == expected, eta
         assert set(expected) == {False, True}, eta
 
 
@@ -223,6 +223,26 @@ def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("eta, frac_gapped", [(5.0, "0"), (1.5, "0.375")])
+def test_n3_experiment_runs_no_jacobi_for_its_decisions(monkeypatch, eta, frac_gapped):
+    # the n = 3 acceptance config, whose rows the Jacobi decisions gave before: the
+    # contraction theorem fixes every code and the gap test is exact, so only
+    # Lyapunov's products see an SVD
+    def refuse(*args):
+        raise AssertionError("the n = 3 experiment ran a Jacobi decision")
+
+    monkeypatch.setattr(harness, "svd_with_inverses", refuse)
+    monkeypatch.setattr(harness, "decide_pairs", refuse)
+    monkeypatch.setattr(certify, "svd_batch", refuse)
+    cfg = ExperimentConfig(
+        n=3, x_grid=(4,), symmetrized=True, pairs_per_x=1000, eta=eta, oracle_depth=8, seed=7
+    )
+    assert emit_report(run_experiment(cfg), "csv") == (
+        ",".join(CSV_COLUMNS) + "\n"
+        f"4,26232,0.057,{frac_gapped},0,0,,,0,0,0.228789613746\n"
+    )
+
+
 def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
     # an oracle that relates every pair: the first certified pair of the
     # radius is reported with its word, generators, radius and seed
@@ -239,7 +259,7 @@ def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
 def test_fraction_chain_violation_aborts_the_run(monkeypatch):
     # with nothing gapped, the very proximal pairs break frac_very_proximal <= frac_gapped
     monkeypatch.setattr(
-        harness, "_is_gapped", lambda gens, sigma, eta, cap: np.zeros(gens.shape[:-2], bool)
+        harness, "_is_gapped", lambda gens, inv, eta, cap: np.zeros(gens.shape[:-2], bool)
     )
     cfg = ExperimentConfig(n=2, x_grid=(20,), symmetrized=False, pairs_per_x=200, seed=7)
     with pytest.raises(InvariantViolation, match=r"^fraction chain violated at x = 20\.0: "):

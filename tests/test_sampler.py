@@ -19,13 +19,15 @@ from pingpong.sampler import (
     BallSpec,
     _frobenius_sq,
     _member,
+    _sigma1_sq_le,
     _sl2_interval,
     _sl2_octant,
     enumerate_ball,
     in_ball,
     sample_pairs,
+    sl3_gapped,
 )
-from pingpong.spectral import svd_batch
+from pingpong.spectral import singular_gap, svd_batch
 
 
 def members(e):
@@ -302,6 +304,90 @@ def test_sl3_predicates_take_int64_only_where_it_is_exact(monkeypatch, x, dtype)
     assert seen == {np.dtype(dtype)}
 
 
+@pytest.fixture(scope="module")
+def sl3_norms_and_gaps():
+    """(f, f_inv, ratios) of 572 members of the X = 4 symmetrized and X = 6 plain
+    balls: their squared Frobenius norms and those of their inverses, and their
+    singular_gap at positions 1 and 2."""
+    gens = []
+    for x, symmetrized, stride in ((4, True, 97), (6, False, 4999)):
+        e = enumerate_ball(BallSpec(3, x, symmetrized))
+        gens += e.take(np.arange(0, e.count, stride)).tolist()
+    f, f_inv = np.array([_frobenius_sq(IntMatrix.from_rows(g)) for g in gens]).T
+    ratios = np.array([[singular_gap(IntMatrix.from_rows(g), i) for i in (1, 2)] for g in gens])
+    return f, f_inv, ratios
+
+
+def _bezoutian_negative_definite(f, f_inv, mu):
+    # B(p, q) from its definition, p(L) = L^3 - f L^2 + f_inv L - 1 and q(L) = P^3 p(L / mu)
+    # for mu = P/Q, with coefficients a_k, c_k from the constant term up
+    P, Q = mu.numerator, mu.denominator
+    a = [-1, f_inv, -f, 1, 0, 0]
+    c = [-(P**3), Q * P * P * f_inv, -Q * Q * P * f, Q**3, 0, 0]
+    b = [
+        [sum(a[i + j + 1 - k] * c[k] - a[k] * c[i + j + 1 - k] for k in range(min(i, j) + 1))
+         for j in range(3)]
+        for i in range(3)
+    ]
+    m2 = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+    return b[0][0] < 0 < m2 and det(IntMatrix.from_rows(b)) < 0
+
+
+@pytest.mark.parametrize("eta", [1.1, 1.2, 1.5, 2.0, 2.4])
+def test_sl3_gapped_matches_singular_gap(sl3_norms_and_gaps, eta):
+    # the exact test, and the Bezoutian criterion from its definition, against the
+    # Jacobi ratios; both outcomes occur, and some members that the sigma_1
+    # pre-filter lets through are still not gapped
+    f, f_inv, ratios = sl3_norms_and_gaps
+    expected = (ratios >= eta * eta).all(axis=1).tolist()
+    mu = Fraction(eta) ** 4
+    assert sl3_gapped(f, f_inv, mu).tolist() == expected
+    pairs = zip(f.tolist(), f_inv.tolist())
+    assert [_bezoutian_negative_definite(a, b, mu) for a, b in pairs] == expected
+    assert set(expected) == {False, True}
+    passed = ~_sigma1_sq_le(3, f.astype(object), f_inv.astype(object), mu)
+    assert not all(np.array(expected)[passed])
+
+
+def test_sl3_gapped_takes_int64_only_where_it_is_exact(sl3_norms_and_gaps, monkeypatch):
+    # the pre-filter keeps int64 while its terms stay below 2 top P^3 < 2^63 and the
+    # minors while theirs stay below 3 top^4 P^6 < 2^63, top = max(f, f_inv): at
+    # eta = 1.5 (P = 81) the minors' bound holds to top = 57, at eta = 5 (P = 625)
+    # the pre-filter's alone, and at eta = 1.1 (P has 205 bits) neither.  Past
+    # top = 57 the products E12(a) E23(b) E31(c) have minor terms r^3 (f f_inv)^2,
+    # r = P Q = 1296, beyond 2^63.  The verdicts match those on Python ints throughout
+    f, f_inv, _ = sl3_norms_and_gaps
+    seen = []
+
+    def sigma1_sq_le(n, f, f_inv, bound):
+        seen.append((f.dtype, f_inv.dtype))
+        return _sigma1_sq_le(n, f, f_inv, bound)
+
+    monkeypatch.setattr(sampler, "_sigma1_sq_le", sigma1_sq_le)
+    assert 3 * 57**4 * 81**6 < 2**63 <= 3 * 58**4 * 81**6
+    small = (f <= 57) & (f_inv <= 57)
+    words = [
+        _elementary(0, 1, a) @ _elementary(1, 2, b) @ _elementary(2, 0, c)
+        for a, b, c in product(range(-4, 5), repeat=3)
+    ]
+    wf, wf_inv = np.array([_frobenius_sq(g) for g in words]).T
+    wide = (np.maximum(wf, wf_inv) > 57) & (np.maximum(wf, wf_inv) <= 600)
+    assert 1296**3 * int((wf * wf_inv)[wide].max()) ** 2 >= 2**63
+    cases = [
+        (1.5, np.int64, f[small], f_inv[small]),
+        (1.5, np.int64, wf[wide], wf_inv[wide]),
+        (5.0, np.int64, f, f_inv),
+        (1.1, object, f, f_inv),
+    ]
+    for eta, dtype, a, b in cases:
+        mu = Fraction(eta) ** 4
+        verdict = sl3_gapped(a, b, mu)
+        assert seen.pop() == (np.dtype(dtype),) * 2
+        assert verdict.tolist() == sl3_gapped(a.astype(object), b.astype(object), mu).tolist()
+        if eta == 1.5:
+            assert 0 < verdict.sum() < len(verdict)
+
+
 def test_membership_matches_float_norm():
     # exact boundary test must agree with the numeric norm away from ties
     for spec in (BallSpec(2, 7), BallSpec(3, 2)):
@@ -368,7 +454,8 @@ def test_gram_characteristic_polynomial(word):
 def test_budget_and_config_errors():
     with pytest.raises(BudgetError):
         enumerate_ball(BallSpec(2, 501))
-    with pytest.raises(BudgetError):
+    # the message names the budget and no other remedy
+    with pytest.raises(BudgetError, match=r"^X = 7 exceeds the n = 3 enumeration budget X <= 6$"):
         enumerate_ball(BallSpec(3, 7))
     with pytest.raises(ConfigError):
         BallSpec(4, 2)
