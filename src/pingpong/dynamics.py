@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import svd_with_inverses
+from .certify import svd_with_inverses, with_inverses
 from .errors import BudgetError, ConfigError
-from .matrices import ALPHABET, IntMatrix, free_reduce, inverse, invert_word, is_reduced
+from .matrices import ALPHABET, IntMatrix, free_reduce, invert_word, is_reduced
 from .spectral import seq_sum, svd_batch
 
 MAX_ORACLE_LEN = 12
 MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take 5-35 s at the cap (README)
-
-_LETTERS = "abAB"  # letter i and letter i ^ 2 are inverses
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
 
     Reduced words are taken breadth-first to length ceil(max_len/2), with
     exact products: each length ordered by the word without its last letter,
-    then by that letter in _LETTERS order (the order of _level).  The
+    then by that letter in a, b, A, B order (the order of _level).  The
     first word whose matrix an earlier word already has gives the relation
     (earlier word)(word)^-1, freely reduced; the first such relation of
     length <= max_len is returned.  Exactness means a returned word
@@ -63,15 +61,12 @@ def falsify_freeness(g1: IntMatrix, g2: IntMatrix, max_len: int) -> str | None:
         raise BudgetError(f"oracle budget is max_len <= {MAX_ORACLE_LEN}, got {max_len}")
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
-    letters = (g1, g2, inverse(g1), inverse(g2))  # in _LETTERS order
-    if g1.n != g2.n:
-        raise ConfigError("dimension mismatch")
-    return find_relations(np.array([[g.entries for g in letters]], dtype=object), max_len)[0]
+    return find_relations(with_inverses([g1, g2])[None], max_len)[0]
 
 
 def find_relations(letters: np.ndarray, max_len: int) -> list:
-    """falsify_freeness for every pair of a (P, 4, n, n) integer stack of the
-    letters g1, g2, g1^-1, g2^-1 (int64, or object for Python ints).  All pairs
+    """falsify_freeness for every pair of a (P, 4, n, n) integer stack of with_inverses
+    rows g1, g1^-1, g2, g2^-1 (int64, or object for Python ints).  All pairs
     are screened at once by _collisions_mod_2_64, and only those it cannot clear
     walk the words again in exact Python-int products."""
     # int64 -> uint64 keeps the residue mod 2^64
@@ -88,13 +83,13 @@ def find_relations(letters: np.ndarray, max_len: int) -> list:
 def _level(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(parent, letter) indices of the reduced words of length k >= 1.
 
-    Word i of length k is word parent[i] of length k - 1 followed by
-    _LETTERS[letter[i]]; the letter never cancels the parent's last.
+    Word i of length k is word parent[i] of length k - 1 followed by ALPHABET[letter[i]],
+    tried in a, b, A, B order; the letter never cancels the parent's last.
     """
     last = _level(k - 1)[1] if k > 1 else np.array([-1])
     parent = np.repeat(np.arange(last.size), 4)
-    letter = np.tile(np.arange(4), last.size)
-    keep = letter != (last[parent] ^ 2)
+    letter = np.tile([0, 2, 1, 3], last.size)
+    keep = letter != (last[parent] ^ 1)  # ALPHABET pairs inverses as 0<->1, 2<->3
     parent, letter = parent[keep], letter[keep]
     parent.flags.writeable = letter.flags.writeable = False  # shared by every call
     return parent, letter
@@ -135,7 +130,7 @@ def _first_relation(letters: np.ndarray, max_len: int) -> str | None:
     for k in range(1, (max_len + 1) // 2 + 1):
         parent, letter = _level(k)
         level = level[parent] @ letters[letter]
-        words = [words[p] + _LETTERS[c] for p, c in zip(parent.tolist(), letter.tolist())]
+        words = [words[p] + ALPHABET[c] for p, c in zip(parent.tolist(), letter.tolist())]
         for word, key in zip(words, map(tuple, level.reshape(len(words), -1).tolist())):
             prev = first.setdefault(key, word)
             if prev != word:  # an earlier word has this matrix
@@ -263,10 +258,10 @@ def check_twoops(
     if not is_reduced(w):
         raise ConfigError("word must be reduced")
     rows, svds = svd_with_inverses([A, B])  # rows a, A, b, B
-    table = dict(zip("aAbB", rows.astype(float)))
+    table = dict(zip(ALPHABET, rows.astype(float)))
     # top left/right singular directions: ||g x|| >= sigma1 |<x, v1>|
-    u1 = dict(zip("aAbB", svds.k_g[:, :, 0]))
-    v1 = dict(zip("aAbB", svds.k_g_prime[:, 0, :]))
+    u1 = dict(zip(ALPHABET, svds.k_g[:, :, 0]))
+    v1 = dict(zip(ALPHABET, svds.k_g_prime[:, 0, :]))
 
     min_sigma = float(svds.sigma[:, 0].min())
     diagnostics = {

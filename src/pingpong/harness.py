@@ -7,8 +7,9 @@ there aborts the run -- it would disprove the implementation, so it is an
 invariant violation, not a data point) and on an equal-sized control
 group of uncertified pairs, and attaches Lyapunov estimates for a few
 sampled pairs.  Everything derives from the config seed, so a re-run is
-byte-identical.  Every gap decision is exact in integers; for n = 3 a theorem
-fails every pair at contraction, so only the Lyapunov products take an SVD.
+byte-identical.  Each radius only calls library passes; ``sampler.gapped``
+decides every gap exactly in integers.  For n = 3 a theorem fails every pair
+at contraction, so only the Lyapunov products take an SVD.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import io
 import statistics
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .certify import (
 from .dynamics import MAX_ORACLE_LEN, find_relations, lyapunov_estimates
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix
-from .sampler import BallSpec, check_budget, enumerate_ball, sample_pairs
-from .sampler import sl2_frobenius_cap, sl3_gapped
+from .sampler import BallSpec, check_budget, enumerate_ball, gapped, sample_pairs
 
 # unused here; kept as module attributes because bench/spans.py wraps them
 from .certify import hausdorff_upper_bound, ping_pong_pair, schottky_sl2  # noqa: F401
@@ -126,20 +125,8 @@ class ExperimentReport:
     provenance: dict
 
 
-def _is_gapped(gens, inv, eta: float, cap: int):
-    """sigma_i / sigma_{i+1} >= eta^2 at every i, per g of an (..., n, n) int64 stack with
-    inverses inv, n in {2, 3}: exact, from the Frobenius norms."""
-    if gens.shape[-1] == 2:
-        # sigma_1/sigma_2 = sigma_1^2 > eta^2 iff ||g||_F^2 > cap = sl2_frobenius_cap(eta^2);
-        # equality is moot: (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2 is no integer for eta = p/q > 1
-        return (gens * gens).sum(axis=(-2, -1)) > cap
-    f, f_inv = ((m * m).sum(axis=(-2, -1)) for m in (gens, inv))
-    return sl3_gapped(f, f_inv, Fraction(eta) ** 4)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k = choose_k(cfg.n)
-    cap = sl2_frobenius_cap(Fraction(cfg.eta) ** 2)
     rows = []
     for xi, x in enumerate(cfg.x_grid):
         enum = enumerate_ball(BallSpec(cfg.n, x, cfg.symmetrized))
@@ -160,7 +147,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)  # g1, g1^-1, g2, g2^-1
 
         trace_large = int((abs(pairs.trace(axis1=2, axis2=3)) > 2).all(axis=1).sum())
-        gapped = int(_is_gapped(pairs, quads[:, 1::2], cfg.eta, cap).all(axis=1).sum())
+        f = (quads * quads).sum(axis=(-2, -1))  # ||g||_F^2 of g1, g1^-1, g2, g2^-1
+        gapped_count = int(gapped(cfg.n, f[:, 0::2], f[:, 1::2], cfg.eta).all(axis=1).sum())
         # both generators are checked before the cross separations, so they
         # are very proximal iff the verdict gets that far
         very_prox = int((code >= VERY_PROXIMAL).sum())
@@ -174,11 +162,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             bounds = [b for b in hausdorff_bounds(*circles) if b is not None]
             certified |= schottky
 
-        # the oracle letters g1, g2, g1^-1, g2^-1; the control group is the
-        # first len(certified) uncertified pairs in sample order
-        letters = quads[:, [0, 2, 1, 3]]
+        # the control group is the first len(chosen) uncertified pairs in sample order
         chosen, control = certified.nonzero()[0], (~certified).nonzero()[0]
-        for i, word in zip(chosen, find_relations(letters[chosen], cfg.oracle_depth)):
+        for i, word in zip(chosen, find_relations(quads[chosen], cfg.oracle_depth)):
             if word is not None:
                 g1, g2 = (IntMatrix.from_rows(m) for m in pairs[i].tolist())
                 raise InvariantViolation(
@@ -186,7 +172,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     f"word {word!r} is the identity for g1 = {g1}, g2 = {g2} "
                     f"(x = {x}, seed = {cfg.seed})"
                 )
-        relations = find_relations(letters[control[: len(chosen)]], cfg.oracle_depth)
+        relations = find_relations(quads[control[: len(chosen)]], cfg.oracle_depth)
         control_falsified = sum(word is not None for word in relations)
 
         gens = quads[:LYAPUNOV_PAIRS].astype(float)  # g1, g1^-1, g2, g2^-1
@@ -198,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             {
                 **row,
                 "frac_trace_large": trace_large / n_pairs,
-                "frac_gapped": gapped / n_pairs,
+                "frac_gapped": gapped_count / n_pairs,
                 "frac_very_proximal": very_prox / n_pairs,
                 "frac_pingpong": pingpong / n_pairs,
                 "frac_schottky": (schottky_count / n_pairs) if cfg.n == 2 else None,

@@ -6,9 +6,9 @@ L^3 - f L^2 + f' L - 1 (n = 3, by Cauchy-Binet), with f = ||g||_F^2 and
 f' = ||g^-1||_F^2, and the test is a sign condition on it at X^2 = p/q,
 scaled by powers of q.  Swapping f and f' gives the polynomial of
 (g^t g)^-1, so the symmetrized ball's test ||g^-1|| <= X is the same one.
-The experiment's n = 3 gap test reads the same polynomial: ``sl3_gapped``
-rules a member out by the sigma_1 test, then decides it exactly by the
-signs of a Bezoutian.
+The experiment's gap test ``gapped`` reads the same f and f': it compares f
+with ``sl2_frobenius_cap`` for n = 2; for n = 3 it rules a member out by the
+sigma_1 test, then decides it exactly by the signs of a Bezoutian.
 
 A ball is its ``count`` members sorted by row-major entries; ``take``
 returns those at given positions.  For n = 2 a primitive first row (a, b)
@@ -97,21 +97,27 @@ def _sigma1_sq_le(n: int, f, f_inv, bound):
     )
 
 
-def sl3_gapped(f, f_inv, mu: Fraction):
-    """sigma_1/sigma_2 and sigma_2/sigma_3 both >= sqrt(mu) for g in SL_3(Z), from int64
-    arrays f = ||g||_F^2 and f_inv = ||g^-1||_F^2; exact for a Fraction mu > 1."""
+def gapped(n: int, f, f_inv, eta: float):
+    """sigma_i/sigma_{i+1} >= eta^2 at every i for g in SL_n(Z), n in {2, 3}, from int64
+    arrays f = ||g||_F^2 and f_inv = ||g^-1||_F^2; exact, with eta^2 from the float eta."""
+    mu = Fraction(eta) ** 2
+    if n == 2:
+        # f_inv = f; sigma_1/sigma_2 = sigma_1^2 > eta^2 iff f > sl2_frobenius_cap(eta^2);
+        # equality is moot: (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2 is no integer for eta = p/q > 1
+        return f > sl2_frobenius_cap(mu)
+    mu *= mu
     # the eigenvalues l1 > l2 > l3 of g^t g are the roots of p(L) = L^3 - f L^2 + f_inv L - 1,
-    # and no l_i/l_j is a rational mu > 1 (an irreducible p has a 3-cycle in its Galois
-    # group, giving mu^3 = 1; else the roots are 1, l, 1/l with l, l^2 irrational).  Gapped,
-    # l1 > mu l2 > mu^2 l3, gives l1^3 > mu^3 l1 l2 l3 = mu^3: sigma_1^2 <= mu rules g out
+    # and no l_i/l_j is the rational mu = eta^4 > 1 (an irreducible p has a 3-cycle in its
+    # Galois group, giving mu^3 = 1; else the roots are 1, l, 1/l with l, l^2 irrational).
+    # Gapped, l1 > mu l2 > mu^2 l3, gives l1^3 > mu^3 l1 l2 l3 = mu^3: sigma_1^2 <= mu rules g out
     P, Q = mu.numerator, mu.denominator
     top = max(int(f.max(initial=3)), int(f_inv.max(initial=3)))
     # with P > Q, the pre-filter's terms are at most 2 top P^3 and those of the minors
     # below at most 3 top^4 P^6; past 2^63 the arrays hold Python ints
     if 2 * top * P**3 >= 2**63:
         f, f_inv = f.astype(object), f_inv.astype(object)
-    gapped = ~_sigma1_sq_le(3, f, f_inv, mu)
-    f, f_inv = f[gapped], f_inv[gapped]
+    verdict = ~_sigma1_sq_le(3, f, f_inv, mu)
+    f, f_inv = f[verdict], f_inv[verdict]
     if 3 * top**4 * P**6 >= 2**63:
         f, f_inv = f.astype(object), f_inv.astype(object)
     # q(L) = Q^3 L^3 - Q^2 P f L^2 + Q P^2 f_inv L - P^3 has the roots mu l_i, so g is
@@ -125,8 +131,8 @@ def sl3_gapped(f, f_inv, mu: Fraction):
     m2 = e * f_inv + r * f * f_inv * f_inv - s * s * f * f
     m3 = e**3 + r * r * s * s * (f**3 + f_inv**3)
     m3 -= r * e * (e + 3 * r) * f * f_inv + r**3 * (f * f_inv) ** 2
-    gapped[gapped] = (m2 > 0) & (m3 < 0)
-    return gapped
+    verdict[verdict] = (m2 > 0) & (m3 < 0)
+    return verdict
 
 
 def _member(n: int, f, f_inv, bound, symmetrized: bool):

@@ -3,8 +3,9 @@
 One-sided Jacobi orthogonalizes the columns of a working copy by plane
 rotations, which preserves high relative accuracy in the small singular
 values -- exactly what the gap ratios a_k/a_{k+1} downstream need.  The
-decomposition is g = k_g  diag(sigma)  k_g' with both k-factors special
-orthogonal and sigma sorted descending.
+decomposition is g = k_g  diag(sigma)  k_g' with both k-factors orthogonal
+(det +-1: readers take only the first k <= n - 1 columns of k_g and rows of
+k_g') and sigma sorted descending.
 
 One Jacobi runs over a whole (M, n, n) stack, and one matrix is the
 stack of one, with the same bits.  Each dot product is a sequential sum,
@@ -104,10 +105,6 @@ def svd_batch(a: np.ndarray) -> SvdBatch:
     w = np.take_along_axis(w, order[:, None, :], axis=2)
     # columns that underflowed to zero stay zero in u; sigma keeps the 0
     u, v = w[:, :n] / np.where(norms > 0, norms, 1.0)[:, None, :], w[:, n:]
-    # keep both K-factors special orthogonal (flips cancel in the product)
-    flip = np.linalg.det(u) < 0
-    for f in (u, v):
-        f[flip, :, -1] = -f[flip, :, -1]
     sigma, vt = norms * scale[:, None], v.transpose(0, 2, 1)
     err = (u * sigma[:, None, :]) @ vt
     err -= a

@@ -118,7 +118,7 @@ def test_oracle_pair_congruent_to_identity_mod_2_64():
     # free (Sanov): only the exact pass may answer
     g1 = IntMatrix.from_rows([[1, 2**64], [0, 1]])
     g2 = IntMatrix.from_rows([[1, 0], [2**64, 1]])
-    quad = (g1, g2, inverse(g1), inverse(g2))
+    quad = (g1, inverse(g1), g2, inverse(g2))  # in ALPHABET order
     letters = np.array([[[[x % 2**64 for x in row] for row in g.entries] for g in quad]], np.uint64)
     for depth in range(1, 7):
         assert _collisions_mod_2_64(letters, depth)[0]
@@ -191,7 +191,7 @@ def test_screen_keys_tell_n_5_words_apart():
     # the 161 reduced words of length <= 4 in (e5, e5^T) are distinct matrices,
     # and their keys u (w v) mod 2^64 are distinct too, so the pair is cleared
     # by the screen alone; a key that ignored w would send it to the exact pass
-    quad = (E5, E5.transpose(), inverse(E5), inverse(E5.transpose()))
+    quad = (E5, inverse(E5), E5.transpose(), inverse(E5.transpose()))  # in ALPHABET order
     letters = np.array([[g.entries for g in quad]]).astype(np.uint64)  # residues mod 2^64
     assert not _collisions_mod_2_64(letters, 4)[0]
     assert _first_repeat(E5, E5.transpose(), 8) is None
@@ -214,7 +214,7 @@ def test_batched_oracle_matches_each_pair_alone(spec, max_len):
     pairs = [tuple(map(IntMatrix.from_rows, p)) for p in sample_pairs(
         enumerate_ball(spec), 120, seed=[3, 0]).tolist()]
     pairs[5:7] = [(g1, g1 @ g1) for g1, _ in pairs[5:7]]
-    letters = [[g.entries for g in (g1, g2, inverse(g1), inverse(g2))] for g1, g2 in pairs]
+    letters = [[g.entries for g in (g1, inverse(g1), g2, inverse(g2))] for g1, g2 in pairs]
     alone = [falsify_freeness(g1, g2, max_len) for g1, g2 in pairs]
     assert find_relations(np.array(letters, dtype=np.int64), max_len) == alone
     assert find_relations(np.array(letters, dtype=object), max_len) == alone

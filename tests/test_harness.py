@@ -1,7 +1,6 @@
 """Experiment orchestration, report emission, determinism."""
 
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from pingpong.harness import (
     MAX_PAIRS,
     ExperimentConfig,
     ExperimentReport,
-    _is_gapped,
     config_from_obj,
     emit_report,
     run_experiment,
@@ -22,9 +20,9 @@ from pingpong.matrices import IntMatrix
 from pingpong.sampler import (
     BallSpec,
     enumerate_ball,
+    gapped,
     in_ball,
     sample_pairs,
-    sl2_frobenius_cap,
 )
 from pingpong.serialize import canonical_json
 from pingpong.spectral import singular_gap
@@ -189,20 +187,21 @@ def test_is_gapped_matches_singular_gap():
     e = enumerate_ball(BallSpec(2, 60))
     entries = e.take(np.arange(e.count))
     members = [IntMatrix.from_rows(g) for g in entries.tolist()]
+    f = (entries * entries).sum(axis=(-2, -1))  # ||g^-1||_F = ||g||_F for n = 2
     for eta in (1.1, 2.0, 4.9, 5.0, 12.0):
-        cap = sl2_frobenius_cap(Fraction(eta) ** 2)
         expected = [not in_ball(g, BallSpec(2, eta)) for g in members]
-        assert _is_gapped(entries, None, eta, cap).tolist() == expected, eta
+        assert gapped(2, f, f, eta).tolist() == expected, eta
         assert set(expected) == {False, True}, eta
     pairs = sample_pairs(enumerate_ball(BallSpec(3, 4, symmetrized=True)), 150, seed=[7, 0])
     gens = pairs.reshape(-1, 3, 3)
     inv = certify.with_inverses(gens)[1::2]  # the rows of g^-1, not g
+    f, f_inv = ((m * m).sum(axis=(-2, -1)) for m in (gens, inv))
     for eta in (1.2, 1.5):
         expected = [
             all(singular_gap(IntMatrix.from_rows(g), i) >= eta * eta for i in (1, 2))
             for g in gens
         ]
-        assert _is_gapped(gens, inv, eta, None).tolist() == expected, eta
+        assert gapped(3, f, f_inv, eta).tolist() == expected, eta
         assert set(expected) == {False, True}, eta
 
 
@@ -258,9 +257,7 @@ def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
 
 def test_fraction_chain_violation_aborts_the_run(monkeypatch):
     # with nothing gapped, the very proximal pairs break frac_very_proximal <= frac_gapped
-    monkeypatch.setattr(
-        harness, "_is_gapped", lambda gens, inv, eta, cap: np.zeros(gens.shape[:-2], bool)
-    )
+    monkeypatch.setattr(harness, "gapped", lambda n, f, f_inv, eta: np.zeros(f.shape, bool))
     cfg = ExperimentConfig(n=2, x_grid=(20,), symmetrized=False, pairs_per_x=200, seed=7)
     with pytest.raises(InvariantViolation, match=r"^fraction chain violated at x = 20\.0: "):
         run_experiment(cfg)

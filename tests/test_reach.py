@@ -11,7 +11,10 @@ signature cannot take: numpy's ``v.transpose(0, 2, 1)`` does not reach
 ``IntMatrix.transpose``.  What is left unreached must be named either in
 ``bench/spans.BINDINGS`` or in ``TEST_ONLY`` below, with the reason it
 stays.  A new unreached definition fails here, and so does a pinned one
-that gained a caller or was deleted.
+that gained a caller or was deleted.  Likewise every name a module of
+``src/pingpong`` or ``tests`` imports is used there as code, unless the
+line says ``# noqa: F401`` (the bench-only imports); ``__init__.py`` only
+exports.
 """
 
 import ast
@@ -21,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pingpong"
+TESTS = ROOT / "tests"
 BENCH = ROOT / "bench"
 
 # library API that only the tests and acceptance criteria call: each is
@@ -225,3 +229,46 @@ def test_reach_of_methods_counts_fitting_calls_outside_their_own_body():
         ),
     }
     assert _unreached_methods(modules) == {"matrices.M.power", "matrices.M.transpose"}
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but never uses as code; noqa: F401 lines aside."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        if not future and not noqa:
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {
+        p.relative_to(ROOT).as_posix(): _unused_imports(p.read_text())
+        for p in paths
+        if p.name != "__init__.py"
+    }
+    assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_import_check_counts_code_not_strings_or_comments():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from .matrices import inverse  # noqa: F401\n"
+        "from .certify import (  # noqa: F401\n"
+        "    svd,\n"
+        ")\n"
+        "def f(x):\n"
+        "    return np.abs(x), os.path.sep, 'Fraction'  # Fraction\n"
+    )
+    assert _unused_imports(source) == ["Fraction (line 4)"]

@@ -23,9 +23,9 @@ from pingpong.sampler import (
     _sl2_interval,
     _sl2_octant,
     enumerate_ball,
+    gapped,
     in_ball,
     sample_pairs,
-    sl3_gapped,
 )
 from pingpong.spectral import singular_gap, svd_batch
 
@@ -341,7 +341,7 @@ def test_sl3_gapped_matches_singular_gap(sl3_norms_and_gaps, eta):
     f, f_inv, ratios = sl3_norms_and_gaps
     expected = (ratios >= eta * eta).all(axis=1).tolist()
     mu = Fraction(eta) ** 4
-    assert sl3_gapped(f, f_inv, mu).tolist() == expected
+    assert gapped(3, f, f_inv, eta).tolist() == expected
     pairs = zip(f.tolist(), f_inv.tolist())
     assert [_bezoutian_negative_definite(a, b, mu) for a, b in pairs] == expected
     assert set(expected) == {False, True}
@@ -380,10 +380,9 @@ def test_sl3_gapped_takes_int64_only_where_it_is_exact(sl3_norms_and_gaps, monke
         (1.1, object, f, f_inv),
     ]
     for eta, dtype, a, b in cases:
-        mu = Fraction(eta) ** 4
-        verdict = sl3_gapped(a, b, mu)
+        verdict = gapped(3, a, b, eta)
         assert seen.pop() == (np.dtype(dtype),) * 2
-        assert verdict.tolist() == sl3_gapped(a.astype(object), b.astype(object), mu).tolist()
+        assert verdict.tolist() == gapped(3, a.astype(object), b.astype(object), eta).tolist()
         if eta == 1.5:
             assert 0 < verdict.sum() < len(verdict)
 
