@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, adjugate, det, inverse
-from .spectral import DELTA_NUM, SvdBatch, svd_batch
+from .spectral import DELTA_NUM, svd_batch
 from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
 # unused here; kept as module attributes because bench/spans.py wraps them
@@ -98,18 +98,6 @@ def with_inverses(gens) -> np.ndarray:
     return rows.reshape(-1, *rows.shape[2:])
 
 
-def svd_with_inverses(gens) -> tuple[np.ndarray, SvdBatch]:
-    """The rows of ``with_inverses(gens)`` and one Jacobi pass over them."""
-    # each g^-1 is the exact inverse with its own SVD: reading its small
-    # singular values off g's decomposition loses relative accuracy
-    rows = with_inverses(gens)
-    try:
-        stack = rows.astype(float)
-    except OverflowError as exc:
-        raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
-    return rows, svd_batch(stack)
-
-
 def check_r_eps(r: float, eps: float) -> None:
     """Refuse ping-pong parameters outside 0 < eps < 1/4 and 2 eps < r <= the
     largest float.  Comparisons, not float(), so an int past the float range
@@ -120,8 +108,9 @@ def check_r_eps(r: float, eps: float) -> None:
         raise ConfigError(f"need r > 2*eps, both finite floats, got r = {r}, eps = {eps}")
 
 
-def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
-    """Ping-pong decisions for every pair of rows g1, g1^-1, g2, g2^-1 of svds, in one pass.
+def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float):
+    """Ping-pong decisions for every pair of integer rows g1, g1^-1, g2, g2^-1, as
+    ``with_inverses`` builds them (int64, or object for Python ints), in one Jacobi pass.
 
     Returns (code, min_sep, gap, v, h).  Per pair, code is the first failed
     condition in ping_pong_pair's order (2 j: row j is not eps-contracting;
@@ -130,6 +119,9 @@ def decide_pairs(svds: SvdBatch, k: int, r: float, eps: float):
     the least separation.  Per row, gap, v and h give its ContractionWitness.
     """
     check_r_eps(r, eps)
+    # each g^-1 is the exact inverse with its own SVD: reading its small
+    # singular values off g's decomposition loses relative accuracy
+    svds = svd_batch(rows)
     p, n = len(svds.sigma) // 4, svds.sigma.shape[1]
     if not 1 <= k < n:
         raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
@@ -151,7 +143,7 @@ def very_proximal(
     g: IntMatrix, k: int, r: float, eps: float
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
-    code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, r, eps)
+    code, _, gap, v, h = decide_pairs(with_inverses([g, g]), k, r, eps)
     return _witnesses(gap, v, h, [0, 1], k, eps) if code[0] >= VERY_PROXIMAL else None
 
 
@@ -166,7 +158,7 @@ def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -
     certificate implies the group generated is free.  This is
     ``decide_pairs`` on a batch of one pair.
     """
-    (code,), (min_sep,), gap, v, h = decide_pairs(svd_with_inverses([g1, g2])[1], k, r, eps)
+    (code,), (min_sep,), gap, v, h = decide_pairs(with_inverses([g1, g2]), k, r, eps)
     if code == CERTIFIED:
         witnesses = _witnesses(gap, v, h, range(4), k, eps)
         return Verdict(PingPongCertificate(r, eps, witnesses, float(min_sep)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import svd_with_inverses, with_inverses
+from .certify import with_inverses
 from .errors import BudgetError, ConfigError
 from .matrices import ALPHABET, IntMatrix, free_reduce, invert_word, is_reduced
 from .spectral import seq_sum, svd_batch
@@ -192,7 +192,6 @@ def estimate_lyapunov(
     """
     if not gens:
         raise ConfigError("need at least one generator")
-    _check_run(m, trials, seed)
     mats = np.array([[g.to_float() for g in gens]])
     estimates = lyapunov_estimates(mats, m, trials, seed, [extra_key])[0]
     stderr = float(np.std(estimates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -257,7 +256,8 @@ def check_twoops(
     """
     if not is_reduced(w):
         raise ConfigError("word must be reduced")
-    rows, svds = svd_with_inverses([A, B])  # rows a, A, b, B
+    rows = with_inverses([A, B])  # rows a, A, b, B
+    svds = svd_batch(rows)
     table = dict(zip(ALPHABET, rows.astype(float)))
     # top left/right singular directions: ||g x|| >= sigma1 |<x, v1>|
     u1 = dict(zip(ALPHABET, svds.k_g[:, :, 0]))

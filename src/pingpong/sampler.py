@@ -6,8 +6,8 @@ L^3 - f L^2 + f' L - 1 (n = 3, by Cauchy-Binet), with f = ||g||_F^2 and
 f' = ||g^-1||_F^2, and the test is a sign condition on it at X^2 = p/q,
 scaled by powers of q.  Swapping f and f' gives the polynomial of
 (g^t g)^-1, so the symmetrized ball's test ||g^-1|| <= X is the same one.
-The experiment's gap test ``gapped`` reads the same f and f': it compares f
-with ``sl2_frobenius_cap`` for n = 2; for n = 3 it rules a member out by the
+The experiment's gap test ``gapped`` reads the same f and f': for n = 2 it
+negates the sigma_1 test at eta^2; for n = 3 it rules a member out by the
 sigma_1 test, then decides it exactly by the signs of a Bezoutian.
 
 A ball is its ``count`` members sorted by row-major entries; ``take``
@@ -86,7 +86,7 @@ def _lambda_max_le_2x2(gram_trace, gram_det, bound):
 def _sigma1_sq_le(n: int, f, f_inv, bound):
     """sigma_1(g)^2 <= bound for g in SL_n(Z), from f = ||g||_F^2, f_inv = ||g^-1||_F^2."""
     if n == 2:
-        return _lambda_max_le_2x2(f, 1, bound)
+        return f <= sl2_frobenius_cap(bound)
     # c(L) = L^3 - f L^2 + f_inv L - 1 has only real roots, so its largest
     # root is <= bound = p/q iff q^3 c, q^2 c' and q c'' are all >= 0 at p/q
     p, q = bound.numerator, bound.denominator
@@ -100,12 +100,11 @@ def _sigma1_sq_le(n: int, f, f_inv, bound):
 def gapped(n: int, f, f_inv, eta: float):
     """sigma_i/sigma_{i+1} >= eta^2 at every i for g in SL_n(Z), n in {2, 3}, from int64
     arrays f = ||g||_F^2 and f_inv = ||g^-1||_F^2; exact, with eta^2 from the float eta."""
-    mu = Fraction(eta) ** 2
+    mu = Fraction(eta) ** (2 * n - 2)
     if n == 2:
-        # f_inv = f; sigma_1/sigma_2 = sigma_1^2 > eta^2 iff f > sl2_frobenius_cap(eta^2);
-        # equality is moot: (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2 is no integer for eta = p/q > 1
-        return f > sl2_frobenius_cap(mu)
-    mu *= mu
+        # sigma_1/sigma_2 = sigma_1^2, and sigma_1^2 = eta^2 is moot: ||g||_F^2 would be
+        # (p^4 + q^4)/(p^2 q^2) = eta^2 + eta^-2, no integer for eta = p/q > 1
+        return ~_sigma1_sq_le(2, f, f_inv, mu)
     # the eigenvalues l1 > l2 > l3 of g^t g are the roots of p(L) = L^3 - f L^2 + f_inv L - 1,
     # and no l_i/l_j is the rational mu = eta^4 > 1 (an irreducible p has a 3-cycle in its
     # Galois group, giving mu^3 = 1; else the roots are 1, l, 1/l with l, l^2 irrational).

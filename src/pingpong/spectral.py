@@ -8,8 +8,9 @@ decomposition is g = k_g  diag(sigma)  k_g' with both k-factors orthogonal
 k_g') and sigma sorted descending.
 
 One Jacobi runs over a whole (M, n, n) stack, and one matrix is the
-stack of one, with the same bits.  Each dot product is a sequential sum,
-not a BLAS kernel, so no result depends on the host's BLAS build.
+stack of one, with the same bits.  An integer stack becomes float in the
+pass.  Each dot product is a sequential sum, not a BLAS kernel, so no
+result depends on the host's BLAS build.
 """
 
 from __future__ import annotations
@@ -61,12 +62,18 @@ def seq_sum(p: np.ndarray) -> np.ndarray:
 
 
 def svd_batch(a: np.ndarray) -> SvdBatch:
-    """Cartan decompositions of an (M, n, n) float stack by one-sided Jacobi, in one pass.
+    """Cartan decompositions of an (M, n, n) stack by one-sided Jacobi, in one pass.
 
-    Each matrix gets the rotations it would get alone: pairs (i, j) in
-    order, each rotated where the columns' cosine exceeds _JACOBI_TOL,
-    until a sweep rotates nothing and the matrix leaves the active set.
+    The stack is float, int64, or object for Python ints; it becomes float
+    here, and entries past the float range are a ConfigError.  Each matrix
+    gets the rotations it would get alone: pairs (i, j) in order, each
+    rotated where the columns' cosine exceeds _JACOBI_TOL, until a sweep
+    rotates nothing and the matrix leaves the active set.
     """
+    try:
+        a = np.asarray(a, dtype=float)
+    except OverflowError as exc:
+        raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
     m, n, _ = a.shape
     scale = np.max(np.abs(a), axis=(1, 2))
     if np.any(scale == 0):

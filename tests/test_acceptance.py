@@ -22,7 +22,7 @@ from pingpong.certify import (
     ContractionWitness,
     decide_pairs,
     hausdorff_upper_bound,
-    svd_with_inverses,
+    with_inverses,
 )
 from pingpong.dynamics import (
     check_twoops,
@@ -93,7 +93,7 @@ def _certified_witnesses(count=100, eps=0.2):
     out = []
     for g in pool:
         # row g of the pair (g, g) fails with code 0 iff g is not eps-contracting
-        code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], 1, 1.0, eps)
+        code, _, gap, v, h = decide_pairs(with_inverses([g, g]), 1, 1.0, eps)
         if code[0]:
             out.append((g, ContractionWitness(eps, 1, v[:, 0], h[:, 0], float(gap[0]))))
         if len(out) == count:

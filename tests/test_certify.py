@@ -23,8 +23,8 @@ from pingpong.certify import (
     ping_pong_pair,
     schottky_sl2,
     sl2_fixed_points,
-    svd_with_inverses,
     very_proximal,
+    with_inverses,
 )
 from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
@@ -56,7 +56,7 @@ def epsilon_contracting(g, k, eps):
     """The witness that g contracts P(wedge^k(R^n)) (gap <= eps^2 - DELTA_NUM), or None:
     row g of decide_pairs on the pair (g, g), which fails with code 0 iff g does not
     contract; r = 1.0 is moot for that code."""
-    code, _, gap, v, h = decide_pairs(svd_with_inverses([g, g])[1], k, 1.0, eps)
+    code, _, gap, v, h = decide_pairs(with_inverses([g, g]), k, 1.0, eps)
     return ContractionWitness(eps, k, v[:, 0], h[:, 0], float(gap[0])) if code[0] else None
 
 
@@ -454,7 +454,7 @@ def test_sl3_budget_ball_never_contracts():
     assert ratio.min() >= bound
     assert ratio.min() < 0.0710  # measured 0.0709: the bound is nearly attained
     # so at the largest admitted eps every pair fails at g1's contraction
-    code = decide_pairs(svd_with_inverses(members[::100][:1000])[1], 1, 0.5, 0.2499)[0]
+    code = decide_pairs(with_inverses(members[::100][:1000]), 1, 0.5, 0.2499)[0]
     assert (code == 0).all()
 
 
@@ -496,23 +496,26 @@ def test_contraction_converse_gap_bound():
                 assert ratio <= 4 * eps * eps + 1e-8
 
 
-def test_svd_with_inverses_rows_and_float_range():
-    # row 2i is gens[i] and row 2i + 1 its exact inverse, each bitwise its own
-    # svd; an int64 stack gives the same rows through the stacked adjugate
+def test_with_inverses_rows_and_float_range():
+    # row 2i is gens[i] and row 2i + 1 its exact inverse; an int64 stack gives the
+    # same rows through the stacked adjugate.  svd_batch decomposes object, int64
+    # and float rows to the same bits, each bitwise the row's own svd
     block = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]).power(5)
     for gens in ([H.power(8), K, ROT, SHEAR4], [block, inverse(block)]):
-        rows, svds = svd_with_inverses(gens)
-        stacked_rows, stacked = svd_with_inverses(np.array([g.entries for g in gens]))
+        rows = with_inverses(gens)
+        stacked_rows = with_inverses(np.array([g.entries for g in gens]))
+        assert rows.dtype == object
         assert stacked_rows.dtype == np.int64 and stacked_rows.tolist() == rows.tolist()
+        batches = [svd_batch(x) for x in (rows, stacked_rows, rows.astype(float))]
         for i, m in enumerate(m for g in gens for m in (g, inverse(g))):
             alone = svd(m)
             assert rows[i].tolist() == [list(r) for r in m.entries]
-            for row in (svds[i], stacked[i]):
-                assert row.sigma == alone.sigma
-                assert row.k_g.tobytes() == alone.k_g.tobytes()
-                assert row.k_g_prime.tobytes() == alone.k_g_prime.tobytes()
+            for svds in batches:
+                assert svds.sigma[i].tobytes() == np.array(alone.sigma).tobytes()
+                assert svds.k_g[i].tobytes() == alone.k_g.tobytes()
+                assert svds.k_g_prime[i].tobytes() == alone.k_g_prime.tobytes()
     with pytest.raises(ConfigError, match="float range"):
-        svd_with_inverses([H, IntMatrix.from_rows([[1, 10**400], [0, 1]])])
+        decide_pairs(with_inverses([H, IntMatrix.from_rows([[1, 10**400], [0, 1]])]), 1, 0.5, 0.2)
 
 
 def test_ping_pong_pair_refuses_mixed_sizes_and_any_det_not_one():
@@ -558,9 +561,9 @@ def test_pair_decided_in_a_batch_matches_alone():
             pairs = [tuple(map(IntMatrix.from_rows, p)) for p in pairs.tolist()]
         else:
             gens = [g for pair in pairs for g in pair]
-        decided = decide_pairs(svd_with_inverses(gens)[1], k, r, eps)
+        decided = decide_pairs(with_inverses(gens), k, r, eps)
         for i, (g1, g2) in enumerate(pairs):
-            alone = decide_pairs(svd_with_inverses([g1, g2])[1], k, r, eps)
+            alone = decide_pairs(with_inverses([g1, g2]), k, r, eps)
             assert _decision_bits(decided, i) == _decision_bits(alone, 0), (str(g1), str(g2))
             reasons.add(ping_pong_pair(g1, g2, k, r, eps).reason)
     # certified pairs, whose witnesses come in the order g1, g1^-1, g2, g2^-1,

@@ -230,7 +230,6 @@ def test_n3_experiment_runs_no_jacobi_for_its_decisions(monkeypatch, eta, frac_g
     def refuse(*args):
         raise AssertionError("the n = 3 experiment ran a Jacobi decision")
 
-    monkeypatch.setattr(harness, "svd_with_inverses", refuse)
     monkeypatch.setattr(harness, "decide_pairs", refuse)
     monkeypatch.setattr(certify, "svd_batch", refuse)
     cfg = ExperimentConfig(
@@ -257,7 +256,16 @@ def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
 
 def test_fraction_chain_violation_aborts_the_run(monkeypatch):
     # with nothing gapped, the very proximal pairs break frac_very_proximal <= frac_gapped
+    # at the first radius, which stops the run before the second is enumerated
     monkeypatch.setattr(harness, "gapped", lambda n, f, f_inv, eta: np.zeros(f.shape, bool))
-    cfg = ExperimentConfig(n=2, x_grid=(20,), symmetrized=False, pairs_per_x=200, seed=7)
+    radii = []
+
+    def recording(spec):
+        radii.append(spec.x)
+        return enumerate_ball(spec)
+
+    monkeypatch.setattr(harness, "enumerate_ball", recording)
+    cfg = ExperimentConfig(n=2, x_grid=(20, 60), symmetrized=False, pairs_per_x=200, seed=7)
     with pytest.raises(InvariantViolation, match=r"^fraction chain violated at x = 20\.0: "):
         run_experiment(cfg)
+    assert radii == [20]

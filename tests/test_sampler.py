@@ -18,6 +18,7 @@ from pingpong.sampler import (
     MAX_X,
     BallSpec,
     _frobenius_sq,
+    _lambda_max_le_2x2,
     _member,
     _sigma1_sq_le,
     _sl2_interval,
@@ -514,6 +515,11 @@ def test_member_on_arrays_matches_scalars(gram_invariants, n, symmetrized, bound
     assert inside.dtype == bool
     assert inside.tolist() == expected
     assert 0 < sum(expected) < len(expected)
+    if n == 2:
+        # the Frobenius cap is the Gram polynomial's root test: its vertex test is redundant
+        assert _sigma1_sq_le(2, f, f_inv, bound).tolist() == (
+            _lambda_max_le_2x2(f, 1, bound).tolist()
+        )
 
 
 def test_scalar_predicates_return_python_bools():
