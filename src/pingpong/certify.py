@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, adjugate, det, inverse
-from .spectral import DELTA_NUM, svd_batch
+from .spectral import DELTA_NUM, as_float, svd_batch
 from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
 # unused here; kept as module attributes because bench/spans.py wraps them
@@ -108,43 +109,78 @@ def check_r_eps(r: float, eps: float) -> None:
         raise ConfigError(f"need r > 2*eps, both finite floats, got r = {r}, eps = {eps}")
 
 
-def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float):
-    """Ping-pong decisions for every pair of integer rows g1, g1^-1, g2, g2^-1, as
-    ``with_inverses`` builds them (int64, or object for Python ints), in one Jacobi pass.
+# the attractor and hyperplane rows of a pair's separations: 4 own, then 8 cross
+_SEP_V, _SEP_H = [0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 2, 3, 2, 3, 2, 3, 0, 1, 0, 1]
 
-    Returns (code, min_sep, gap, v, h).  Per pair, code is the first failed
-    condition in ping_pong_pair's order (2 j: row j is not eps-contracting;
-    2 j + 1: its attractor is within r of its own repelling hyperplane;
-    VERY_PROXIMAL: a cross separation is below r) or CERTIFIED, and min_sep
-    the least separation.  Per row, gap, v and h give its ContractionWitness.
-    """
-    check_r_eps(r, eps)
+
+def _jacobi_readoff(rows: np.ndarray, k: int):
+    """Per ``with_inverses`` row its witness's gap, v and h, per pair the 12 separations."""
     # each g^-1 is the exact inverse with its own SVD: reading its small
     # singular values off g's decomposition loses relative accuracy
     svds = svd_batch(rows)
-    p, n = len(svds.sigma) // 4, svds.sigma.shape[1]
-    if not 1 <= k < n:
-        raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
     gap = svds.sigma[:, k] / svds.sigma[:, k - 1]
     v, h = attractor_repeller_from_svd(svds.k_g, svds.k_g_prime, k)
-    vs, hs = v.reshape(-1, p, 4), h.reshape(-1, p, 4)
-    own = point_hyperplane_distance(vs, hs)
-    # one generator's attractors against the other's repelling hyperplanes
-    i, j = [0, 0, 1, 1, 2, 2, 3, 3], [2, 3, 2, 3, 0, 1, 0, 1]
-    cross = point_hyperplane_distance(vs[..., i], hs[..., j])
-    min_sep = np.minimum(own.min(axis=1), cross.min(axis=1))
-    not_contracting = (gap > eps * eps - DELTA_NUM).reshape(p, 4)
-    failed = np.stack([not_contracting, own < r + DELTA_NUM], axis=2).reshape(p, 8)
-    failed = np.column_stack([failed, min_sep < r + DELTA_NUM])
-    return np.where(failed.any(axis=1), failed.argmax(axis=1), CERTIFIED), min_sep, gap, v, h
+    vs, hs = v.reshape(-1, len(rows) // 4, 4), h.reshape(-1, len(rows) // 4, 4)
+    return gap, v, h, point_hyperplane_distance(vs[..., _SEP_V], hs[..., _SEP_H])
+
+
+def _exact_below(n: int, dd: int, c: Fraction) -> bool:
+    """n < c sqrt(dd): for c = y/q and x = n q, x |x| < y |y| dd, as t |t| grows with t."""
+    x, y = n * c.denominator, c.numerator
+    return x * abs(x) < y * abs(y) * dd
+
+
+def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float) -> np.ndarray:
+    """Per pair of integer rows g1, g1^-1, g2, g2^-1 from ``with_inverses`` (int64, or
+    object for Python ints), the first failed condition in ping_pong_pair's order
+    (2 j: row j is not eps-contracting; 2 j + 1: its attractor is within r of its own
+    repelling hyperplane; VERY_PROXIMAL: a cross separation is below r) or CERTIFIED.
+
+    n >= 3 takes one Jacobi pass, n = 2 integer Gram entries: gap = 1/sigma_1^2 <= T iff
+    f = ||g||_F^2 = sigma_1^2 + 1/sigma_1^2 >= T + 1/T, and the top eigenvector of S =
+    [[p, q], [q, s]] is at theta, (cos 2 theta, sin 2 theta) = (p - s, 2 q) / sqrt(D), D =
+    (p - s)^2 + 4 q^2 = f^2 - 4 det S.  So for v of g g^T and h of g^T g, |<h, v>| < rho
+    iff N = (p_v - s_v)(p_h - s_h) + 4 q_v q_h < (2 rho^2 - 1) sqrt(D_v D_h), in float and
+    exactly near it or on Python ints.  An orthogonal g has D = 0; f = 2 fails it first.
+    """
+    check_r_eps(r, eps)
+    floats = as_float(rows)  # entries past the float range are refused first, at every n
+    if not 1 <= k < rows.shape[-1]:
+        raise ConfigError(f"k must be in [1, {rows.shape[-1] - 1}], got {k}")
+    if rows.shape[-1] > 2:
+        gap, _, _, sep = _jacobi_readoff(floats, k)
+        not_contracting = (gap > eps * eps - DELTA_NUM).reshape(-1, 4)
+        too_close = sep < r + DELTA_NUM
+    else:
+        a, b, c, d = (rows[:, i, j].reshape(-1, 4) for i in (0, 1) for j in (0, 1))
+        t, f = Fraction(eps * eps - DELTA_NUM), a * a + b * b + c * c + d * d  # T exactly
+        not_contracting = f < math.ceil(t + 1 / t) if t > 0 else np.ones(f.shape, bool)
+        # (p - s, 2 q) of g g^T for the attractors and of g^T g for the repeller normals
+        v = np.stack([a * a + b * b - c * c - d * d, 2 * (a * c + b * d)])[..., _SEP_V]
+        h = np.stack([a * a + c * c - b * b - d * d, 2 * (a * b + c * d)])[..., _SEP_H]
+        rho, dd = Fraction(r + DELTA_NUM), f * f - 4  # f <= X^2 + 1, so int64 holds f^2
+        n, dv, dh, cos = (v * h).sum(0), dd[..., _SEP_V], dd[..., _SEP_H], 2 * rho * rho - 1
+        too_close, exact = np.empty(n.shape, bool), np.ones(n.shape, bool)
+        if n.dtype != object:
+            s = np.sqrt(dv.astype(float) * dh.astype(float))
+            # |N| <= s, so a cos past 1 decides as 2 does, and float(cos) is finite
+            diff = n.astype(float) - float(min(cos, 2)) * s
+            too_close, exact = diff < 0, np.abs(diff) < 1e-9 * s
+        for i in zip(*exact.nonzero()):
+            too_close[i] = _exact_below(int(n[i]), int(dv[i]) * int(dh[i]), cos)
+    failed = np.stack([not_contracting, too_close[:, :4]], axis=2).reshape(len(too_close), 8)
+    failed = np.column_stack([failed, too_close[:, 4:].any(axis=1)])
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), CERTIFIED)
 
 
 def very_proximal(
     g: IntMatrix, k: int, r: float, eps: float
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
-    code, _, gap, v, h = decide_pairs(with_inverses([g, g]), k, r, eps)
-    return _witnesses(gap, v, h, [0, 1], k, eps) if code[0] >= VERY_PROXIMAL else None
+    rows = with_inverses([g, g])
+    if decide_pairs(rows, k, r, eps)[0] < VERY_PROXIMAL:
+        return None
+    return _witnesses(*_jacobi_readoff(rows, k)[:3], [0, 1], k, eps)
 
 
 def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -> Verdict:
@@ -158,10 +194,12 @@ def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -
     certificate implies the group generated is free.  This is
     ``decide_pairs`` on a batch of one pair.
     """
-    (code,), (min_sep,), gap, v, h = decide_pairs(with_inverses([g1, g2]), k, r, eps)
+    rows = with_inverses([g1, g2])
+    (code,) = decide_pairs(rows, k, r, eps)
     if code == CERTIFIED:
+        gap, v, h, sep = _jacobi_readoff(rows, k)
         witnesses = _witnesses(gap, v, h, range(4), k, eps)
-        return Verdict(PingPongCertificate(r, eps, witnesses, float(min_sep)))
+        return Verdict(PingPongCertificate(r, eps, witnesses, float(sep.min())))
     if code == VERY_PROXIMAL:
         return Verdict(None, CROSS_SEPARATION)
     label = ("g1", "g1^-1", "g2", "g2^-1")[code // 2]

@@ -17,7 +17,7 @@ import numpy as np
 from .certify import with_inverses
 from .errors import BudgetError, ConfigError
 from .matrices import ALPHABET, IntMatrix, free_reduce, invert_word, is_reduced
-from .spectral import seq_sum, svd_batch
+from .spectral import as_float, seq_sum, svd_batch
 
 MAX_ORACLE_LEN = 12
 MAX_STEPS = 10**7  # m * trials per run; Lyapunov products take 5-35 s at the cap (README)
@@ -103,21 +103,43 @@ def _key_vectors(n: int) -> np.ndarray:
     return uv
 
 
+@functools.cache
+def _key_index(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table indices (a, b) of _screen_keys's prefix a and suffix b of each reduced word
+    w = a b, |w| <= depth, a its first min(ceil(depth/2), |w|) letters, b the rest."""
+    h = (depth + 1) // 2
+    last = np.concatenate([[-1], *(_level(k)[1] for k in range(1, h + 1))])
+    # table entry i ends in last[i], a reversed b's first letter; inverses are 0<->1, 2<->3
+    keep = last[:, None] != last[: 2 * 3 ** (depth - h) - 1] ^ 1
+    keep &= (np.arange(len(last)) >= 2 * 3 ** (h - 1) - 1)[:, None]
+    keep[:, 0] = True  # each a alone
+    a, b = keep.nonzero()
+    a.flags.writeable = b.flags.writeable = False  # shared by every call
+    return a, b
+
+
+def _screen_keys(gens: np.ndarray, depth: int) -> np.ndarray:
+    """The (2 3^depth - 1, P) keys u (w v) mod 2^64 of the reduced words of length <= depth,
+    per pair of a (P, 4, n, n) uint64 stack of letters: (u a)(b v) for _key_index's w =
+    a b.  Each table entry is its parent times its last letter, over the pair axis (uint64
+    wraps mod 2^64): u a, and from the transposed letters v^T b^T = (b v)^T, b reversed."""
+    letters = np.ascontiguousarray(np.moveaxis(gens, 0, -1))  # (4, n, n, P)
+    tables = []
+    for vec, mats, k in zip(_key_vectors(gens.shape[-1]), (letters, letters.swapaxes(1, 2)),
+                            ((depth + 1) // 2, depth // 2)):
+        table = [np.broadcast_to(vec[:, None], (1, *letters.shape[2:]))]
+        for parent, letter in map(_level, range(1, k + 1)):
+            table.append(seq_sum((table[-1][parent, :, None] * mats[letter]).swapaxes(0, 1)))
+        tables.append(np.concatenate(table))
+    (rows, cols), (a, b) = tables, _key_index(depth)
+    return seq_sum((rows[a] * cols[b]).swapaxes(0, 1))
+
+
 def _collisions_mod_2_64(gens: np.ndarray, depth: int) -> np.ndarray:
-    """Per pair of a (P, 4, n, n) uint64 stack of letters: whether two reduced words
-    w of length <= depth, the empty word included, have equal keys u (w v) mod 2^64;
-    if not, their integer matrices are distinct, as reduction mod 2^64 is a ring
-    homomorphism.  A level prepends _level's letter, (c w) v = c (w v), building
-    _level's words reversed, one mat-vec each: reversal permutes each length's words."""
-    u, v = _key_vectors(gens.shape[-1])
-    vec = np.broadcast_to(v, (len(gens), 1, len(v)))
-    keys = [vec @ u]
-    for k in range(1, depth + 1):
-        parent, letter = _level(k)
-        vec = (gens[:, letter] @ vec[:, parent, :, None])[..., 0]  # uint64 wraps mod 2^64
-        keys.append(vec @ u)
-    keys = np.sort(np.concatenate(keys, axis=1), axis=1)
-    return np.any(keys[:, 1:] == keys[:, :-1], axis=1)
+    """Per pair, whether two of _screen_keys's keys are equal; if none are, the words'
+    integer matrices are distinct, as reduction mod 2^64 is a ring homomorphism."""
+    keys = np.sort(_screen_keys(gens, depth), axis=0)
+    return np.any(keys[1:] == keys[:-1], axis=0)
 
 
 def _first_relation(letters: np.ndarray, max_len: int) -> str | None:
@@ -256,9 +278,9 @@ def check_twoops(
     """
     if not is_reduced(w):
         raise ConfigError("word must be reduced")
-    rows = with_inverses([A, B])  # rows a, A, b, B
+    rows = as_float(with_inverses([A, B]))  # rows a, A, b, B
     svds = svd_batch(rows)
-    table = dict(zip(ALPHABET, rows.astype(float)))
+    table = dict(zip(ALPHABET, rows))
     # top left/right singular directions: ||g x|| >= sigma1 |<x, v1>|
     u1 = dict(zip(ALPHABET, svds.k_g[:, :, 0]))
     v1 = dict(zip(ALPHABET, svds.k_g_prime[:, 0, :]))
@@ -276,14 +298,10 @@ def check_twoops(
         diagnostics["reason"] = "top singular value below lam"
         return diagnostics
 
-    # the letters act right-to-left on u1(A); each junction needs the
-    # incoming direction to have inner product > eps with the next v1
-    needed = []
-    if w:
-        needed.append(abs(float(seq_sum(v1[w[-1]] * u1["a"]))))
-        for i in range(len(w) - 1, 0, -1):
-            needed.append(abs(float(seq_sum(v1[w[i - 1]] * u1[w[i]]))))
-    min_inner = min(needed) if needed else 1.0
+    # the letters act right-to-left on u1(A); each junction needs the incoming direction,
+    # u1 of the letter after (of A after the last), above eps against the next letter's v1
+    needed = [abs(float(seq_sum(v1[x] * u1[y]))) for x, y in zip(w, w[1:] + "a")]
+    min_inner = min(needed, default=1.0)
     diagnostics["min_inner_product"] = min_inner
     if min_inner <= eps:
         diagnostics["status"] = "preconditions_unmet"

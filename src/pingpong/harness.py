@@ -8,8 +8,8 @@ invariant violation, not a data point) and on an equal-sized control
 group of uncertified pairs, and attaches Lyapunov estimates for a few
 sampled pairs.  Everything derives from the config seed, so a re-run is
 byte-identical.  Each radius only calls library passes; ``sampler.gapped``
-decides every gap exactly in integers.  For n = 3 a theorem fails every pair
-at contraction, so only the Lyapunov products take an SVD.
+decides every gap and ``decide_pairs`` every n = 2 code exactly in integers, and
+for n = 3 a theorem fails every pair at contraction: only Lyapunov takes an SVD.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         del enum  # else its n = 3 array or n = 2 tables live on through the radius's peak
         quads = with_inverses(pairs.reshape(-1, cfg.n, cfg.n))
         if cfg.n == 2:
-            code = decide_pairs(quads, k, cfg.r, cfg.eps)[0]
+            code = decide_pairs(quads, k, cfg.r, cfg.eps)
         else:
             # sigma_2^2 >= sigma_2 sigma_3 = 1/sigma_1 in SL_3(Z), so sigma_2/sigma_1 >=
             # sigma_1^(-3/2) >= X^(-3/2), and X <= MAX_X[3] = 6 with eps < 1/4 gives

@@ -61,19 +61,23 @@ def seq_sum(p: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, p)
 
 
+def as_float(a: np.ndarray) -> np.ndarray:
+    """A float, int64 or object array as float, refusing entries past the float range."""
+    try:
+        return np.asarray(a, dtype=float)
+    except OverflowError as exc:
+        raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
+
+
 def svd_batch(a: np.ndarray) -> SvdBatch:
     """Cartan decompositions of an (M, n, n) stack by one-sided Jacobi, in one pass.
 
-    The stack is float, int64, or object for Python ints; it becomes float
-    here, and entries past the float range are a ConfigError.  Each matrix
-    gets the rotations it would get alone: pairs (i, j) in order, each
-    rotated where the columns' cosine exceeds _JACOBI_TOL, until a sweep
-    rotates nothing and the matrix leaves the active set.
+    The stack is float, int64, or object for Python ints; ``as_float`` makes it
+    float here.  Each matrix gets the rotations it would get alone: pairs (i, j)
+    in order, each rotated where the columns' cosine exceeds _JACOBI_TOL, until
+    a sweep rotates nothing and the matrix leaves the active set.
     """
-    try:
-        a = np.asarray(a, dtype=float)
-    except OverflowError as exc:
-        raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
+    a = as_float(a)
     m, n, _ = a.shape
     scale = np.max(np.abs(a), axis=(1, 2))
     if np.any(scale == 0):

@@ -20,6 +20,7 @@ import pytest
 from pingpong.certify import (
     Circle,
     ContractionWitness,
+    _jacobi_readoff,
     decide_pairs,
     hausdorff_upper_bound,
     with_inverses,
@@ -92,9 +93,11 @@ def _certified_witnesses(count=100, eps=0.2):
         pool += [(a3 @ b3).power(p), (a3 @ c3 @ b3).power(p), ((b3 @ a3).power(p)) @ c3]
     out = []
     for g in pool:
-        # row g of the pair (g, g) fails with code 0 iff g is not eps-contracting
-        code, _, gap, v, h = decide_pairs(with_inverses([g, g]), 1, 1.0, eps)
-        if code[0]:
+        # the pair (g, g) fails with code 0 iff g is not eps-contracting, and row g
+        # of the Jacobi read-off is its witness
+        rows = with_inverses([g, g])
+        if decide_pairs(rows, 1, 1.0, eps)[0]:
+            gap, v, h, _ = _jacobi_readoff(rows, 1)
             out.append((g, ContractionWitness(eps, 1, v[:, 0], h[:, 0], float(gap[0]))))
         if len(out) == count:
             break

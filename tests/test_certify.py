@@ -1,6 +1,7 @@
 """Contraction witnesses, ping-pong and Schottky certificates."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,11 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pingpong import certify
 from pingpong.certify import (
+    CERTIFIED,
     CROSS_SEPARATION,
     SCHOTTKY_CERTIFIED,
+    VERY_PROXIMAL,
     Circle,
     ContractionWitness,
+    _jacobi_readoff,
     choose_k,
     decide_pairs,
     decide_schottky,
@@ -30,7 +35,7 @@ from pingpong.dynamics import falsify_freeness
 from pingpong.errors import ConfigError
 from pingpong.matrices import IntMatrix, det, inverse
 from pingpong.sampler import MAX_X, BallSpec, enumerate_ball, sample_pairs
-from pingpong.spectral import svd, svd_batch
+from pingpong.spectral import DELTA_NUM, svd, svd_batch
 from pingpong.wedge import point_hyperplane_distance, proj_distance, unit, wedge_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -54,10 +59,13 @@ def test_choose_k():
 
 def epsilon_contracting(g, k, eps):
     """The witness that g contracts P(wedge^k(R^n)) (gap <= eps^2 - DELTA_NUM), or None:
-    row g of decide_pairs on the pair (g, g), which fails with code 0 iff g does not
-    contract; r = 1.0 is moot for that code."""
-    code, _, gap, v, h = decide_pairs(with_inverses([g, g]), k, 1.0, eps)
-    return ContractionWitness(eps, k, v[:, 0], h[:, 0], float(gap[0])) if code[0] else None
+    decide_pairs on the pair (g, g) fails with code 0 iff g does not contract (r = 1.0
+    is moot for that code), and row g of the Jacobi read-off is its witness."""
+    rows = with_inverses([g, g])
+    if not decide_pairs(rows, k, 1.0, eps)[0]:
+        return None
+    gap, v, h, _ = _jacobi_readoff(rows, k)
+    return ContractionWitness(eps, k, v[:, 0], h[:, 0], float(gap[0]))
 
 
 def test_epsilon_contracting_examples():
@@ -454,8 +462,8 @@ def test_sl3_budget_ball_never_contracts():
     assert ratio.min() >= bound
     assert ratio.min() < 0.0710  # measured 0.0709: the bound is nearly attained
     # so at the largest admitted eps every pair fails at g1's contraction
-    code = decide_pairs(with_inverses(members[::100][:1000]), 1, 0.5, 0.2499)[0]
-    assert (code == 0).all()
+    code = decide_pairs(with_inverses(members[::100][:1000]), 1, 0.5, 0.2499)
+    assert len(code) == 500 and (code == 0).all()
 
 
 def test_sl3_contraction_theorem_covers_the_budget():
@@ -518,6 +526,86 @@ def test_with_inverses_rows_and_float_range():
         decide_pairs(with_inverses([H, IntMatrix.from_rows([[1, 10**400], [0, 1]])]), 1, 0.5, 0.2)
 
 
+def _jacobi_codes(rows, r, eps):
+    """decide_pairs codes from the certificates' Jacobi read-off, as n >= 3 takes them:
+    per row, contraction then own separation, then any cross separation."""
+    gap, _, _, sep = _jacobi_readoff(rows, 1)
+    too_close = sep < r + DELTA_NUM
+    failed = np.stack([gap.reshape(-1, 4) > eps * eps - DELTA_NUM, too_close[:, :4]], axis=2)
+    failed = np.column_stack([failed.reshape(-1, 8), too_close[:, 4:].any(axis=1)])
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), CERTIFIED)
+
+
+@pytest.mark.parametrize("r, eps", [(0.5, 0.2), (0.25, 0.1), (0.6, 0.24), (0.3, 0.05)])
+def test_sl2_codes_match_the_jacobi_readoff(r, eps):
+    # n = 2 codes come from integer Gram entries; on ball pairs they are the codes
+    # of the Jacobi read-off that the certificates keep, certified or not
+    codes = []
+    for x in (1, 2, 5, 20, 60, 180, 500):
+        pairs = sample_pairs(enumerate_ball(BallSpec(2, x)), 400, seed=[5, x])
+        rows = with_inverses(pairs.reshape(-1, 2, 2))
+        codes.append(decide_pairs(rows, 1, r, eps))
+        assert codes[-1].tolist() == _jacobi_codes(rows, r, eps).tolist(), x
+    codes = np.concatenate(codes)
+    assert 0 < (codes == CERTIFIED).sum() and 0 < (codes < VERY_PROXIMAL).sum()
+
+
+def _counting_exact_test(monkeypatch):
+    """The arguments of every exact separation test decide_pairs makes from here on."""
+    calls, exact_below = [], certify._exact_below
+    monkeypatch.setattr(certify, "_exact_below", lambda *args: calls.append(args) or exact_below(*args))
+    return calls
+
+
+def test_sl2_separation_at_its_threshold_is_decided_exactly(monkeypatch):
+    # g = [[2, 13], [1, 7]] has d(v, H) = 3/5 exactly: (N, D_v, D_h) = (-13923, 49725,
+    # 49725), so 2 d^2 - 1 = -0.28.  At rho = r + DELTA_NUM within 1e-12 of 3/5 the
+    # float comparison cannot tell, and the exact test decides, on an int64 stack
+    g = IntMatrix.from_rows([[2, 13], [1, 7]])
+    rows = with_inverses(np.array([g.entries, H.power(8).entries]))
+    assert rows.dtype == np.int64
+    calls = _counting_exact_test(monkeypatch)
+    base = 0.6 - DELTA_NUM
+    up = float(np.nextafter(base, 1))
+    refused = []
+    for r in (float(np.nextafter(base, 0)), base, up, float(np.nextafter(up, 1))):
+        rho = Fraction(r + DELTA_NUM)
+        assert abs(rho - Fraction(3, 5)) < 1e-12
+        del calls[:]
+        refused.append(decide_pairs(rows, 1, r, 0.2)[0] == 1)
+        assert (-13923, 49725**2) in [(n, dd) for n, dd, _ in calls]
+        assert refused[-1] == (Fraction(3, 5) < rho), r
+    assert set(refused) == {False, True}
+    # away from every threshold the float comparison decides alone
+    del calls[:]
+    decide_pairs(rows, 1, 0.5, 0.2)
+    assert calls == []
+
+
+def test_orthogonal_member_decides_without_a_warning():
+    # ROT has D = 0 and no attractor; f = 2 fails its contraction first, and no
+    # division or NaN is made on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert very_proximal(ROT, 1, 0.25, 0.1) is None
+        assert ping_pong_pair(H.power(8), ROT, 1, 0.5, 0.2).reason == (
+            "g2 is not eps-contracting on the k = 1 exterior power"
+        )
+        rows = with_inverses(np.array([ROT.entries, K.entries, H.power(8).entries, ROT.entries]))
+        assert decide_pairs(rows, 1, 0.5, 0.2).tolist() == [0, 4]
+
+
+def test_gram_entries_past_the_float_range_are_decided_exactly(monkeypatch):
+    # g1's entries fit floats but its Gram entries (about 10^400) do not: a pair of
+    # Python ints is decided exactly, and g1's attractor, near e1, lies within r of
+    # its repelling hyperplane, whose normal is near e2
+    calls = _counting_exact_test(monkeypatch)
+    g1 = IntMatrix.from_rows([[1, 10**200], [0, 1]])
+    verdict = ping_pong_pair(g1, IntMatrix.from_rows([[1, 0], [1, 1]]), 1, 0.5, 0.2)
+    assert verdict.reason == "g1 has attractor within r of its own repelling hyperplane"
+    assert len(calls) == 4 + 8  # every own and cross separation of the pair
+
+
 def test_ping_pong_pair_refuses_mixed_sizes_and_any_det_not_one():
     block = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
     with pytest.raises(ConfigError, match="dimension mismatch"):
@@ -527,12 +615,18 @@ def test_ping_pong_pair_refuses_mixed_sizes_and_any_det_not_one():
         ping_pong_pair(IntMatrix.identity(2), IntMatrix.from_rows([[3, 1], [0, 1]]), 1, 0.5, 0.2)
 
 
+def _decided(rows, k, r, eps):
+    """decide_pairs on a with_inverses stack, and its Jacobi read-off."""
+    return decide_pairs(rows, k, r, eps), _jacobi_readoff(rows, k)
+
+
 def _decision_bits(decided, i):
-    """Pair i of a decide_pairs result as bytes: code, min_sep and its rows' gaps and witnesses."""
-    code, min_sep, gap, v, h = decided
+    """Pair i of a _decided result as bytes: its code, its rows' gaps and witnesses,
+    and its separations."""
+    code, (gap, v, h, sep) = decided
     rows = slice(4 * i, 4 * i + 4)
     witnesses = gap[rows].tobytes(), v[:, rows].tobytes(), h[:, rows].tobytes()
-    return code[i], min_sep[i].hex(), witnesses
+    return code[i], witnesses, sep[i].tobytes()
 
 
 def _block_sum(a, b):
@@ -543,7 +637,7 @@ def _block_sum(a, b):
 
 def test_pair_decided_in_a_batch_matches_alone():
     # the experiment decides a radius's pairs in one pass over an int64 stack;
-    # each pair must get the reason, min_sep and witness bits it gets alone
+    # each pair must get the reason, separations and witness bits it gets alone
     block_h = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
     block_k = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
     n2 = sample_pairs(enumerate_ball(BallSpec(2, 60)), 200, seed=[7, 0])
@@ -561,9 +655,9 @@ def test_pair_decided_in_a_batch_matches_alone():
             pairs = [tuple(map(IntMatrix.from_rows, p)) for p in pairs.tolist()]
         else:
             gens = [g for pair in pairs for g in pair]
-        decided = decide_pairs(with_inverses(gens), k, r, eps)
+        decided = _decided(with_inverses(gens), k, r, eps)
         for i, (g1, g2) in enumerate(pairs):
-            alone = decide_pairs(with_inverses([g1, g2]), k, r, eps)
+            alone = _decided(with_inverses([g1, g2]), k, r, eps)
             assert _decision_bits(decided, i) == _decision_bits(alone, 0), (str(g1), str(g2))
             reasons.add(ping_pong_pair(g1, g2, k, r, eps).reason)
     # certified pairs, whose witnesses come in the order g1, g1^-1, g2, g2^-1,

@@ -13,6 +13,8 @@ from pingpong import dynamics
 from pingpong.dynamics import (
     MAX_STEPS,
     _collisions_mod_2_64,
+    _key_vectors,
+    _screen_keys,
     check_twoops,
     estimate_lyapunov,
     falsify_freeness,
@@ -195,6 +197,33 @@ def test_screen_keys_tell_n_5_words_apart():
     letters = np.array([[g.entries for g in quad]]).astype(np.uint64)  # residues mod 2^64
     assert not _collisions_mod_2_64(letters, 4)[0]
     assert _first_repeat(E5, E5.transpose(), 8) is None
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        (IntMatrix.from_rows([[12, -1], [13, -1]]), IntMatrix.from_rows([[1, 13], [-1, -12]])),
+        (_SL3_FACTORS[0] @ _SL3_FACTORS[2], _SL3_FACTORS[1] @ _SL3_FACTORS[3]),
+        (E5, E5.transpose()),
+    ],
+)
+def test_screen_keys_match_brute_force(g1, g2):
+    # the keys the screen sorts, from prefix rows u a and suffix columns b v, are
+    # u (w v) mod 2^64 over the reduced words w of length <= depth, the empty word
+    # included, each word evaluated alone in Python ints
+    u, v = (x.tolist() for x in _key_vectors(g1.n))
+    quad = (g1, inverse(g1), g2, inverse(g2))  # in ALPHABET order
+    letters = np.array([[[[x % 2**64 for x in row] for row in g.entries] for g in quad]], np.uint64)
+    keys = {}
+    for length in range(7):
+        for word in map("".join, itertools.product("aAbB", repeat=length)):
+            if is_reduced(word):
+                m = evaluate_word(word, g1, g2).entries
+                keys[word] = sum(u[i] * m[i][j] * v[j] for i in range(g1.n) for j in range(g1.n))
+    for depth in range(1, 7):
+        expected = sorted(key % 2**64 for word, key in keys.items() if len(word) <= depth)
+        assert len(expected) == 2 * 3**depth - 1
+        assert np.sort(_screen_keys(letters, depth)[:, 0]).tolist() == expected, depth
 
 
 @pytest.mark.parametrize("n", [5, 6])

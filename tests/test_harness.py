@@ -241,6 +241,23 @@ def test_n3_experiment_runs_no_jacobi_for_its_decisions(monkeypatch, eta, frac_g
     )
 
 
+def test_n2_experiment_runs_no_jacobi_for_its_decisions(monkeypatch):
+    # the n = 2 acceptance config, whose rows the Jacobi decisions gave before:
+    # integer Gram entries decide every code, so only Lyapunov's products, through
+    # dynamics.svd_batch, see an SVD
+    def refuse(*args):
+        raise AssertionError("the n = 2 experiment ran a Jacobi decision")
+
+    monkeypatch.setattr(certify, "svd_batch", refuse)
+    cfg = ExperimentConfig(n=2, x_grid=(20, 60, 180), symmetrized=False, pairs_per_x=1000, seed=7)
+    assert emit_report(run_experiment(cfg), "csv") == (
+        ",".join(CSV_COLUMNS) + "\n"
+        "20,2356,0.644,0.894,0.437,0.037,0.225,0.792481250361,0,55,0.927256593262\n"
+        "60,21316,0.851,0.989,0.453,0.032,0.605,0.411464947873,0,42,1.3718980862\n"
+        "180,194116,0.952,0.999,0.429,0.043,0.837,0.25,0,14,2.09742143668\n"
+    )
+
+
 def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
     # an oracle that relates every pair: the first certified pair of the
     # radius is reported with its word, generators, radius and seed
