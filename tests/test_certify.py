@@ -580,6 +580,27 @@ def test_sl2_separation_at_its_threshold_is_decided_exactly(monkeypatch):
     del calls[:]
     decide_pairs(rows, 1, 0.5, 0.2)
     assert calls == []
+    # H^8 is symmetric, so d(v, H) = 1, and at r = 1 - DELTA_NUM rho is 1.0: a
+    # separation equal to rho is not below it
+    r = 1 - DELTA_NUM
+    assert r + DELTA_NUM == 1.0
+    assert very_proximal(H.power(8), 1, r, 0.2) is not None
+    del calls[:]
+    rows = with_inverses(np.array([H.power(8).entries] * 2))
+    assert decide_pairs(rows, 1, r, 0.2).tolist() == [VERY_PROXIMAL]
+    assert calls  # on int64 too, whose float difference there is 0
+
+
+def test_sl2_contraction_cap_is_a_ceiling():
+    # g = [[4, 3], [1, 1]] has f = ||g||_F^2 = 27, and at eps = 0.1923 the cap T + 1/T is
+    # 27.08: sigma_1^2 < 1/T, so g is not eps-contracting, as its Jacobi gap says
+    g, eps = IntMatrix.from_rows([[4, 3], [1, 1]]), 0.1923
+    t = Fraction(eps * eps - DELTA_NUM)
+    assert 27 < t + 1 / t < 28
+    rows = with_inverses(np.array([g.entries, H.power(8).entries]))
+    assert _jacobi_codes(rows, 0.5, eps).tolist() == [0]
+    assert decide_pairs(rows, 1, 0.5, eps).tolist() == [0]
+    assert decide_pairs(with_inverses([g, H.power(8)]), 1, 0.5, eps).tolist() == [0]
 
 
 def test_orthogonal_member_decides_without_a_warning():
