@@ -143,12 +143,18 @@ def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float) -> np.ndarray:
     iff N = (p_v - s_v)(p_h - s_h) + 4 q_v q_h < (2 rho^2 - 1) sqrt(D_v D_h), in float and
     exactly near it or on Python ints.  An orthogonal g has D = 0; f = 2 fails it first.
     """
+    return _decide_pairs(rows, k, r, eps)[0]
+
+
+def _decide_pairs(rows: np.ndarray, k: int, r: float, eps: float):
+    """``decide_pairs``, and at n >= 3 the ``_jacobi_readoff`` it decided from (else None)."""
     check_r_eps(r, eps)
     floats = as_float(rows)  # entries past the float range are refused first, at every n
     if not 1 <= k < rows.shape[-1]:
         raise ConfigError(f"k must be in [1, {rows.shape[-1] - 1}], got {k}")
+    readoff = None
     if rows.shape[-1] > 2:
-        gap, _, _, sep = _jacobi_readoff(floats, k)
+        readoff = gap, _, _, sep = _jacobi_readoff(floats, k)
         not_contracting = (gap > eps * eps - DELTA_NUM).reshape(-1, 4)
         too_close = sep < r + DELTA_NUM
     else:
@@ -170,7 +176,7 @@ def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float) -> np.ndarray:
             too_close[i] = _exact_below(int(n[i]), int(dv[i]) * int(dh[i]), cos)
     failed = np.stack([not_contracting, too_close[:, :4]], axis=2).reshape(len(too_close), 8)
     failed = np.column_stack([failed, too_close[:, 4:].any(axis=1)])
-    return np.where(failed.any(axis=1), failed.argmax(axis=1), CERTIFIED)
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), CERTIFIED), readoff
 
 
 def very_proximal(
@@ -178,9 +184,10 @@ def very_proximal(
 ) -> tuple[ContractionWitness, ContractionWitness] | None:
     """Witness pair for g and g^-1, each with d(v, H) >= r, or None."""
     rows = with_inverses([g, g])
-    if decide_pairs(rows, k, r, eps)[0] < VERY_PROXIMAL:
+    (code,), readoff = _decide_pairs(rows, k, r, eps)
+    if code < VERY_PROXIMAL:
         return None
-    return _witnesses(*_jacobi_readoff(rows, k)[:3], [0, 1], k, eps)
+    return _witnesses(*(readoff or _jacobi_readoff(rows, k))[:3], [0, 1], k, eps)
 
 
 def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -> Verdict:
@@ -195,9 +202,9 @@ def ping_pong_pair(g1: IntMatrix, g2: IntMatrix, k: int, r: float, eps: float) -
     ``decide_pairs`` on a batch of one pair.
     """
     rows = with_inverses([g1, g2])
-    (code,) = decide_pairs(rows, k, r, eps)
+    (code,), readoff = _decide_pairs(rows, k, r, eps)
     if code == CERTIFIED:
-        gap, v, h, sep = _jacobi_readoff(rows, k)
+        gap, v, h, sep = readoff or _jacobi_readoff(rows, k)
         witnesses = _witnesses(gap, v, h, range(4), k, eps)
         return Verdict(PingPongCertificate(r, eps, witnesses, float(sep.min())))
     if code == VERY_PROXIMAL:

@@ -64,15 +64,7 @@ def cmd_certify(args):
     verdict = ping_pong_pair(g1, g2, k, args.r, args.eps)
     cert = verdict.certificate
     if cert is None:
-        _emit(
-            {
-                "certified": False,
-                "reason": verdict.reason,
-                "k": k,
-                "eps": args.eps,
-                "r": args.r,
-            }
-        )
+        _emit({"certified": False, "reason": verdict.reason, "k": k, "eps": args.eps, "r": args.r})
         return
     _emit(
         {
@@ -134,13 +126,7 @@ def cmd_hausdorff(args):
 def cmd_oracle(args):
     g1, g2 = serialize.load_pair(args.pair)
     word = falsify_freeness(g1, g2, args.max_len)
-    _emit(
-        {
-            "max_len": args.max_len,
-            "relation": word,
-            "free_up_to_depth": word is None,
-        }
-    )
+    _emit({"max_len": args.max_len, "relation": word, "free_up_to_depth": word is None})
 
 
 def cmd_lyapunov(args):

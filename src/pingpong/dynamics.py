@@ -234,11 +234,13 @@ def lyapunov_estimates(
     """
     _check_run(m, trials, seed)
     p, k, n, _ = mats.shape
-    probs = [1.0 / k] * k  # an explicit p: choice draws a different stream with p=None
+    cdf = np.cumsum([1.0 / k] * k)  # Generator.choice(k, size=m, p=[1/k] * k), spelled out
+    cdf /= cdf[-1]
     flat = np.empty((p * trials, m), dtype=np.intp)  # indices into the (p * k) generators
     for row in range(p * trials):
         i, t = divmod(row, trials)
-        flat[row] = np.random.default_rng([seed, *keys[i], t]).choice(k, size=m, p=probs) + i * k
+        u = np.random.default_rng([seed, *keys[i], t]).random(m)
+        flat[row] = cdf.searchsorted(u, side="right") + i * k
     mats = mats.reshape(p * k, n, n)
     prods = np.tile(np.eye(n), (len(flat), 1, 1))
     # row j > 0 holds each product's divisor at renormalization j; the 1s of

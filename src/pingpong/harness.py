@@ -211,20 +211,15 @@ def report_to_json(rep: ExperimentReport) -> str:
     return serialize.canonical_json({"rows": list(rep.rows), "provenance": rep.provenance})
 
 
+def _csv_cell(v) -> str:
+    return "" if v is None else str(v) if isinstance(v, int) else serialize.format_float(v)
+
+
 def report_to_csv(rep: ExperimentReport) -> str:
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     for row in rep.rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = row[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, int):
-                cells.append(str(v))
-            else:
-                cells.append(serialize.format_float(v))
-        out.write(",".join(cells) + "\n")
+        out.write(",".join(_csv_cell(row[col]) for col in CSV_COLUMNS) + "\n")
     return out.getvalue()
 
 

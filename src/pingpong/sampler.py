@@ -14,14 +14,16 @@ A ball is its ``count`` members sorted by row-major entries; ``take``
 returns those at given positions.  For n = 2 a primitive first row (a, b)
 fixes the second up to a line (c0 + t a, d0 + t b), a d0 - b c0 = 1, and
 the ball cuts out an interval of t.  A chain-wise Stern-Brocot descent
-completes the rows of the octant a >= b >= 0, whose counts give every
-signed row's, and ``take`` builds only the members it is asked for.
+completes the rows of the octant a >= b >= 0, whose counts, one per cell
+(|a|, |b|) of a quadrant, give every signed row's, and ``take`` builds only
+the members it is asked for.
 For n = 3 one loop runs over the first columns c1 = (x, y, z) with
 0 <= x <= y <= z and squared norm <= floor(X^2); numpy cuts every c2 by
 the Gram minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third
 columns, and tests every (c2, c3) at once.  Each member g also gives
 P g diag(1, 1, det P) for every signed permutation P and distinct P c1.
-One sort of int64 keys packing the entries orders the whole ball.
+The ball is kept as int8 entries in the order of one argsort of int64
+keys packing them, and ``take`` makes int64 only of the rows it returns.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
 # the 48 signed permutation matrices P, row i = +-e_pi(i), and det P = P_0 . (P_1 x P_2)
-_B3 = np.eye(3, dtype=np.int64)[list(permutations(range(3)))][:, None]
-_B3 = (_B3 * np.array(list(product((1, -1), repeat=3)))[..., None]).reshape(48, 3, 3)
+_B3 = np.eye(3, dtype=np.int8)[list(permutations(range(3)))][:, None]
+_B3 = (_B3 * np.array(list(product((1, -1), repeat=3)), np.int8)[..., None]).reshape(48, 3, 3)
 _B3_DET = (_B3[:, 0] * np.cross(_B3[:, 1], _B3[:, 2])).sum(axis=1)
 
 
@@ -196,35 +198,41 @@ def _sl2_ball(spec: BallSpec) -> BallEnumeration:
     # ||g^-1||_F = ||g||_F, so the symmetrized test adds nothing
     cap, s_cap = math.floor(spec.x**2), sl2_frobenius_cap(spec.x**2)
     a, b, c0, d0 = _sl2_octant(cap)
-    lo, hi = _sl2_interval(a, b, c0, d0, s_cap)
     w = math.isqrt(cap) + 1
     # g -> diag(1, -1) g [[0, 1], [1, 0]] keeps det g = 1 and sigma_1 and maps the
-    # row (a, b) and completion (c0, d0) to (b, a) and (-d0, -c0); the signed rows'
-    # counts (see _sl2_take), summed in row-major order, are in lexicographic order
+    # row (a, b) and completion (c0, d0) to (b, a) and (-d0, -c0)
+    grid = np.zeros(w * w + 1, dtype=np.int64)
+    grid[1 + a * w + b] = grid[1 + b * w + a] = 1 - np.subtract(*_sl2_interval(a, b, c0, d0, s_cap))
     comp = np.zeros((2, w, w), dtype=np.int32)
     comp[0, b, a], comp[1, b, a], comp[0, a, b], comp[1, a, b] = -d0, -c0, c0, d0
-    ends = np.zeros((2 * w - 1, 2 * w - 1), dtype=np.int64)
-    ends[a + w - 1, b + w - 1] = ends[b + w - 1, a + w - 1] = hi + 1 - lo
-    ends[w - 1 :, : w - 1] = ends[w - 1 :, : w - 1 : -1]
-    ends[: w - 1] = ends[: w - 1 : -1]
-    ends = np.cumsum(ends, out=ends.ravel())
-    return BallEnumeration(spec, int(ends[-1]), partial(_sl2_take, comp, ends, s_cap))
+    # a signed row (a, b) has the members of cell 1 + |a| w + |b| (see _sl2_take), and
+    # line a those of row |a| twice but (|a|, 0) once; grid and starts count those before
+    np.cumsum(grid[1:], out=grid[1:])
+    line = (2 * grid[w::w] - grid[:-1:w] - grid[1::w])[np.abs(np.arange(1 - w, w))]
+    starts = np.cumsum(line) - line
+    return BallEnumeration(spec, int(line.sum()), partial(_sl2_take, comp, grid, starts, s_cap))
 
 
-def _sl2_take(comp: np.ndarray, ends: np.ndarray, s_cap: int, idx: np.ndarray) -> np.ndarray:
+def _sl2_take(comp, grid, starts, s_cap: int, idx: np.ndarray) -> np.ndarray:
     w = comp.shape[1]
-    cell = np.searchsorted(ends, idx, side="right")
-    a, b = (v - (w - 1) for v in np.divmod(cell, 2 * w - 1))
-    ua, ub = np.abs(a), np.abs(b)
+    a = np.searchsorted(starts, idx, side="right") - w
+    ua, r = np.abs(a), idx - starts[a + w - 1]
+    row, end = ua * w, grid[ua * w + w]
+    # line a runs over b = 1 - w..w - 1, so its first end - grid[row + 1] members have
+    # b < 0: those are ranked from the right among the cells |b| >= 1 of row |a| of grid
+    neg = r < end - grid[row + 1]
+    key = np.where(neg, end - 1 - r, r - end + grid[row + 1] + grid[row])
+    cell = np.searchsorted(grid, key, side="right") - 1
+    ub, pos = cell - row, key - grid[cell]
     c0, d0 = comp[:, ua, ub]
     lo, hi = _sl2_interval(ua, ub, c0, d0, s_cap)
     # g -> diag(1, sa sb) g diag(sa, sb), sa and sb the signs of a and b (+1 at 0),
     # keeps det and sigma_1: (a, b)'s members are (a, b, sb (c0 + t |a|), sa (d0 + t |b|)),
-    # lo <= t <= hi, and c ascends with t unless a != 0 > b (at a = 0, c = -b, d ascends)
-    back = ends[cell] - 1 - idx  # members after it in its row
-    t = np.where((a != 0) & (b < 0), lo + back, hi - back)
-    c, d = np.where(b < 0, -c0 - t * ua, c0 + t * ua), np.where(a < 0, -d0 - t * ub, d0 + t * ub)
-    return np.stack([a, b, c, d], axis=-1).reshape(*np.shape(idx), 2, 2)
+    # lo <= t <= hi.  A row b < 0 runs backwards in grid and has c descend with t, so pos
+    # ascends with t unless a = 0 > b, where c = 1 and d ascends with t
+    t = np.where((a == 0) & neg, hi - pos, lo + pos)
+    c, d = np.where(neg, -c0 - t * ua, c0 + t * ua), np.where(a < 0, -d0 - t * ub, d0 + t * ub)
+    return np.stack([a, np.where(neg, -ub, ub), c, d], axis=-1).reshape(*np.shape(idx), 2, 2)
 
 
 def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
@@ -241,14 +249,13 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     if 12 * norm_sq_cap**2 * b.numerator**3 >= 2**63:
         norms = norms.astype(object)
     # every entry lies in [-cap, cap], so the base-(2 cap + 1) number with the
-    # digits e + cap of the row-major entries orders members lexicographically
-    base = 2 * cap + 1
-    weights = base ** np.arange(8, -1, -1)
+    # digits e of the row-major entries orders members lexicographically
+    weights = (2 * cap + 1) ** np.arange(8, -1, -1)
     # P g Q keeps det = 1, sigma_1 and ||g^-1|| for P in _B3, Q = diag(1, 1, det P),
     # so the members with first column P c1 are P M(c1) Q, M(c1) those with first
     # column c1: the search runs for one c1 = (x, y, z), 0 <= x <= y <= z, per orbit
     reps = (ball >= 0).all(axis=1) & (np.diff(ball, axis=1) >= 0).all(axis=1)
-    keys = []
+    blocks, keys = [], []
     for c1, n1 in zip(ball[reps], norms[reps]):
         d12 = ball @ c1
         wn = n1 * norms - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
@@ -267,15 +274,14 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
         # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
         f_inv = wn[k] + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
         inside = _member(3, n1 + n2 + n3, f_inv, b, spec.symmetrized)
-        g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside]
-        _, first = np.unique(_B3 @ c1, axis=0, return_index=True)  # a P per column P c1
+        g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside].astype(np.int8)
+        # a P per column P c1; each image entry is one +-entry of g, so int8 holds it
+        _, first = np.unique(_B3 @ c1 @ weights[-3:], return_index=True)
         images = _B3[first, None] @ g
         images[..., 2] *= _B3_DET[first, None, None]
-        keys.append((images.reshape(-1, 9) + cap) @ weights)
-    flat = np.sort(np.concatenate(keys))[:, None] // weights
-    flat %= base  # in place: new (N, 9) temporaries raised the X = 4 run's peak RSS
-    flat -= cap
-    return flat.reshape(-1, 3, 3)
+        blocks.append(images.reshape(-1, 9))
+        keys.append(blocks[-1] @ weights)
+    return np.concatenate(blocks)[np.argsort(np.concatenate(keys))].reshape(-1, 3, 3)
 
 
 def check_budget(spec: BallSpec) -> None:
@@ -291,8 +297,8 @@ def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     check_budget(spec)
     if spec.n == 2:
         return _sl2_ball(spec)
-    entries = _enumerate_sl3(spec)
-    return BallEnumeration(spec, len(entries), entries.__getitem__)
+    store = _enumerate_sl3(spec)
+    return BallEnumeration(spec, len(store), lambda idx: store[idx].astype(np.int64))
 
 
 def sample_pairs(e: BallEnumeration, count: int, seed) -> np.ndarray:

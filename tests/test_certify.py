@@ -187,6 +187,29 @@ def test_ping_pong_pair_sl3():
     assert falsify_freeness(g1, g2, 8) is None
 
 
+def test_certified_pair_takes_one_decomposition(monkeypatch):
+    # at n >= 3 the certificate and the witnesses read off the Jacobi pass that
+    # decided them; at n = 2 the decision is integer, and the read-off is the one pass
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return svd_batch(a)
+
+    monkeypatch.setattr(certify, "svd_batch", counted)
+    block_h = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    block_k = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
+    for g1, g2 in ((block_h.power(8), block_k.power(8)), (H.power(8), K.power(8))):
+        assert ping_pong_pair(g1, g2, 1, 0.25, 0.1).certificate is not None
+        assert calls == [4]
+        assert very_proximal(g1, 1, 0.25, 0.1) is not None
+        assert calls == [4, 4]
+        calls.clear()
+    # a refused n = 2 pair takes none
+    assert ping_pong_pair(IntMatrix.identity(2), H, 1, 0.25, 0.1).certificate is None
+    assert calls == []
+
+
 def test_sl2_fixed_points_golden_ratio():
     alpha, beta = sl2_fixed_points(H)
     assert alpha == pytest.approx(PHI, rel=1e-12)

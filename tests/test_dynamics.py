@@ -391,6 +391,25 @@ def test_lyapunov_batch_matches_loop_on_sampled_pairs(n, x, symmetrized, pairs_p
         assert report.rows[xi]["lyapunov_mean"] == sum(means) / len(means)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lyapunov_draws_are_those_of_choice(k):
+    # lyapunov_estimates spells out Generator.choice(k, size=m, p=[1/k] * k): the
+    # normalized cumsum of p searched for random(m).  Pinned on 150 streams per k,
+    # so that a numpy whose choice draws otherwise fails here
+    probs = [1.0 / k] * k
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    for seed, m in itertools.product(range(50), (1, 7, 200)):
+        want = np.random.default_rng([seed, k, m]).choice(k, size=m, p=probs)
+        got = cdf.searchsorted(np.random.default_rng([seed, k, m]).random(m), side="right")
+        assert np.array_equal(got, want)
+    # and the stacked pass draws them, against the loop that calls choice
+    gens = [H.power(j + 1) if j % 2 else inverse(K.power(j + 1)) for j in range(k)]
+    stack = np.array([[g.to_float() for g in gens]])
+    for m in (1, 7, 200):
+        assert lyapunov_estimates(stack, m, 3, k, [()]).tolist() == [_loop_estimates(gens, m, 3, k)]
+
+
 BLOCK_H = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
 BLOCK_K = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
 SUM_HK = IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]])

@@ -105,26 +105,31 @@ def test_take_reads_the_sorted_ball():
 
 
 def sl2_tables(x):
-    # the n = 2 ball's completion table and the ends of its signed rows
-    return enumerate_ball(BallSpec(2, x)).take.args[:2]
+    # the n = 2 ball's completion table, its quadrant count grid and its line starts
+    return enumerate_ball(BallSpec(2, x)).take.args[:3]
 
 
-def signed_counts(ends):
-    # the members per first row (a, b), at [a + w - 1, b + w - 1]
-    side = math.isqrt(len(ends))
-    return np.diff(ends, prepend=0).reshape(side, side)
+def signed_counts(grid):
+    # the members per first row (a, b), at [a + w - 1, b + w - 1]: the quadrant's
+    # count at [|a|, |b|], read back from its cumsum
+    w = math.isqrt(len(grid) - 1)
+    fold = np.abs(np.arange(1 - w, w))
+    return np.diff(grid).reshape(w, w)[np.ix_(fold, fold)]
 
 
 def test_sl2_tables_cover_every_primitive_row_with_a_bezout_completion():
     x = 500
     e = enumerate_ball(BallSpec(2, x))
-    comp, ends = e.take.args[:2]
-    counts = signed_counts(ends)
+    comp, grid, starts = e.take.args[:3]
+    counts = signed_counts(grid)
     # each cell counts the sorted members with its first row, in all four
-    # sign quadrants
+    # sign quadrants, and each line a starts after the members of the lines before it
     first = e.take(np.arange(e.count))[:, 0] + x
     cells = first[:, 0] * (2 * x + 1) + first[:, 1]
     assert np.array_equal(np.bincount(cells, minlength=counts.size), counts.ravel())
+    line = np.bincount(first[:, 0], minlength=2 * x + 1)
+    assert np.array_equal(line, counts.sum(axis=1))
+    assert np.array_equal(starts, np.cumsum(line) - line)
     # only primitive rows of squared norm s1 <= X^2 have members.  The second
     # rows of (a, b) lie on a line at distance s1^-1/2 from 0 with lattice
     # points s1^1/2 apart, so one has squared norm <= 1/s1 + s1/4, and the rows
@@ -162,19 +167,19 @@ def test_sl2_tables_cover_every_primitive_row_with_a_bezout_completion():
 
 
 def test_sl2_tables_are_built_in_place():
-    # the signed counts are mirrored inside the ends array and summed in place,
-    # so the peak holds the tables beside the octant's columns and temporaries
-    # of their size: 1.49x the tables at X = 500.  A cumsum into a new array
-    # reads 2.09x, and mirroring the quadrant by two concatenations 1.69x
+    # the counts of the quadrant |a|, |b| are summed in place, so the peak holds the
+    # tables beside the octant's columns and temporaries of their size: 1.72x the
+    # tables' 4.0 MB at X = 500.  The signed (2 w - 1)^2 count grid it replaced
+    # kept 10.0 MB, with a peak of 14.9 MB
     tracemalloc.start()
     try:
-        comp, ends = enumerate_ball(BallSpec(2, 500)).take.args[:2]
+        tables = sl2_tables(500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * (comp.nbytes + ends.nbytes)
-
-
+    size = sum(t.nbytes for t in tables)
+    assert size < 4.1e6
+    assert peak < 1.8 * size
 def extended_gcd(a, b):
     """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
     if b == 0:
@@ -210,16 +215,18 @@ def test_lagrange_identity_and_the_interval_of_t(a, b, shift):
 
 @pytest.mark.parametrize("x", [Fraction(17, 7), Fraction(9, 2)])
 def test_sl2_count_grid_is_symmetric_and_counts_each_row(x):
-    counts = signed_counts(sl2_tables(x)[1])
-    # (a, b) -> (b, a) and the sign flips keep each row's count
-    assert np.array_equal(counts, counts.T)
-    assert np.array_equal(counts, counts[::-1])
-    assert np.array_equal(counts, counts[:, ::-1])
-    w = (len(counts) + 1) // 2
-    brute = np.zeros_like(counts)
+    _, grid, starts = sl2_tables(x)
+    w = math.isqrt(len(grid) - 1)
+    # (a, b) -> (b, a) keeps each row's count
+    quad = np.diff(grid).reshape(w, w)
+    assert np.array_equal(quad, quad.T)
+    # and so do the sign flips: every signed row has its quadrant cell's count
+    brute = np.zeros((2 * w - 1, 2 * w - 1), dtype=np.int64)
     for (a, b), _ in brute_force_sl2(x):
         brute[a + w - 1, b + w - 1] += 1
-    assert np.array_equal(counts, brute)
+    assert np.array_equal(brute[w - 1 :, w - 1 :], quad)
+    assert np.array_equal(signed_counts(grid), brute)
+    assert np.array_equal(starts, np.cumsum(brute.sum(axis=1)) - brute.sum(axis=1))
 
 
 def test_sl3_unit_ball_is_so3z():
@@ -245,12 +252,19 @@ def test_sl3_agrees_with_brute_force(symmetrized):
 
 def test_sl3_orbit_images_come_sorted_once_each():
     # the members come from P M(c1) Q over the orbits of first columns and one
-    # sort of packed keys: strictly increasing row-major, so no image twice
-    g = sampler._enumerate_sl3(BallSpec(3, 4, symmetrized=True)).reshape(-1, 9)
-    assert g.dtype == np.int64
+    # argsort of packed keys: strictly increasing row-major, so no image twice.
+    # The store holds int8 entries; take hands out int64
+    spec = BallSpec(3, 4, symmetrized=True)
+    store = sampler._enumerate_sl3(spec)
+    assert store.dtype == np.int8 and store.shape == (26232, 3, 3)
+    g = store.reshape(-1, 9).astype(np.int64)
     diff = g[1:] - g[:-1]
     first = np.argmax(diff != 0, axis=1)  # the first entry where rows differ
     assert (diff[np.arange(len(diff)), first] > 0).all()
+    idx = np.array([[0, 17], [len(g) - 1, 5]])
+    drawn = enumerate_ball(spec).take(idx)
+    assert drawn.dtype == np.int64
+    assert np.array_equal(drawn, store[idx])
 
 
 # radii just below and above 1 + sqrt(2), the sigma_1 of the elementary
@@ -539,8 +553,10 @@ def test_int64_intermediates_fit_at_the_budget():
     x = MAX_X[3]
     assert 5 * x**6 < 2**63
     assert 12 * (x * x) ** 2 * (x * x) ** 3 < 2**63
-    # the sort key packs the nine entries e + X in [0, 2 X] as base-(2 X + 1) digits
+    # the sort key packs the nine entries e in [-X, X] as base-(2 X + 1) digits,
+    # and the store holds them as int8
     assert (2 * x + 1) ** 9 < 2**63
+    assert x <= np.iinfo(np.int8).max
     # n = 2: each chain of the octant is the interval of t on the line v + t s,
     # s and v the columns of a node inside the disk of squared radius
     # cap = floor(X^2), so its s1 = |s|^2 <= cap and s_cap = cap + s1 give the
@@ -553,9 +569,10 @@ def test_int64_intermediates_fit_at_the_budget():
     # in absolute value, which the int32 table holds, so |m| <= s1
     assert x * x * (x * x + 1) < 2**53
     assert x < 2**31
-    # the ends are int64: the count is below (2 X + 1)^3 + 2 (2 X + 1), as a,
-    # b, c fix d unless a = 0, where b = -c = +-1
-    assert np.iinfo(sl2_tables(1)[1].dtype).max > (2 * x + 1) ** 3 + 2 * (2 * x + 1)
+    # the count grid and line starts are int64: the count is below
+    # (2 X + 1)^3 + 2 (2 X + 1), as a, b, c fix d unless a = 0, where b = -c = +-1
+    for table in sl2_tables(1)[1:]:
+        assert np.iinfo(table.dtype).max > (2 * x + 1) ** 3 + 2 * (2 * x + 1)
     # the experiment's int64 stacks of sampled members: every entry is at most
     # sigma_1 <= X in absolute value, so the cofactors (minors of order n - 1
     # <= 2) are at most 2 X^2, ||g||_F^2 <= n X^2, and the Schottky cross
