@@ -22,8 +22,7 @@ For n = 3 one loop runs over the first columns c1 = (x, y, z) with
 the Gram minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third
 columns, and tests every (c2, c3) at once.  Each member g also gives
 P g diag(1, 1, det P) for every signed permutation P and distinct P c1.
-The ball is kept as int8 entries in the order of one argsort of int64
-keys packing them, and ``take`` makes int64 only of the rows it returns.
+One sort of int64 keys packing the entries orders the whole ball.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from .matrices import IntMatrix, inverse
 
 MAX_X = {2: 500, 3: 6}
 # the 48 signed permutation matrices P, row i = +-e_pi(i), and det P = P_0 . (P_1 x P_2)
-_B3 = np.eye(3, dtype=np.int8)[list(permutations(range(3)))][:, None]
-_B3 = (_B3 * np.array(list(product((1, -1), repeat=3)), np.int8)[..., None]).reshape(48, 3, 3)
+_B3 = np.eye(3, dtype=np.int64)[list(permutations(range(3)))][:, None]
+_B3 = (_B3 * np.array(list(product((1, -1), repeat=3)))[..., None]).reshape(48, 3, 3)
 _B3_DET = (_B3[:, 0] * np.cross(_B3[:, 1], _B3[:, 2])).sum(axis=1)
 
 
@@ -249,13 +248,14 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     if 12 * norm_sq_cap**2 * b.numerator**3 >= 2**63:
         norms = norms.astype(object)
     # every entry lies in [-cap, cap], so the base-(2 cap + 1) number with the
-    # digits e of the row-major entries orders members lexicographically
-    weights = (2 * cap + 1) ** np.arange(8, -1, -1)
+    # digits e + cap of the row-major entries orders members lexicographically
+    base = 2 * cap + 1
+    weights = base ** np.arange(8, -1, -1)
     # P g Q keeps det = 1, sigma_1 and ||g^-1|| for P in _B3, Q = diag(1, 1, det P),
     # so the members with first column P c1 are P M(c1) Q, M(c1) those with first
     # column c1: the search runs for one c1 = (x, y, z), 0 <= x <= y <= z, per orbit
     reps = (ball >= 0).all(axis=1) & (np.diff(ball, axis=1) >= 0).all(axis=1)
-    blocks, keys = [], []
+    keys = []
     for c1, n1 in zip(ball[reps], norms[reps]):
         d12 = ball @ c1
         wn = n1 * norms - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
@@ -274,14 +274,15 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
         # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
         f_inv = wn[k] + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
         inside = _member(3, n1 + n2 + n3, f_inv, b, spec.symmetrized)
-        g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside].astype(np.int8)
-        # a P per column P c1; each image entry is one +-entry of g, so int8 holds it
-        _, first = np.unique(_B3 @ c1 @ weights[-3:], return_index=True)
+        g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside]
+        _, first = np.unique(_B3 @ c1, axis=0, return_index=True)  # a P per column P c1
         images = _B3[first, None] @ g
         images[..., 2] *= _B3_DET[first, None, None]
-        blocks.append(images.reshape(-1, 9))
-        keys.append(blocks[-1] @ weights)
-    return np.concatenate(blocks)[np.argsort(np.concatenate(keys))].reshape(-1, 3, 3)
+        keys.append((images.reshape(-1, 9) + cap) @ weights)
+    flat = np.sort(np.concatenate(keys))[:, None] // weights
+    flat %= base  # in place: new (N, 9) temporaries raised the X = 4 run's peak RSS
+    flat -= cap
+    return flat.reshape(-1, 3, 3)
 
 
 def check_budget(spec: BallSpec) -> None:
@@ -297,8 +298,8 @@ def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     check_budget(spec)
     if spec.n == 2:
         return _sl2_ball(spec)
-    store = _enumerate_sl3(spec)
-    return BallEnumeration(spec, len(store), lambda idx: store[idx].astype(np.int64))
+    entries = _enumerate_sl3(spec)
+    return BallEnumeration(spec, len(entries), entries.__getitem__)
 
 
 def sample_pairs(e: BallEnumeration, count: int, seed) -> np.ndarray:
