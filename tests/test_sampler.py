@@ -168,9 +168,8 @@ def test_sl2_tables_cover_every_primitive_row_with_a_bezout_completion():
 
 def test_sl2_tables_are_built_in_place():
     # the counts of the quadrant |a|, |b| are summed in place, so the peak holds the
-    # tables beside the octant's columns and temporaries of their size: 1.72x the
-    # tables' 4.0 MB at X = 500.  The signed (2 w - 1)^2 count grid it replaced
-    # kept 10.0 MB, with a peak of 14.9 MB
+    # tables (4.0 MB at X = 500) beside the octant's columns and temporaries of their
+    # size: 1.72x the tables, under 7.2 MB
     tracemalloc.start()
     try:
         tables = sl2_tables(500)
@@ -180,6 +179,8 @@ def test_sl2_tables_are_built_in_place():
     size = sum(t.nbytes for t in tables)
     assert size < 4.1e6
     assert peak < 1.8 * size
+
+
 def extended_gcd(a, b):
     """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
     if b == 0:
