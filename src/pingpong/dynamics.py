@@ -214,7 +214,7 @@ def estimate_lyapunov(
     """
     if not gens:
         raise ConfigError("need at least one generator")
-    mats = np.array([[g.to_float() for g in gens]])
+    mats = as_float([[g.entries for g in gens]])
     estimates = lyapunov_estimates(mats, m, trials, seed, [extra_key])[0]
     stderr = float(np.std(estimates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return LyapunovEstimate(float(np.mean(estimates)), stderr, m, trials, seed)

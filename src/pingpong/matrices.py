@@ -66,14 +66,6 @@ class IntMatrix:
             e >>= 1
         return result
 
-    def to_float(self):
-        import numpy as np
-
-        try:
-            return np.array(self.entries, dtype=float)
-        except OverflowError as exc:
-            raise ConfigError("matrix entries exceed the float range (about 1.8e308)") from exc
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 

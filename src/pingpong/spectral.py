@@ -72,7 +72,7 @@ def as_float(a: np.ndarray) -> np.ndarray:
 def svd_batch(a: np.ndarray) -> SvdBatch:
     """Cartan decompositions of an (M, n, n) stack by one-sided Jacobi, in one pass.
 
-    The stack is float, int64, or object for Python ints; ``as_float`` makes it
+    The stack is float, int64, or Python ints, nested or object; ``as_float`` makes it
     float here.  Each matrix gets the rotations it would get alone: pairs (i, j)
     in order, each rotated where the columns' cosine exceeds _JACOBI_TOL, until
     a sweep rotates nothing and the matrix leaves the active set.
@@ -130,12 +130,12 @@ def svd(m: IntMatrix) -> SvdTriple:
     d = exact_det(m)
     if d != 1:
         raise ConfigError(f"svd requires det = 1, got det = {d}")
-    return svd_batch(m.to_float()[None])[0]
+    return svd_batch([m.entries])[0]
 
 
 def singular_gap(m: IntMatrix, k: int) -> float:
     """Ratio a_k / a_{k+1} >= 1 of consecutive singular values (1-based k)."""
-    sigma = svd_batch(m.to_float()[None]).sigma[0]
+    sigma = svd_batch([m.entries]).sigma[0]
     n = len(sigma)
     if not 1 <= k <= n - 1:
         raise ConfigError(f"gap position k must be in [1, {n - 1}], got {k}")

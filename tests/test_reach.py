@@ -9,23 +9,21 @@ aside) is reached by an ``ast.Attribute`` of its name outside its own body,
 whatever the receiver, unless that attribute is called with arguments its
 signature cannot take: numpy's ``v.transpose(0, 2, 1)`` does not reach
 ``IntMatrix.transpose``.  What is left unreached must be named either in
-``bench/spans.BINDINGS`` or in ``TEST_ONLY`` below, with the reason it
-stays.  A new unreached definition fails here, and so does a pinned one
-that gained a caller or was deleted.  Likewise every name a module of
+``TEST_ONLY`` below, with the reason it stays, or in ``BENCH_ONLY``, which
+``tests/test_bench_hooks.py`` checks against ``bench/spans.BINDINGS``.  A
+new unreached definition fails here, and so does a pinned one that gained
+a caller or was deleted.  Likewise every name a module of
 ``src/pingpong`` or ``tests`` imports is used there as code, unless the
 line says ``# noqa: F401`` (the bench-only imports); ``__init__.py`` only
 exports.
 """
 
 import ast
-import importlib
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pingpong"
 TESTS = ROOT / "tests"
-BENCH = ROOT / "bench"
 
 # library API that only the tests and acceptance criteria call: each is
 # the reference a test compares the array passes or the theory against
@@ -43,6 +41,7 @@ TEST_ONLY = {
 }
 
 # unreached in src/, and kept only because the benchmark's tracer wraps them
+# (tests/test_bench_hooks.py checks that it does)
 BENCH_ONLY = {"wedge.attractor_repeller", "spectral.singular_gap", "certify.very_proximal"}
 
 
@@ -153,22 +152,6 @@ def _unreached_methods(modules):
     return set(methods) - reached
 
 
-def _bench_bound():
-    """The definitions bench/spans.py wraps, read as tests/test_bench_hooks.py reads it."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        spans = importlib.import_module("spans")
-    finally:
-        sys.path.remove(str(BENCH))
-    bound = set()
-    for mod, attrs in spans.BINDINGS.items():
-        module = importlib.import_module(f"pingpong.{mod}")
-        for attr in attrs:
-            fn = getattr(module, attr)
-            bound.add(f"{fn.__module__.removeprefix('pingpong.')}.{fn.__name__}")
-    return bound
-
-
 def _unreached():
     modules = _modules()
     defined = _definitions(modules)
@@ -180,10 +163,8 @@ def _unreached():
 
 
 def test_every_definition_is_reached_or_pinned():
-    unreached = _unreached()
-    bound = _bench_bound()
-    assert unreached - bound == set(TEST_ONLY)
-    assert unreached & bound == BENCH_ONLY
+    assert not BENCH_ONLY & set(TEST_ONLY)
+    assert _unreached() == set(TEST_ONLY) | BENCH_ONLY
 
 
 def test_reach_counts_code_not_imports_strings_or_self_calls():

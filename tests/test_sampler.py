@@ -253,12 +253,34 @@ def test_sl3_agrees_with_brute_force(symmetrized):
 
 def test_sl3_orbit_images_come_sorted_once_each():
     # the members come from P M(c1) Q over the orbits of first columns and one
-    # sort of packed keys: strictly increasing row-major, so no image twice
-    g = sampler._enumerate_sl3(BallSpec(3, 4, symmetrized=True)).reshape(-1, 9)
-    assert g.dtype == np.int64
+    # argsort of packed keys: strictly increasing row-major, so no image twice.
+    # The store holds int8 entries; take hands out int64
+    spec = BallSpec(3, 4, symmetrized=True)
+    store = sampler._enumerate_sl3(spec)
+    assert store.dtype == np.int8 and store.shape == (26232, 3, 3)
+    g = store.reshape(-1, 9).astype(np.int64)
     diff = g[1:] - g[:-1]
     first = np.argmax(diff != 0, axis=1)  # the first entry where rows differ
     assert (diff[np.arange(len(diff)), first] > 0).all()
+    idx = np.array([[0, 17], [len(g) - 1, 5]])
+    drawn = enumerate_ball(spec).take(idx)
+    assert drawn.dtype == np.int64
+    assert np.array_equal(drawn, store[idx])
+
+
+def test_sl3_ball_is_kept_as_int8_rows():
+    # X = 5 symmetrized keeps its 75,768 members as 0.68 MB of int8 rows, and the
+    # build peaks at 3.4 MB: the blocks, their int64 keys, the concatenations and
+    # the argsort
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(BallSpec(3, 5, symmetrized=True))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ball.count == 75768
+    assert kept < 1.0e6
+    assert peak < 4.5e6
 
 
 # radii just below and above 1 + sqrt(2), the sigma_1 of the elementary
@@ -547,8 +569,10 @@ def test_int64_intermediates_fit_at_the_budget():
     x = MAX_X[3]
     assert 5 * x**6 < 2**63
     assert 12 * (x * x) ** 2 * (x * x) ** 3 < 2**63
-    # the sort key packs the nine entries e + X in [0, 2 X] as base-(2 X + 1) digits
+    # the sort key packs the nine entries e in [-X, X] as base-(2 X + 1) digits,
+    # and the store holds them as int8
     assert (2 * x + 1) ** 9 < 2**63
+    assert x <= np.iinfo(np.int8).max
     # n = 2: each chain of the octant is the interval of t on the line v + t s,
     # s and v the columns of a node inside the disk of squared radius
     # cap = floor(X^2), so its s1 = |s|^2 <= cap and s_cap = cap + s1 give the

@@ -22,7 +22,7 @@ SHEAR4 = IntMatrix.from_rows([[1, 4], [0, 1]])
 
 def spectral_norm(m):
     """Largest singular value of an integer or float matrix, from a Jacobi stack of one."""
-    a = m.to_float() if isinstance(m, IntMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m.entries if isinstance(m, IntMatrix) else m, dtype=float)
     return float(svd_batch(a[None]).sigma[0, 0])
 
 
@@ -67,7 +67,7 @@ def test_svd_reconstruction_and_orthogonality():
         for _ in range(20):
             g = _random_sl(rng, n)
             t = svd(g)
-            a = g.to_float()
+            a = np.array(g.entries, dtype=float)
             recon = t.k_g @ np.diag(t.sigma) @ t.k_g_prime
             assert np.max(np.abs(recon - a)) <= t.residual
             for k in (t.k_g, t.k_g_prime):
@@ -166,7 +166,7 @@ def test_batch_matches_single(monkeypatch):
         rows = e.take(np.arange(e.count))[::step].tolist()
         stacks[n] += [IntMatrix.from_rows(g) for g in rows]
     for n, mats in stacks.items():
-        a = np.array([m.to_float() if isinstance(m, IntMatrix) else m for m in mats])
+        a = np.array([m.entries if isinstance(m, IntMatrix) else m for m in mats], dtype=float)
         batch = svd_batch(a)
         sweeps = []
         for i, m in enumerate(mats):
