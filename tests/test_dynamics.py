@@ -383,7 +383,7 @@ def test_lyapunov_batch_matches_loop_on_sampled_pairs(n, x, symmetrized, pairs_p
         keys = [(xi, pi) for pi in range(len(quads))]
         run = functools.partial(_loop_estimates, m=LYAPUNOV_M, trials=LYAPUNOV_TRIALS, seed=seed)
         loop = [run(q, extra_key=k) for q, k in zip(quads, keys)]
-        stack = np.array([[np.array(g.entries, dtype=float) for g in q] for q in quads])
+        stack = np.array([[g.entries for g in q] for q in quads], dtype=float)
         assert lyapunov_estimates(stack, LYAPUNOV_M, LYAPUNOV_TRIALS, seed, keys).tolist() == loop
         means = [float(np.mean(e)) for e in loop]
         for q, k, mean in zip(quads, keys, means):
@@ -405,7 +405,7 @@ def test_lyapunov_draws_are_those_of_choice(k):
         assert np.array_equal(got, want)
     # and the stacked pass draws them, against the loop that calls choice
     gens = [H.power(j + 1) if j % 2 else inverse(K.power(j + 1)) for j in range(k)]
-    stack = np.array([[np.array(g.entries, dtype=float) for g in gens]])
+    stack = np.array([[g.entries for g in gens]], dtype=float)
     for m in (1, 7, 200):
         assert lyapunov_estimates(stack, m, 3, k, [()]).tolist() == [_loop_estimates(gens, m, 3, k)]
 
@@ -430,7 +430,7 @@ def test_lyapunov_batch_of_one_matches_loop(monkeypatch, g1, g2, m, trials, gath
         monkeypatch.setattr(dynamics, "_GATHER", gather)
     gens = [g1, inverse(g1), g2, inverse(g2)]  # as the lyapunov command passes them
     loop = _loop_estimates(gens, m, trials, 5)
-    stack = np.array([[np.array(g.entries, dtype=float) for g in gens]])
+    stack = np.array([[g.entries for g in gens]], dtype=float)
     assert lyapunov_estimates(stack, m, trials, 5, [()]).tolist() == [loop]
     est = estimate_lyapunov(gens, m, trials, 5)
     assert est.mean == float(np.mean(loop))
