@@ -72,7 +72,7 @@ def find_relations(letters: np.ndarray, max_len: int) -> list:
     # int64 -> uint64 keeps the residue mod 2^64
     residues = (letters % 2**64 if letters.dtype == object else letters).astype(np.uint64)
     depth = (max_len + 1) // 2
-    step = max(1, 2**16 // (2 * 3**depth - 1))  # pairs per chunk of 2^16 words
+    step = max(1, 2**15 // (2 * 3**depth - 1))  # pairs per block of 2^15 keys, L2-sized
     collide = np.empty(len(letters), dtype=bool)
     for lo in range(0, len(letters), step):
         collide[lo : lo + step] = _collisions_mod_2_64(residues[lo : lo + step], depth)
@@ -132,7 +132,10 @@ def _screen_keys(gens: np.ndarray, depth: int) -> np.ndarray:
             table.append(seq_sum((table[-1][parent, :, None] * mats[letter]).swapaxes(0, 1)))
         tables.append(np.concatenate(table))
     (rows, cols), (a, b) = tables, _key_index(depth)
-    return seq_sum((rows[a] * cols[b]).swapaxes(0, 1))
+    keys = rows[:, 0][a] * cols[:, 0][b]
+    for i in range(1, gens.shape[-1]):  # a coordinate at a time, never a (K, n, P) stack
+        keys += rows[:, i][a] * cols[:, i][b]
+    return keys
 
 
 def _collisions_mod_2_64(gens: np.ndarray, depth: int) -> np.ndarray:

@@ -50,6 +50,7 @@ LYAPUNOV_PAIRS = 10
 LYAPUNOV_M = 200
 LYAPUNOV_TRIALS = 4
 MAX_PAIRS = 10**5  # pairs_per_x; 2 * 10^8 would be 1.6 GB of indices alone
+CODE_BLOCK = 512  # pairs per n = 2 decide_pairs call, so its temporaries stay cache-sized
 
 CSV_COLUMNS = [
     "x",
@@ -135,7 +136,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         del enum  # else its n = 3 array or n = 2 tables live on through the radius's peak
         quads = with_inverses(pairs.reshape(-1, cfg.n, cfg.n))
         if cfg.n == 2:
-            code = decide_pairs(quads, k, cfg.r, cfg.eps)
+            step = 4 * CODE_BLOCK  # rows g1, g1^-1, g2, g2^-1 per pair
+            code = np.concatenate([decide_pairs(quads[lo : lo + step], k, cfg.r, cfg.eps)
+                                   for lo in range(0, len(quads), step)])
         else:
             # sigma_2^2 >= sigma_2 sigma_3 = 1/sigma_1 in SL_3(Z), so sigma_2/sigma_1 >=
             # sigma_1^(-3/2) >= X^(-3/2), and X <= MAX_X[3] = 6 with eps < 1/4 gives

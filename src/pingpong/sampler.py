@@ -29,7 +29,7 @@ keys packing them, and ``take`` makes int64 only of the rows it returns.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -171,9 +171,9 @@ def _sl2_interval(a, b, c0, d0, s_cap):
     return -((m + r) // s1), (r - m) // s1
 
 
-def _sl2_octant(cap: int) -> np.ndarray:
+def _sl2_octant(cap: int) -> Iterator[np.ndarray]:
     """Int64 columns (a, b, c0, d0), one per primitive row a >= b >= 0 of squared
-    norm <= cap, with a d0 - b c0 = 1 and 0 <= (c0, d0) <= (a, b)."""
+    norm <= cap, with a d0 - b c0 = 1 and 0 <= (c0, d0) <= (a, b), one level at a time."""
     # Stern-Brocot: each coprime row (a, b) >= 1 is p + q for one [p q] of SL_2(Z)
     # with entries >= 0, completed by q; [p q] has children [p + q, q] (L) and
     # [p, p + q] (R), whose rows dominate its row, and the rows a > b are the R
@@ -181,7 +181,7 @@ def _sl2_octant(cap: int) -> np.ndarray:
     # column v emits its chain [s, v + j s], 1 <= j <= j_max, of rows v + (j + 1) s
     # (det [s v] = +-1), completed by v + j s (R) or s (L); each goes on with step v + j s
     root = int(cap >= 2)  # the row (1, 1)
-    octant = [np.array([[1, 1], [0, 1], [0, 0], [1, 1]])[:, : 1 + root]]
+    yield np.array([[1, 1], [0, 1], [0, 0], [1, 1]])[:, : 1 + root]
     sa, sb, va, vb = (np.full(root, v) for v in (1, 0, 0, 1))
     right = True
     while sa.size:
@@ -189,22 +189,23 @@ def _sl2_octant(cap: int) -> np.ndarray:
         node = np.repeat(np.arange(sa.size), j_max)
         j = np.arange(node.size) - np.repeat(np.cumsum(j_max) - j_max, j_max) + 1
         sa, sb, va, vb = va[node] + j * sa[node], vb[node] + j * sb[node], sa[node], sb[node]
-        octant.append(np.stack([sa + va, sb + vb, *((sa, sb) if right else (va, vb))]))
+        yield np.stack([sa + va, sb + vb, *((sa, sb) if right else (va, vb))])
         right = not right
-    return np.concatenate(octant, axis=1)
 
 
 def _sl2_ball(spec: BallSpec) -> BallEnumeration:
     # ||g^-1||_F = ||g||_F, so the symmetrized test adds nothing
     cap, s_cap = math.floor(spec.x**2), sl2_frobenius_cap(spec.x**2)
-    a, b, c0, d0 = _sl2_octant(cap)
     w = math.isqrt(cap) + 1
+    # under MAX_X[2] = 500 the ball has at most 1,500,740 members and |c0|, |d0| <= 500
+    grid = np.zeros(w * w + 1, dtype=np.int32)
+    comp = np.zeros((2, w, w), dtype=np.int16)
     # g -> diag(1, -1) g [[0, 1], [1, 0]] keeps det g = 1 and sigma_1 and maps the
     # row (a, b) and completion (c0, d0) to (b, a) and (-d0, -c0)
-    grid = np.zeros(w * w + 1, dtype=np.int64)
-    grid[1 + a * w + b] = grid[1 + b * w + a] = 1 - np.subtract(*_sl2_interval(a, b, c0, d0, s_cap))
-    comp = np.zeros((2, w, w), dtype=np.int32)
-    comp[0, b, a], comp[1, b, a], comp[0, a, b], comp[1, a, b] = -d0, -c0, c0, d0
+    for a, b, c0, d0 in _sl2_octant(cap):
+        lo, hi = _sl2_interval(a, b, c0, d0, s_cap)
+        grid[1 + a * w + b] = grid[1 + b * w + a] = hi - lo + 1
+        comp[0, b, a], comp[1, b, a], comp[0, a, b], comp[1, a, b] = -d0, -c0, c0, d0
     # a signed row (a, b) has the members of cell 1 + |a| w + |b| (see _sl2_take), and
     # line a those of row |a| twice but (|a|, 0) once; grid and starts count those before
     np.cumsum(grid[1:], out=grid[1:])
@@ -222,7 +223,7 @@ def _sl2_take(comp, grid, starts, s_cap: int, idx: np.ndarray) -> np.ndarray:
     # b < 0: those are ranked from the right among the cells |b| >= 1 of row |a| of grid
     neg = r < end - grid[row + 1]
     key = np.where(neg, end - 1 - r, r - end + grid[row + 1] + grid[row])
-    cell = np.searchsorted(grid, key, side="right") - 1
+    cell = np.searchsorted(grid, key.astype(grid.dtype), side="right") - 1
     ub, pos = cell - row, key - grid[cell]
     c0, d0 = comp[:, ua, ub]
     lo, hi = _sl2_interval(ua, ub, c0, d0, s_cap)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pingpong import dynamics
+from pingpong.certify import with_inverses
 from pingpong.dynamics import (
     MAX_STEPS,
     _collisions_mod_2_64,
@@ -31,6 +33,7 @@ from pingpong.harness import (
     run_experiment,
 )
 from pingpong.matrices import (
+    ALPHABET,
     IntMatrix,
     evaluate_word,
     free_reduce,
@@ -226,6 +229,31 @@ def test_screen_keys_match_brute_force(g1, g2):
         assert np.sort(_screen_keys(letters, depth)[:, 0]).tolist() == expected, depth
 
 
+@pytest.mark.parametrize("spec", [BallSpec(2, 60), BallSpec(3, 3)])
+def test_screen_keys_match_whole_words_per_pair(spec):
+    # for each pair of a batch, the screen's keys are, as a multiset, u (w v) mod 2^64
+    # over the reduced words w of length <= depth, each built whole in Python ints as
+    # its parent word times its last letter, one length at a time
+    n = spec.n
+    pairs = sample_pairs(enumerate_ball(spec), 9, seed=[5, n])
+    pairs[1, 1] = pairs[1, 0] @ pairs[1, 0]  # a commuting pair, whose keys repeat
+    quads = with_inverses(pairs.reshape(-1, n, n)).reshape(-1, 4, n, n)  # ALPHABET order
+    letters = dict(zip(ALPHABET, quads.astype(object).swapaxes(0, 1)))
+    u, v = (np.array(x.tolist(), dtype=object) for x in _key_vectors(n))
+    level = {"": np.array([np.eye(n, dtype=int).tolist()] * len(pairs), dtype=object)}
+    keys = [u @ level[""] @ v]
+    for depth in range(1, 7):
+        level = {w + c: m @ letters[c] for w, m in level.items() for c in ALPHABET
+                 if is_reduced(w + c)}
+        keys += [u @ m @ v for m in level.values()]
+        expected = np.sort(np.array(keys, dtype=object) % 2**64, axis=0)
+        assert expected.shape == (2 * 3**depth - 1, len(pairs))
+        got = np.sort(_screen_keys(quads.astype(np.uint64), depth), axis=0)
+        assert got.tolist() == expected.tolist(), depth
+        if depth >= 2:
+            assert (got[1:, 1] == got[:-1, 1]).any()  # ab = ba
+
+
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("g1, g2", [(ROT, H), (ORDER6, H)])
 def test_oracle_block_embeddings_match_reference(g1, g2, n):
@@ -238,10 +266,11 @@ def test_oracle_block_embeddings_match_reference(g1, g2, n):
 @pytest.mark.parametrize("spec, max_len", [(BallSpec(2, 20), 8), (BallSpec(2, 5), 12),
                                            (BallSpec(3, 2, symmetrized=True), 6)])
 def test_batched_oracle_matches_each_pair_alone(spec, max_len):
-    # ball pairs, with (g, g^2) pairs, which commute, so the exact pass runs
-    # inside the batch; at max_len 12 the pairs span several screen chunks
+    # ball pairs, with (g, g^2) pairs, which commute, so the exact pass runs inside
+    # the batch.  A screen block holds 2^15 keys, 203 pairs at max_len 8 and 22 at
+    # max_len 12, so the 520 pairs cross block boundaries and end on a partial block
     pairs = [tuple(map(IntMatrix.from_rows, p)) for p in sample_pairs(
-        enumerate_ball(spec), 120, seed=[3, 0]).tolist()]
+        enumerate_ball(spec), 520, seed=[3, 0]).tolist()]
     pairs[5:7] = [(g1, g1 @ g1) for g1, _ in pairs[5:7]]
     letters = [[g.entries for g in (g1, inverse(g1), g2, inverse(g2))] for g1, g2 in pairs]
     alone = [falsify_freeness(g1, g2, max_len) for g1, g2 in pairs]
@@ -249,6 +278,21 @@ def test_batched_oracle_matches_each_pair_alone(spec, max_len):
     assert find_relations(np.array(letters, dtype=object), max_len) == alone
     assert alone[5] is not None and alone[6] is not None
     assert find_relations(np.zeros((0, 4, spec.n, spec.n), dtype=np.int64), max_len) == []
+
+
+def test_oracle_screen_peak_stays_cache_sized():
+    # 2,000 X = 500 pairs at max_len 8: blocks of 2^15 keys, each summed into its (K, P)
+    # keys a coordinate at a time, peak at 1.5 MB (2.7 MB with the (K, n, P) product
+    # stacks of blocks of 2^16 keys)
+    pairs = sample_pairs(enumerate_ball(BallSpec(2, 500)), 2000, seed=[7, 0])
+    letters = with_inverses(pairs.reshape(-1, 2, 2)).reshape(-1, 4, 2, 2)
+    tracemalloc.start()
+    try:
+        find_relations(letters, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8e6
 
 
 def test_reduced_length_exact_16_cases():

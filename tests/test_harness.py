@@ -8,6 +8,7 @@ import pytest
 from pingpong import certify, harness, wedge
 from pingpong.errors import BudgetError, ConfigError, InvariantViolation
 from pingpong.harness import (
+    CODE_BLOCK,
     CSV_COLUMNS,
     MAX_PAIRS,
     ExperimentConfig,
@@ -256,6 +257,29 @@ def test_n2_experiment_runs_no_jacobi_for_its_decisions(monkeypatch):
         "60,21316,0.851,0.989,0.453,0.032,0.605,0.411464947873,0,42,1.3718980862\n"
         "180,194116,0.952,0.999,0.429,0.043,0.837,0.25,0,14,2.09742143668\n"
     )
+
+
+def test_n2_codes_come_in_blocks_equal_to_one_call(monkeypatch):
+    # the n = 2 codes are decided CODE_BLOCK pairs at a time: three whole blocks and a
+    # partial one cover the radius's with_inverses rows once, in order, and give the
+    # codes of one decide_pairs call over the whole stack
+    calls = []
+
+    def recording(rows, k, r, eps):
+        calls.append((rows, certify.decide_pairs(rows, k, r, eps)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "decide_pairs", recording)
+    cfg = ExperimentConfig(n=2, x_grid=(60,), symmetrized=False,
+                           pairs_per_x=3 * CODE_BLOCK + 100, seed=7)
+    run_experiment(cfg)
+    assert [len(codes) for _, codes in calls] == [CODE_BLOCK] * 3 + [100]
+    pairs = sample_pairs(enumerate_ball(BallSpec(2, 60)), cfg.pairs_per_x, seed=[7, 0])
+    rows = certify.with_inverses(pairs.reshape(-1, 2, 2))
+    assert np.array_equal(np.concatenate([r for r, _ in calls]), rows)
+    whole = certify.decide_pairs(rows, 1, cfg.r, cfg.eps)
+    assert np.array_equal(np.concatenate([codes for _, codes in calls]), whole)
+    assert len(set(whole.tolist())) > 2  # the blocks hold several outcomes
 
 
 def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):

@@ -102,6 +102,15 @@ def test_take_reads_the_sorted_ball():
     idx = np.concatenate([[0, e.count - 1], idx])
     assert np.array_equal(e.take(idx), entries[idx])
     assert np.array_equal(e.take(idx.reshape(-1, 2)), entries[idx].reshape(-1, 2, 2, 2))
+    # take searches the int32 count grid with keys of its dtype, so no call copies
+    # the grid as int64 (2.0 MB at X = 500): 4,000 draws peak at 0.6 MB
+    tracemalloc.start()
+    try:
+        e.take(idx[:4000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
 
 
 def sl2_tables(x):
@@ -146,8 +155,9 @@ def test_sl2_tables_cover_every_primitive_row_with_a_bezout_completion():
     # Stern-Brocot node's second column q for (a, b) = p + q, or by (0, 1) at
     # (1, 0): a d0 - b c0 = det [p q] = 1, and 0 <= q <= (a, b) keeps every t
     # and disc in range.  The table holds them at [:, a, b], their swaps
-    # (-d0, -c0) at [:, b, a] off the diagonal, and nothing else
-    a, b, c0, d0 = _sl2_octant(x * x)
+    # (-d0, -c0) at [:, b, a] off the diagonal, and nothing else.  The descent
+    # yields one Stern-Brocot level at a time, and the levels together are the octant
+    a, b, c0, d0 = np.concatenate(list(_sl2_octant(x * x)), axis=1)
     octant = np.zeros((x + 1, x + 1), dtype=bool)
     octant[a, b] = True
     assert np.count_nonzero(octant) == a.size
@@ -167,18 +177,18 @@ def test_sl2_tables_cover_every_primitive_row_with_a_bezout_completion():
 
 
 def test_sl2_tables_are_built_in_place():
-    # the counts of the quadrant |a|, |b| are summed in place, so the peak holds the
-    # tables (4.0 MB at X = 500) beside the octant's columns and temporaries of their
-    # size: 1.72x the tables, under 7.2 MB
+    # at X = 500 the counts are int32 and the completions int16, 2.0 MB together
+    # (4.0 MB as int64 and int32).  Each Stern-Brocot level is scattered into them as
+    # it comes and the counts are summed in place, so the peak holds the tables beside
+    # one level's temporaries: 4.4 MB, against 6.9 MB with the whole octant's columns
     tracemalloc.start()
     try:
         tables = sl2_tables(500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(t.nbytes for t in tables)
-    assert size < 4.1e6
-    assert peak < 1.8 * size
+    assert sum(t.nbytes for t in tables) < 2.1e6
+    assert peak < 4.5e6
 
 
 def extended_gcd(a, b):
