@@ -592,10 +592,10 @@ def test_int64_intermediates_fit_at_the_budget():
     assert (x * x) ** 2 < 2**53
     # a row's interval: s1 = a^2 + b^2 <= X^2 and s_cap <= X^2 + 1, so
     # disc = s1 (s_cap - s1) - 1 < 2^53.  The completions are at most (|a|, |b|)
-    # in absolute value, which the int32 table holds, so |m| <= s1
+    # in absolute value, which the int16 table holds, so |m| <= s1
     assert x * x * (x * x + 1) < 2**53
-    assert x < 2**31
-    # the count grid and line starts are int64: the count is below
+    assert x <= np.iinfo(sl2_tables(1)[0].dtype).max
+    # the count grid is int32 and the line starts int64: the count is below
     # (2 X + 1)^3 + 2 (2 X + 1), as a, b, c fix d unless a = 0, where b = -c = +-1
     for table in sl2_tables(1)[1:]:
         assert np.iinfo(table.dtype).max > (2 * x + 1) ** 3 + 2 * (2 * x + 1)
