@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .matrices import IntMatrix, adjugate, det, inverse
+from .sampler import _sigma1_sq_le
 from .spectral import DELTA_NUM, as_float, svd_batch
 from .wedge import attractor_repeller_from_svd, point_hyperplane_distance
 
@@ -32,6 +33,7 @@ CROSS_SEPARATION = "a cross separation between attractors and repelling hyperpla
 # codes of decide_pairs (from VERY_PROXIMAL on, both generators passed their own
 # checks) and decide_schottky for a pair with no failed condition
 VERY_PROXIMAL, CERTIFIED, SCHOTTKY_CERTIFIED = 8, 9, 3
+CODE_BLOCK = 512  # pairs per _decide_pairs slice, so its temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,29 @@ def _exact_below(n: int, dd: int, c: Fraction) -> bool:
     return x * abs(x) < y * abs(y) * dd
 
 
+def _ruled_out(rows: np.ndarray, k: int, t: Fraction) -> np.ndarray:
+    """Per pair, whether g1 is proved not t-contracting: in SL_3(R), sigma_3 = 1/(sigma_1
+    sigma_2) gives sigma_{k+1}/sigma_k >= sigma_1^(-3/(3 - k)) > t when t <= 0 or sigma_1^2 <= c,
+    the largest integer with c^3 t^(6 - 2k) < 1 (the ball's predicate).  n >= 4 rules out none."""
+    if rows.shape[-1] != 3 or t <= 0:
+        return np.full(len(rows) // 4, rows.shape[-1] == 3)
+    m = (t.denominator ** (6 - 2 * k) - 1) // t.numerator ** (6 - 2 * k)  # c^3 <= m
+    c = 1 << (m.bit_length() // 3 + 1)
+    while c**3 > m:  # integer Newton steps from above end at the floor of m^(1/3)
+        c = (2 * c + m // (c * c)) // 3
+    # the predicate's terms are at most 3 c^3 + 3 f c^2, and f <= 9 e^2 for entries up to e
+    big = 3 * c**3 + 27 * c * c * int(np.abs(rows).max(initial=0)) ** 2 >= 2**63
+    g = rows.reshape(-1, 4, 9)[:, :2].astype(object if big else rows.dtype)  # g1, g1^-1
+    return _sigma1_sq_le(3, *np.einsum("pgi,pgi->gp", g, g), c)
+
+
 def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float) -> np.ndarray:
     """Per pair of integer rows g1, g1^-1, g2, g2^-1 from ``with_inverses`` (int64, or
     object for Python ints), the first failed condition in ping_pong_pair's order
     (2 j: row j is not eps-contracting; 2 j + 1: its attractor is within r of its own
     repelling hyperplane; VERY_PROXIMAL: a cross separation is below r) or CERTIFIED.
 
+    Pairs whose g1 is ``_ruled_out`` get code 0 (a slice of only those, no decomposition); else
     n >= 3 takes one Jacobi pass, n = 2 integer Gram entries: gap = 1/sigma_1^2 <= T iff
     f = ||g||_F^2 = sigma_1^2 + 1/sigma_1^2 >= T + 1/T, and the top eigenvector of S =
     [[p, q], [q, s]] is at theta, (cos 2 theta, sin 2 theta) = (p - s, 2 q) / sqrt(D), D =
@@ -143,23 +162,29 @@ def decide_pairs(rows: np.ndarray, k: int, r: float, eps: float) -> np.ndarray:
     iff N = (p_v - s_v)(p_h - s_h) + 4 q_v q_h < (2 rho^2 - 1) sqrt(D_v D_h), in float and
     exactly near it or on Python ints.  An orthogonal g has D = 0; f = 2 fails it first.
     """
-    return _decide_pairs(rows, k, r, eps)[0]
+    step = 4 * CODE_BLOCK  # rows g1, g1^-1, g2, g2^-1 per pair; an empty stack is one slice
+    return np.concatenate([_decide_pairs(rows[lo : lo + step], k, r, eps)[0]
+                           for lo in range(0, max(len(rows), 1), step)])
 
 
 def _decide_pairs(rows: np.ndarray, k: int, r: float, eps: float):
-    """``decide_pairs``, and at n >= 3 the ``_jacobi_readoff`` it decided from (else None)."""
+    """``decide_pairs`` on one slice, and the ``_jacobi_readoff`` it decided from (else None)."""
     check_r_eps(r, eps)
-    floats = as_float(rows)  # entries past the float range are refused first, at every n
+    if rows.dtype == object:
+        as_float(rows)  # entries past the float range are refused first, at every n
     if not 1 <= k < rows.shape[-1]:
         raise ConfigError(f"k must be in [1, {rows.shape[-1] - 1}], got {k}")
-    readoff = None
+    t, readoff = Fraction(eps * eps - DELTA_NUM), None  # T exactly
     if rows.shape[-1] > 2:
-        readoff = gap, _, _, sep = _jacobi_readoff(floats, k)
+        if (ruled_out := _ruled_out(rows, k, t)).all():
+            return np.zeros(len(ruled_out), dtype=int), None
+        readoff = gap, _, _, sep = _jacobi_readoff(rows, k)
         not_contracting = (gap > eps * eps - DELTA_NUM).reshape(-1, 4)
+        not_contracting[:, 0] |= ruled_out
         too_close = sep < r + DELTA_NUM
     else:
         a, b, c, d = (rows[:, i, j].reshape(-1, 4) for i in (0, 1) for j in (0, 1))
-        t, f = Fraction(eps * eps - DELTA_NUM), a * a + b * b + c * c + d * d  # T exactly
+        f = a * a + b * b + c * c + d * d
         not_contracting = f < math.ceil(t + 1 / t) if t > 0 else np.ones(f.shape, bool)
         # (p - s, 2 q) of g g^T for the attractors and of g^T g for the repeller normals
         v = np.stack([a * a + b * b - c * c - d * d, 2 * (a * c + b * d)])[..., _SEP_V]

@@ -7,9 +7,8 @@ there aborts the run -- it would disprove the implementation, so it is an
 invariant violation, not a data point) and on an equal-sized control
 group of uncertified pairs, and attaches Lyapunov estimates for a few
 sampled pairs.  Everything derives from the config seed, so a re-run is
-byte-identical.  Each radius only calls library passes; ``sampler.gapped``
-decides every gap and ``decide_pairs`` every n = 2 code exactly in integers, and
-for n = 3 a theorem fails every pair at contraction: only Lyapunov takes an SVD.
+byte-identical.  Each radius only calls library passes (``sampler.gapped`` for the
+gaps, ``decide_pairs`` for the codes), and only Lyapunov takes an SVD.
 """
 
 from __future__ import annotations
@@ -19,21 +18,9 @@ import statistics
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
-import numpy as np
-
 from . import __version__, serialize
-from .certify import (
-    CERTIFIED,
-    SCHOTTKY_CERTIFIED,
-    VERY_PROXIMAL,
-    check_r_eps,
-    choose_k,
-    decide_pairs,
-    decide_schottky,
-    hausdorff_bounds,
-    isometric_circles,
-    with_inverses,
-)
+from .certify import CERTIFIED, SCHOTTKY_CERTIFIED, VERY_PROXIMAL, check_r_eps, decide_pairs
+from .certify import choose_k, decide_schottky, hausdorff_bounds, isometric_circles, with_inverses
 from .dynamics import MAX_ORACLE_LEN, find_relations, lyapunov_estimates
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .matrices import IntMatrix
@@ -50,7 +37,6 @@ LYAPUNOV_PAIRS = 10
 LYAPUNOV_M = 200
 LYAPUNOV_TRIALS = 4
 MAX_PAIRS = 10**5  # pairs_per_x; 2 * 10^8 would be 1.6 GB of indices alone
-CODE_BLOCK = 512  # pairs per n = 2 decide_pairs call, so its temporaries stay cache-sized
 
 CSV_COLUMNS = [
     "x",
@@ -134,24 +120,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_pairs = len(pairs)
         row = {"x": float(enum.spec.x), "count_ball": enum.count}
         del enum  # else its n = 3 array or n = 2 tables live on through the radius's peak
-        quads = with_inverses(pairs.reshape(-1, cfg.n, cfg.n))
-        if cfg.n == 2:
-            step = 4 * CODE_BLOCK  # rows g1, g1^-1, g2, g2^-1 per pair
-            code = np.concatenate([decide_pairs(quads[lo : lo + step], k, cfg.r, cfg.eps)
-                                   for lo in range(0, len(quads), step)])
-        else:
-            # sigma_2^2 >= sigma_2 sigma_3 = 1/sigma_1 in SL_3(Z), so sigma_2/sigma_1 >=
-            # sigma_1^(-3/2) >= X^(-3/2), and X <= MAX_X[3] = 6 with eps < 1/4 gives
-            # X^3 eps^4 < 1: sigma_2/sigma_1 > eps^2 > eps^2 - DELTA_NUM for every member.
-            # So decide_pairs would fail every pair at g1's contraction, code 0
-            code = np.zeros(n_pairs, dtype=int)
-        quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)  # g1, g1^-1, g2, g2^-1
+        quads = with_inverses(pairs.reshape(-1, cfg.n, cfg.n))  # g1, g1^-1, g2, g2^-1
+        code = decide_pairs(quads, k, cfg.r, cfg.eps)
+        quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)
 
         trace_large = int((abs(pairs.trace(axis1=2, axis2=3)) > 2).all(axis=1).sum())
         f = (quads * quads).sum(axis=(-2, -1))  # ||g||_F^2 of g1, g1^-1, g2, g2^-1
         gapped_count = int(gapped(cfg.n, f[:, 0::2], f[:, 1::2], cfg.eta).all(axis=1).sum())
-        # both generators are checked before the cross separations, so they
-        # are very proximal iff the verdict gets that far
         very_prox = int((code >= VERY_PROXIMAL).sum())
         certified = code == CERTIFIED
         pingpong = int(certified.sum())

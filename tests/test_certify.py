@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pingpong import certify
 from pingpong.certify import (
     CERTIFIED,
+    CODE_BLOCK,
     CROSS_SEPARATION,
     SCHOTTKY_CERTIFIED,
     VERY_PROXIMAL,
@@ -489,11 +490,146 @@ def test_sl3_budget_ball_never_contracts():
     assert len(code) == 500 and (code == 0).all()
 
 
-def test_sl3_contraction_theorem_covers_the_budget():
-    # the n = 3 experiment gives every pair code 0 with no decomposition, by the
-    # bound above: sigma_2/sigma_1 >= X^(-3/2) > eps^2 iff X^3 eps^4 < 1, so it
-    # must hold at X = MAX_X[3] and eps = 1/4.  At MAX_X[3] = 7 it would not
-    assert Fraction(MAX_X[3]) ** 3 * Fraction(1, 4) ** 4 < 1
+def _recording_sigma1_bounds(monkeypatch):
+    """The bound c of every sigma_1^2 <= c test decide_pairs makes from here on."""
+    bounds, sigma1_sq_le = [], certify._sigma1_sq_le
+    monkeypatch.setattr(certify, "_sigma1_sq_le", lambda n, f, f_inv, c: bounds.append(c)
+                        or sigma1_sq_le(n, f, f_inv, c))
+    return bounds
+
+
+def test_sl3_contraction_cap_covers_the_budget(monkeypatch):
+    # at the largest admitted eps and k = 1, c is the largest integer with c^3 T^4 < 1
+    # for T = eps^2 - DELTA_NUM, 40; every member of a budgeted n = 3 ball has
+    # sigma_1^2 <= MAX_X[3]^2 = 36 <= c, so its g1 is ruled out with no decomposition
+    bounds = _recording_sigma1_bounds(monkeypatch)
+    members = enumerate_ball(BallSpec(3, MAX_X[3])).take(np.arange(1000) * 1_501)
+    assert decide_pairs(with_inverses(members), 1, 0.5, 0.2499).tolist() == [0] * 500
+    t = Fraction(0.2499**2 - DELTA_NUM)
+    assert bounds == [40] and 40**3 * t**4 < 1 <= 41**3 * t**4
+    assert bounds[0] >= MAX_X[3] ** 2
+    del bounds[:]
+    decide_pairs(with_inverses(members), 1, 0.5, 0.2)
+    assert bounds == [73]
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_sl3_ruled_out_g1_do_not_contract(symmetrized):
+    # the rule is sound: every g1 it rules out has, by an independent Jacobi pass,
+    # sigma_{k+1}/sigma_k > eps^2 - DELTA_NUM, on sampled members of every n = 3 ball
+    outcomes = set()
+    for x in range(2, MAX_X[3] + 1):
+        pairs = sample_pairs(enumerate_ball(BallSpec(3, x, symmetrized)), 300, seed=[11, x])
+        rows = with_inverses(pairs.reshape(-1, 3, 3))
+        sigma = svd_batch(rows[0::4]).sigma
+        for eps in (0.05, 0.2, 0.2499):
+            for k in (1, 2):
+                ruled_out = certify._ruled_out(rows, k, Fraction(eps * eps - DELTA_NUM))
+                gap = sigma[:, k] / sigma[:, k - 1]
+                assert (gap[ruled_out] > eps * eps - DELTA_NUM).all(), (x, eps, k)
+                outcomes.update(ruled_out.tolist())
+    assert outcomes == {False, True}
+
+
+def test_sl3_rule_on_large_int64_entries_is_exact():
+    # int64 stacks whose Gram entries or predicate terms pass 2^63 decide as their
+    # Python-int copies do: nothing wraps silently
+    shears = [[[1, e, 0], [0, 1, 0], [0, 0, 1]] for e in (6, 3 * 10**4, 2**31, 2**61)]
+    rows = shears + [[[1, 2**20, 0], [0, 1, 2**20], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    gens = [IntMatrix.from_rows(r) for r in rows]
+    obj = with_inverses([g for g in gens for _ in range(2)])
+    int64 = obj.astype(np.int64)
+    assert (int64 == obj).all()
+    outcomes = set()
+    for eps in (0.2, 0.2499, 0.0101, 1.0000001e-4):
+        for k in (1, 2):
+            t = Fraction(eps * eps - DELTA_NUM)
+            ruled_out = certify._ruled_out(int64, k, t)
+            assert ruled_out.tolist() == certify._ruled_out(obj, k, t).tolist(), (eps, k)
+            outcomes.update(ruled_out.tolist())
+        codes = decide_pairs(int64, 1, 0.5, eps)
+        assert codes.tolist() == decide_pairs(obj, 1, 0.5, eps).tolist(), eps
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_empty_stack_gets_no_codes(n):
+    for dtype in (np.int64, object):
+        code = decide_pairs(np.zeros((0, n, n), dtype), 1, 0.5, 0.2)
+        assert code.shape == (0,) and code.dtype.kind == "i"
+    with pytest.raises(ConfigError):  # the arguments are still checked
+        decide_pairs(np.zeros((0, n, n), np.int64), 1, 0.5, 0.3)
+
+
+def _ruled_out_and_certified_sl3_pairs():
+    """CODE_BLOCK ball pairs whose g1 are all ruled out at eps = 0.1, then 60 pairs
+    mixing ruled-out ball pairs with block powers that certify, fail at a cross
+    separation and fail at g2's contraction."""
+    ball = enumerate_ball(BallSpec(3, 4, symmetrized=True))
+    ball = sample_pairs(ball, 2 * CODE_BLOCK, seed=[7, 0])
+    block_h = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    block_k = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]])
+    g2s = (block_k.power(8), block_h.power(-8), IntMatrix.identity(3))
+    powers = [[block_h.power(8).entries, g2.entries] for g2 in g2s] * 10
+    powers = np.array(powers, dtype=np.int64)
+    mixed = np.concatenate([ball[CODE_BLOCK : CODE_BLOCK + 30], powers])
+    return np.concatenate([ball[:CODE_BLOCK], mixed[np.random.default_rng(3).permutation(60)]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_codes_come_in_blocks_equal_to_one_call(monkeypatch, n):
+    # decide_pairs decides CODE_BLOCK pairs at a time: the slices cover the stack once,
+    # in order, and give the codes of one unblocked _decide_pairs call.  At n = 3 the
+    # first slice's g1 are all ruled out, so it takes no Jacobi pass, and the second
+    # is decided by one, with its ruled-out g1 still at code 0
+    if n == 2:
+        pairs = sample_pairs(enumerate_ball(BallSpec(2, 60)), 3 * CODE_BLOCK + 100, seed=[7, 0])
+        r, eps = 0.5, 0.2
+    else:
+        pairs, r, eps = _ruled_out_and_certified_sl3_pairs(), 0.25, 0.1
+    rows = with_inverses(pairs.reshape(-1, n, n))
+    whole = certify._decide_pairs(rows, 1, r, eps)[0]
+    calls, svd_rows, decide, svd = [], [], certify._decide_pairs, certify.svd_batch
+    monkeypatch.setattr(certify, "_decide_pairs", lambda x, *a: calls.append(x) or decide(x, *a))
+    monkeypatch.setattr(certify, "svd_batch", lambda x: svd_rows.append(len(x)) or svd(x))
+    code = decide_pairs(rows, 1, r, eps)
+    whole_slices, rest = divmod(len(pairs), CODE_BLOCK)
+    assert [len(c) for c in calls] == [4 * CODE_BLOCK] * whole_slices + [4 * rest]
+    assert np.array_equal(np.concatenate(calls), rows)
+    assert code.tolist() == whole.tolist()
+    assert len(set(whole.tolist())) > 2  # the slices hold several outcomes
+    assert svd_rows == ([] if n == 2 else [4 * 60])
+    if n == 3:
+        assert (code[:CODE_BLOCK] == 0).all()
+        assert set(code[CODE_BLOCK:].tolist()) == {0, 4, VERY_PROXIMAL, CERTIFIED}
+
+
+def test_ruled_out_g1_keeps_code_0_in_a_jacobi_slice(monkeypatch):
+    # the rule decides per pair: in a slice that takes the Jacobi pass, a ruled-out g1
+    # fails at its contraction even where the float gap reads below T
+    readoff = certify._jacobi_readoff
+    monkeypatch.setattr(
+        certify, "_jacobi_readoff", lambda rows, k: (np.zeros(len(rows)), *readoff(rows, k)[1:])
+    )
+    h8 = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]).power(8)
+    k8 = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 2]]).power(8)
+    rows = with_inverses([h8, k8, IntMatrix.identity(3), k8])
+    assert decide_pairs(rows, 1, 0.25, 0.1).tolist() == [CERTIFIED, 0]
+
+
+def test_pair_past_the_float_range_is_refused_first(monkeypatch):
+    # an object stack with an entry past the float range is refused before any
+    # decision, though its g1 would be ruled out, at n = 3 as at n = 2
+    def refuse(*args):
+        raise AssertionError("decided before the float-range check")
+
+    monkeypatch.setattr(certify, "_ruled_out", refuse)
+    monkeypatch.setattr(certify, "svd_batch", refuse)
+    huge = IntMatrix.from_rows([[1, 10**400, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ConfigError, match="float range"):
+        decide_pairs(with_inverses([IntMatrix.identity(3), huge]), 1, 0.5, 0.2)
+    with pytest.raises(ConfigError, match="float range"):
+        decide_pairs(with_inverses([H, IntMatrix.from_rows([[1, 10**400], [0, 1]])]), 1, 0.5, 0.2)
 
 
 def test_contraction_converse_gap_bound():

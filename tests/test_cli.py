@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pingpong.cli as cli
+from pingpong import certify
 from pingpong.dynamics import MAX_ORACLE_LEN, MAX_STEPS
 from pingpong.errors import ConvergenceError, InvariantViolation
 from pingpong.haar import MAX_RESOLUTION
@@ -147,6 +148,24 @@ def test_certify_success(capsys, tmp_path):
     assert out["certified"] is True
     assert out["min_separation"] >= 0.25
     assert len(out["witnesses"]) == 4
+
+
+def test_certify_rules_out_an_sl3_g1_with_no_decomposition(capsys, monkeypatch, tmp_path):
+    # sigma_1(g1)^2 < 7 is below c (73 at eps = 0.2, 40 at 0.2499): the CLI shares the
+    # experiment's exact rule and prints the bytes the Jacobi pass gave before
+    def refuse(*args):
+        raise AssertionError("certify decomposed a pair whose g1 is ruled out")
+
+    monkeypatch.setattr(certify, "svd_batch", refuse)
+    path = tmp_path / "pair3.json"
+    block_h = [["2", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]
+    path.write_text(json.dumps({"g1": block_h, "g2": MIXED_G2}))
+    for eps, r in [("0.2", "0.5"), ("0.2499", "0.6")]:
+        assert run_cli(["certify", "--pair", str(path), "--eps", eps, "--r", r]) == 0
+        assert capsys.readouterr().out == (
+            '{"certified": false, "reason": "g1 is not eps-contracting on the k = 1 exterior '
+            f'power", "k": 1, "eps": {eps}, "r": {r}}}\n'
+        )
 
 
 def test_schottky_and_hausdorff(capsys, hyperbolic_pair_file, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from pingpong import certify, harness, wedge
 from pingpong.errors import BudgetError, ConfigError, InvariantViolation
 from pingpong.harness import (
-    CODE_BLOCK,
     CSV_COLUMNS,
     MAX_PAIRS,
     ExperimentConfig,
@@ -223,16 +222,19 @@ def test_experiment_takes_gaps_from_no_separate_jacobi(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("eta, frac_gapped", [(5.0, "0"), (1.5, "0.375")])
-def test_n3_experiment_runs_no_jacobi_for_its_decisions(monkeypatch, eta, frac_gapped):
-    # the n = 3 acceptance config, whose rows the Jacobi decisions gave before: the
-    # contraction theorem fixes every code and the gap test is exact, so only
-    # Lyapunov's products see an SVD
+def _refuse_jacobi_decisions(monkeypatch):
     def refuse(*args):
         raise AssertionError("the n = 3 experiment ran a Jacobi decision")
 
-    monkeypatch.setattr(harness, "decide_pairs", refuse)
     monkeypatch.setattr(certify, "svd_batch", refuse)
+
+
+@pytest.mark.parametrize("eta, frac_gapped", [(5.0, "0"), (1.5, "0.375")])
+def test_n3_experiment_runs_no_jacobi_for_its_decisions(monkeypatch, eta, frac_gapped):
+    # the n = 3 acceptance config, whose rows the Jacobi decisions gave before:
+    # decide_pairs rules out every g1 by the contraction theorem and the gap test is
+    # exact, so only Lyapunov's products see an SVD
+    _refuse_jacobi_decisions(monkeypatch)
     cfg = ExperimentConfig(
         n=3, x_grid=(4,), symmetrized=True, pairs_per_x=1000, eta=eta, oracle_depth=8, seed=7
     )
@@ -240,6 +242,24 @@ def test_n3_experiment_runs_no_jacobi_for_its_decisions(monkeypatch, eta, frac_g
         ",".join(CSV_COLUMNS) + "\n"
         f"4,26232,0.057,{frac_gapped},0,0,,,0,0,0.228789613746\n"
     )
+
+
+@pytest.mark.parametrize(
+    "symmetrized, row",
+    [
+        (False, "6,1501656,0.24,0,0,0,,,0,0,0.678967908116"),
+        (True, "6,175704,0.17,0,0,0,,,0,0,0.36783713038"),
+    ],
+    ids=["plain", "sym"],
+)
+@pytest.mark.parametrize("eps", [0.2, 0.2499])
+def test_n3_budget_edge_runs_no_jacobi_for_its_decisions(monkeypatch, symmetrized, row, eps):
+    # at X = MAX_X[3] every sigma_1^2 <= 36 is at most c (40 at eps = 0.2499, 73 at 0.2),
+    # so the exact predicate rules out every g1, in both balls; the rows are the parent's
+    _refuse_jacobi_decisions(monkeypatch)
+    cfg = ExperimentConfig(n=3, x_grid=(6,), symmetrized=symmetrized, pairs_per_x=300,
+                           eps=eps, oracle_depth=4, seed=7)
+    assert emit_report(run_experiment(cfg), "csv") == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
 
 
 def test_n2_experiment_runs_no_jacobi_for_its_decisions(monkeypatch):
@@ -257,29 +277,6 @@ def test_n2_experiment_runs_no_jacobi_for_its_decisions(monkeypatch):
         "60,21316,0.851,0.989,0.453,0.032,0.605,0.411464947873,0,42,1.3718980862\n"
         "180,194116,0.952,0.999,0.429,0.043,0.837,0.25,0,14,2.09742143668\n"
     )
-
-
-def test_n2_codes_come_in_blocks_equal_to_one_call(monkeypatch):
-    # the n = 2 codes are decided CODE_BLOCK pairs at a time: three whole blocks and a
-    # partial one cover the radius's with_inverses rows once, in order, and give the
-    # codes of one decide_pairs call over the whole stack
-    calls = []
-
-    def recording(rows, k, r, eps):
-        calls.append((rows, certify.decide_pairs(rows, k, r, eps)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(harness, "decide_pairs", recording)
-    cfg = ExperimentConfig(n=2, x_grid=(60,), symmetrized=False,
-                           pairs_per_x=3 * CODE_BLOCK + 100, seed=7)
-    run_experiment(cfg)
-    assert [len(codes) for _, codes in calls] == [CODE_BLOCK] * 3 + [100]
-    pairs = sample_pairs(enumerate_ball(BallSpec(2, 60)), cfg.pairs_per_x, seed=[7, 0])
-    rows = certify.with_inverses(pairs.reshape(-1, 2, 2))
-    assert np.array_equal(np.concatenate([r for r, _ in calls]), rows)
-    whole = certify.decide_pairs(rows, 1, cfg.r, cfg.eps)
-    assert np.array_equal(np.concatenate([codes for _, codes in calls]), whole)
-    assert len(set(whole.tolist())) > 2  # the blocks hold several outcomes
 
 
 def test_oracle_falsifying_a_certified_pair_aborts_the_run(monkeypatch):
