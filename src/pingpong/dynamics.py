@@ -249,7 +249,7 @@ def lyapunov_estimates(
     # row j > 0 holds each product's divisor at renormalization j; the 1s of
     # row 0 give the 0.0 each log sum starts from
     scales = np.ones((m // _RENORM_EVERY + 1, len(flat), 1, 1))
-    chunk = max(1, _GATHER // len(flat))  # steps gathered at a time
+    chunk = max(1, _GATHER // max(1, len(flat)))  # steps gathered at a time
     try:
         with np.errstate(over="raise", invalid="raise"):
             for s0 in range(0, m, chunk):
@@ -271,9 +271,7 @@ def lyapunov_estimates(
     return estimates.reshape(p, trials)
 
 
-def check_twoops(
-    A: IntMatrix, B: IntMatrix, w: str, eps: float, lam: float
-) -> dict:
+def check_twoops(A: IntMatrix, B: IntMatrix, w: str, eps: float, lam: float) -> dict:
     """Check ||w(A,B) u1(A)|| >= (eps*lam)^k for a reduced word of length k.
 
     Verifies the preconditions first: all four top singular values at
@@ -291,13 +289,7 @@ def check_twoops(
     v1 = dict(zip(ALPHABET, svds.k_g_prime[:, 0, :]))
 
     min_sigma = float(svds.sigma[:, 0].min())
-    diagnostics = {
-        "word": w,
-        "k": len(w),
-        "eps": eps,
-        "lam": lam,
-        "min_top_singular": min_sigma,
-    }
+    diagnostics = {"word": w, "k": len(w), "eps": eps, "lam": lam, "min_top_singular": min_sigma}
     if min_sigma < lam:
         diagnostics["status"] = "preconditions_unmet"
         diagnostics["reason"] = "top singular value below lam"

@@ -141,13 +141,9 @@ def integrate_region_with_error(region: CartanRegion, resolution: int = 512):
     return value, abs(fine - coarse) / 3.0
 
 
-def gap_fraction(
-    r_base: CartanRegion, gaps, resolution: int = 512
-) -> float:
+def gap_fraction(r_base: CartanRegion, gaps, resolution: int = 512) -> float:
     """Haar-volume fraction of the base region satisfying the gap cuts."""
-    constrained = replace(
-        r_base, gap_constraints=tuple(r_base.gap_constraints) + tuple(gaps)
-    )
+    constrained = replace(r_base, gap_constraints=tuple(r_base.gap_constraints) + tuple(gaps))
     denom = integrate_region(r_base, resolution)
     if denom <= 0:
         raise ConfigError("base region has zero volume")

@@ -18,6 +18,8 @@ import statistics
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
+import numpy as np
+
 from . import __version__, serialize
 from .certify import CERTIFIED, SCHOTTKY_CERTIFIED, VERY_PROXIMAL, check_r_eps, decide_pairs
 from .certify import choose_k, decide_schottky, hausdorff_bounds, isometric_circles, with_inverses
@@ -125,7 +127,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         quads = quads.reshape(n_pairs, 4, cfg.n, cfg.n)
 
         trace_large = int((abs(pairs.trace(axis1=2, axis2=3)) > 2).all(axis=1).sum())
-        f = (quads * quads).sum(axis=(-2, -1))  # ||g||_F^2 of g1, g1^-1, g2, g2^-1
+        f = np.einsum("...ij,...ij->...", quads, quads)  # ||g||_F^2 of g1, g1^-1, g2, g2^-1
         gapped_count = int(gapped(cfg.n, f[:, 0::2], f[:, 1::2], cfg.eta).all(axis=1).sum())
         very_prox = int((code >= VERY_PROXIMAL).sum())
         certified = code == CERTIFIED

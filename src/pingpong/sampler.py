@@ -22,8 +22,9 @@ For n = 3 one loop runs over the first columns c1 = (x, y, z) with
 the Gram minor of (c1, c2), solves (c1 x c2) . c3 = 1 for the third
 columns, and tests every (c2, c3) at once.  Each member g also gives
 P g diag(1, 1, det P) for every signed permutation P and distinct P c1.
-The ball is kept as int8 entries in the order of one argsort of int64
-keys packing them, and ``take`` makes int64 only of the rows it returns.
+An int64 key, the row-major entries as signed digits, is linear in g, so
+the search yields the keys of the images without building them: the ball
+is one sorted array of keys, and ``take`` decodes only those it is given.
 """
 
 from __future__ import annotations
@@ -236,12 +237,11 @@ def _sl2_take(comp, grid, starts, s_cap: int, idx: np.ndarray) -> np.ndarray:
     return np.stack([a, np.where(neg, -ub, ub), c, d], axis=-1).reshape(*np.shape(idx), 2, 2)
 
 
-def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
+def _sl3_ball(spec: BallSpec) -> BallEnumeration:
     b = spec.x**2
     norm_sq_cap = math.floor(b)
     cap = math.isqrt(norm_sq_cap)
-    r = np.arange(-cap, cap + 1)
-    grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = np.indices((2 * cap + 1,) * 3).reshape(3, -1).T - cap  # row-major order
     ball = grid[(grid * grid).sum(axis=1) <= norm_sq_cap]
     norms = (ball * ball).sum(axis=1)
     # the predicates scale b = p/q by powers of q, and their arguments are at
@@ -249,41 +249,54 @@ def _enumerate_sl3(spec: BallSpec) -> np.ndarray:
     # (never at an integer X <= MAX_X[3]) the arrays hold Python ints
     if 12 * norm_sq_cap**2 * b.numerator**3 >= 2**63:
         norms = norms.astype(object)
-    # every entry lies in [-cap, cap], so the base-(2 cap + 1) number with the signed
-    # digits e of the row-major entries orders members lexicographically: the digits
-    # below a place add up to less than one unit of it
-    weights = (2 * cap + 1) ** np.arange(8, -1, -1)
-    # P g Q keeps det = 1, sigma_1 and ||g^-1|| for P in _B3, Q = diag(1, 1, det P),
-    # so the members with first column P c1 are P M(c1) Q, M(c1) those with first
-    # column c1: the search runs for one c1 = (x, y, z), 0 <= x <= y <= z, per orbit
-    reps = (ball >= 0).all(axis=1) & (np.diff(ball, axis=1) >= 0).all(axis=1)
-    blocks, keys = [], []
-    for c1, n1 in zip(ball[reps], norms[reps]):
+    # every entry lies in [-cap, cap], so the key of g, the base-(2 cap + 1) number
+    # <w, g> with the signed digits e of the row-major entries, orders members
+    # lexicographically: the digits below a place add up to less than one unit of it
+    w = (2 * cap + 1) ** np.arange(8, -1, -1).reshape(3, 3)
+    # P g Q keeps det = 1, sigma_1 and ||g^-1|| for P in _B3, Q = diag(1, 1, det P), so
+    # the search runs for one c1 = (x, y, z), 0 <= x <= y <= z, per orbit, primitive as
+    # a column of g is; key(P g Q) = <P^t w Q, g> = sum_j c_j . weights[:, :, j]
+    weights = _B3.transpose(0, 2, 1) @ w
+    weights[..., 2] *= _B3_DET[:, None]
+    reps = (np.diff(ball, axis=1, prepend=0) >= 0).all(axis=1) & (np.gcd.reduce(ball, axis=1) == 1)
+    fball, keys = ball.astype(float), []
+    for c1, n1, c1x in zip(ball[reps], norms[reps], np.cross(ball[reps, None], np.eye(3))):
         d12 = ball @ c1
         wn = n1 * norms - d12 * d12  # |c1 x c2|^2, the 2-column Gram minor
-        # the cheap cut first: ||c1 x c2|| is a row norm of g^-1.  Then
-        # interlacing: the top eigenvalue of the 2-column Gram minor is a
-        # lower bound for lambda_max(g^t g)
-        keep = np.flatnonzero(wn <= norm_sq_cap) if spec.symmetrized else np.arange(len(ball))
-        keep = keep[_lambda_max_le_2x2(n1 + norms[keep], wn[keep], b)]
-        # the third columns c3 solve (c1 x c2) . c3 = 1; a non-primitive
-        # c1 x c2, zero included, has none
-        i, j = np.nonzero(np.cross(c1, ball[keep]) @ ball.T == 1)
-        k = keep[i]
+        # the cheap cut first: ||c1 x c2|| and ||c3 x c1|| are row norms of g^-1,
+        # so c2 and c3 are near c1.  Then interlacing: the top eigenvalue of the
+        # 2-column Gram minor is a lower bound for lambda_max(g^t g)
+        near = np.flatnonzero(wn <= norm_sq_cap) if spec.symmetrized else np.arange(len(ball))
+        keep = near[_lambda_max_le_2x2(n1 + norms[near], wn[near], b)]
+        # c1x holds the rows c1 x e_i, so c2 @ c1x = c1 x c2, and the third columns c3
+        # solve (c1 x c2) . c3 = 1; a non-primitive c1 x c2, zero included, has none.
+        # Floats are exact: |c1 x c2| |c3| <= X^3 bounds each partial sum
+        i, j = np.divmod(np.flatnonzero(fball[keep] @ c1x @ fball[near].T == 1), len(near))
+        k, j = keep[i], near[j]
         c2, n2, c3, n3 = ball[k], norms[k], ball[j], norms[j]
         d13, d23 = c3 @ c1, (c2 * c3).sum(axis=1)
         # the rows of g^-1 are c2 x c3, c3 x c1 and c1 x c2, and
         # |u x v|^2 = |u|^2 |v|^2 - (u . v)^2
         f_inv = wn[k] + n1 * n3 - d13 * d13 + n2 * n3 - d23 * d23
         inside = _member(3, n1 + n2 + n3, f_inv, b, spec.symmetrized)
-        g = np.stack([np.broadcast_to(c1, c2.shape), c2, c3], axis=2)[inside].astype(np.int8)
-        # a P per column P c1; each image entry is one +-entry of g, so int8 holds it
-        _, first = np.unique(_B3 @ c1 @ weights[-3:], return_index=True)
-        images = _B3[first, None] @ g
-        images[..., 2] *= _B3_DET[first, None, None]
-        blocks.append(images.reshape(-1, 9))
-        keys.append(blocks[-1] @ weights)
-    return np.concatenate(blocks)[np.argsort(np.concatenate(keys))].reshape(-1, 3, 3)
+        # a P per column P c1, and the (members, P) keys of the images
+        _, first = np.unique(_B3 @ c1 @ w[2], return_index=True)
+        key = c2[inside] @ weights[first, :, 1].T + weights[first, :, 0] @ c1
+        key += c3[inside] @ weights[first, :, 2].T
+        keys.append(key.ravel())
+    store = np.concatenate(keys)
+    store.sort()
+    return BallEnumeration(spec, len(store), partial(_sl3_take, store, cap))
+
+
+def _sl3_take(store: np.ndarray, cap: int, idx: np.ndarray) -> np.ndarray:
+    # cap in each of the 9 places makes every digit >= 0; digits is the one (..., 9) array
+    base, key = 2 * cap + 1, store.take(idx)
+    key += cap * (base**9 - 1) // (base - 1)
+    digits = np.empty(key.shape + (9,), dtype=np.int64)
+    for place in range(8, -1, -1):
+        np.divmod(key, base, out=(key, digits[..., place]))
+    return np.subtract(digits, cap, out=digits).reshape(*key.shape, 3, 3)
 
 
 def check_budget(spec: BallSpec) -> None:
@@ -297,10 +310,7 @@ def check_budget(spec: BallSpec) -> None:
 def enumerate_ball(spec: BallSpec) -> BallEnumeration:
     """Complete, deterministic enumeration of the requested norm ball."""
     check_budget(spec)
-    if spec.n == 2:
-        return _sl2_ball(spec)
-    store = _enumerate_sl3(spec)
-    return BallEnumeration(spec, len(store), lambda idx: store[idx].astype(np.int64))
+    return _sl2_ball(spec) if spec.n == 2 else _sl3_ball(spec)
 
 
 def sample_pairs(e: BallEnumeration, count: int, seed) -> np.ndarray:

@@ -481,6 +481,13 @@ def test_lyapunov_batch_of_one_matches_loop(monkeypatch, g1, g2, m, trials, gath
     assert est.stderr == (float(np.std(loop, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lyapunov_estimates_on_an_empty_stack(n):
+    # like every other batch pass, no pairs give an empty result instead of raising
+    est = lyapunov_estimates(np.zeros((0, 4, n, n)), 40, 3, 5, [])
+    assert est.shape == (0, 3) and est.dtype == np.float64
+
+
 def test_lyapunov_budget_checked_before_any_draw(monkeypatch):
     class Drawn(Exception):
         pass

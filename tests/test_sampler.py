@@ -262,26 +262,29 @@ def test_sl3_agrees_with_brute_force(symmetrized):
 
 
 def test_sl3_orbit_images_come_sorted_once_each():
-    # the members come from P M(c1) Q over the orbits of first columns and one
-    # argsort of packed keys: strictly increasing row-major, so no image twice.
-    # The store holds int8 entries; take hands out int64
+    # the members come from P M(c1) Q over the orbits of first columns, kept as one
+    # sorted array of int64 keys: strictly increasing, so no image twice.  take
+    # decodes only the keys it is asked for, into int64 rows in row-major order
     spec = BallSpec(3, 4, symmetrized=True)
-    store = sampler._enumerate_sl3(spec)
-    assert store.dtype == np.int8 and store.shape == (26232, 3, 3)
-    g = store.reshape(-1, 9).astype(np.int64)
-    diff = g[1:] - g[:-1]
-    first = np.argmax(diff != 0, axis=1)  # the first entry where rows differ
-    assert (diff[np.arange(len(diff)), first] > 0).all()
-    idx = np.array([[0, 17], [len(g) - 1, 5]])
-    drawn = enumerate_ball(spec).take(idx)
-    assert drawn.dtype == np.int64
-    assert np.array_equal(drawn, store[idx])
+    e = enumerate_ball(spec)
+    store = e.take.args[0]
+    assert store.dtype == np.int64 and store.shape == (26232,)
+    assert (store[1:] > store[:-1]).all()
+    idx = np.array([[0, 17], [len(store) - 1, 5]])
+    drawn = e.take(idx)
+    assert drawn.dtype == np.int64 and drawn.shape == (2, 2, 3, 3)
+    # a key holds the entries as signed base-(2 cap + 1) digits, cap = 4
+    place = 9 ** np.arange(8, -1, -1).reshape(3, 3)
+    assert np.array_equal((drawn * place).sum(axis=(-2, -1)), store[idx])
+    rows = e.take(np.array([0, 1, 2, 999, 13116, 26230, 26231])).reshape(-1, 9).tolist()
+    assert rows == sorted(rows) and len({tuple(r) for r in rows}) == len(rows)
+    assert rows[0] == [-3, -2, -1, -1, 0, 0, 0, 1, 0]
+    assert rows[-1] == [3, 2, 1, 1, 0, 0, 0, 1, 0]
 
 
-def test_sl3_ball_is_kept_as_int8_rows():
-    # X = 5 symmetrized keeps its 75,768 members as 0.68 MB of int8 rows, and the
-    # build peaks at 3.4 MB: the blocks, their int64 keys, the concatenations and
-    # the argsort
+def test_sl3_ball_is_kept_as_int64_keys():
+    # X = 5 symmetrized keeps its 75,768 members as 0.61 MB of int64 keys, and the
+    # build peaks at 2.4 MB: the per-orbit keys beside their concatenation
     tracemalloc.start()
     try:
         ball = enumerate_ball(BallSpec(3, 5, symmetrized=True))
@@ -289,8 +292,23 @@ def test_sl3_ball_is_kept_as_int8_rows():
     finally:
         tracemalloc.stop()
     assert ball.count == 75768
-    assert kept < 1.0e6
-    assert peak < 4.5e6
+    assert kept < 0.65e6
+    assert peak < 2.8e6
+
+
+def test_sl3_take_decodes_in_place():
+    # 2 * 10^5 positions decode into their 14.4 MB int64 result beside 1.6 MB of
+    # keys; a second (..., 9) temporary would add another 14.4 MB
+    e = enumerate_ball(BallSpec(3, 4, symmetrized=True))
+    idx = np.random.default_rng(0).integers(0, e.count, size=(10**5, 2))
+    tracemalloc.start()
+    try:
+        drawn = e.take(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn.shape == (10**5, 2, 3, 3)
+    assert peak < 16.2e6
 
 
 # radii just below and above 1 + sqrt(2), the sigma_1 of the elementary
@@ -579,10 +597,14 @@ def test_int64_intermediates_fit_at_the_budget():
     x = MAX_X[3]
     assert 5 * x**6 < 2**63
     assert 12 * (x * x) ** 2 * (x * x) ** 3 < 2**63
-    # the sort key packs the nine entries e in [-X, X] as base-(2 X + 1) digits,
-    # and the store holds them as int8
-    assert (2 * x + 1) ** 9 < 2**63
-    assert x <= np.iinfo(np.int8).max
+    # the store's keys pack the nine entries e in [-X, X] as signed base-(2 X + 1)
+    # digits, so |key| <= X ((2 X + 1)^9 - 1) / (2 X), the offset take adds before
+    # decoding: the shifted keys are at most (2 X + 1)^9 - 1
+    offset = x * ((2 * x + 1) ** 9 - 1) // (2 * x)
+    assert offset + offset < 2**63
+    # the c3 solve's float products (c1 x c2) . c3: the absolute values of the terms
+    # sum to at most |c1 x c2| |c3| <= X^3, so every partial sum is an exact float
+    assert x**3 < 2**53
     # n = 2: each chain of the octant is the interval of t on the line v + t s,
     # s and v the columns of a node inside the disk of squared radius
     # cap = floor(X^2), so its s1 = |s|^2 <= cap and s_cap = cap + s1 give the
